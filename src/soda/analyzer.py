@@ -20,12 +20,12 @@ program must satisfy before translation or evaluation makes sense.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 from .syntax import (
+    CALL_KINDS,
     AbstractBlock,
     Apply,
-    BinaryOp,
     ClassDecl,
     Definition,
     Diagnostic,
@@ -39,15 +39,16 @@ from .syntax import (
     NamedApply,
     Pattern,
     Program,
-    SelfRef,
     TypeApply,
     TypeExpr,
     TypeParam,
-    UnaryNot,
     VarBindPattern,
     ConstructorPattern,
+    children,
     error,
     has_errors,
+    peel_call_chain,
+    rebuild,
     warning,
 )
 
@@ -133,19 +134,24 @@ def _member_declarations(cls: ClassDecl) -> list[Definition]:
 # ============================================================
 
 
+def constructor_fields(cls: ClassDecl) -> tuple[tuple[str, TypeExpr], ...]:
+    """The default constructor's fields: each zero-parameter abstract member
+    with a declared type, in declaration order."""
+    return tuple(
+        (m.name, m.result_type)
+        for m in cls.abstract_members
+        if not m.params and m.result_type is not None
+    )
+
+
 def synthesize_constructors(program: Program) -> dict[str, ConstructorSignature]:
     constructors: dict[str, ConstructorSignature] = {}
     for cls in program.classes:
-        fields = tuple(
-            (m.name, m.result_type)
-            for m in cls.abstract_members
-            if not m.params and m.result_type is not None
-        )
         sig = ConstructorSignature(
             class_name=cls.name,
             constructor_name=cls.name + "_",
             type_params=cls.type_params,
-            fields=fields,
+            fields=constructor_fields(cls),
         )
         constructors[sig.constructor_name] = sig
     return constructors
@@ -154,26 +160,6 @@ def synthesize_constructors(program: Program) -> dict[str, ConstructorSignature]
 # ============================================================
 # call-chain helpers
 # ============================================================
-
-_CHAIN_KINDS = (Apply, NamedApply, TypeApply)
-
-
-def _peel_call_chain(e: Expr):
-    """Split a (possibly nested) application into its head and the ordered
-    argument steps. Steps are ('pos', expr), ('named', name, expr), or
-    ('type', type_expr)."""
-    steps = []
-    while isinstance(e, _CHAIN_KINDS):
-        if isinstance(e, Apply):
-            steps.append(("pos", e.argument))
-        elif isinstance(e, NamedApply):
-            steps.append(("named", e.param_name, e.argument))
-        else:
-            steps.append(("type", e.type_argument))
-        e = e.function
-    steps.reverse()
-    return e, steps
-
 
 def _rebuild_chain(head: Expr, steps, span) -> Expr:
     expr = head
@@ -202,7 +188,7 @@ def resolve_named_arguments(
     violation the diagnostics say what went wrong and no rewritten call is
     produced.
     """
-    head, steps = _peel_call_chain(call)
+    head, steps = peel_call_chain(call)
     named = [s for s in steps if s[0] == "named"]
     if not named:
         return call, []
@@ -255,14 +241,6 @@ def resolve_named_arguments(
     return _rebuild_chain(head, ordered, call.span), diagnostics
 
 
-def _chain_has_named(e: Expr) -> bool:
-    while isinstance(e, _CHAIN_KINDS):
-        if isinstance(e, NamedApply):
-            return True
-        e = e.function
-    return False
-
-
 class _NamedArgRewriter:
     """Rewrites every resolvable named-argument call in a class's bodies.
     Calls whose head is not a sibling definition or a known constructor are
@@ -274,20 +252,15 @@ class _NamedArgRewriter:
         self.diagnostics: list[Diagnostic] = []
 
     def rewrite(self, e: Expr) -> Expr:
-        if isinstance(e, _CHAIN_KINDS):
-            head, steps = _peel_call_chain(e)
+        if isinstance(e, CALL_KINDS):
+            head, steps = peel_call_chain(e)
             head = self.rewrite(head)
-            new_steps = []
-            for s in steps:
-                if s[0] == "pos":
-                    new_steps.append(("pos", self.rewrite(s[1])))
-                elif s[0] == "named":
-                    new_steps.append(("named", s[1], self.rewrite(s[2])))
-                else:
-                    new_steps.append(s)
-            rebuilt = _rebuild_chain(head, new_steps, e.span)
+            for i, step in enumerate(steps):
+                if step[0] != "type":
+                    steps[i] = (*step[:-1], self.rewrite(step[-1]))
+            rebuilt = _rebuild_chain(head, steps, e.span)
             if (
-                _chain_has_named(rebuilt)
+                any(step[0] == "named" for step in steps)
                 and isinstance(head, Identifier)
                 and head.name in self.signatures
             ):
@@ -298,28 +271,7 @@ class _NamedArgRewriter:
                 if resolved is not None:
                     return resolved
             return rebuilt
-        if isinstance(e, Lambda):
-            return replace(e, body=self.rewrite(e.body))
-        if isinstance(e, If):
-            return replace(
-                e,
-                cond=self.rewrite(e.cond),
-                then_branch=self.rewrite(e.then_branch),
-                else_branch=self.rewrite(e.else_branch),
-            )
-        if isinstance(e, Match):
-            return replace(
-                e,
-                scrutinee=self.rewrite(e.scrutinee),
-                cases=tuple(
-                    replace(c, result=self.rewrite(c.result)) for c in e.cases
-                ),
-            )
-        if isinstance(e, BinaryOp):
-            return replace(e, left=self.rewrite(e.left), right=self.rewrite(e.right))
-        if isinstance(e, UnaryNot):
-            return replace(e, operand=self.rewrite(e.operand))
-        return e
+        return rebuild(e, tuple(map(self.rewrite, children(e))))
 
 
 def _resolve_named_calls(
@@ -365,6 +317,11 @@ def _pattern_binds(p: Pattern) -> set[str]:
     return set()
 
 
+#: Index of the first child in tail position, for the nodes that pass tail
+#: position on: both branches of an ``if``, and each ``match`` case result.
+_FIRST_TAIL_CHILD = {If: 1, Match: 1, MatchCase: 0}
+
+
 def verify_tailrec(defn: Definition) -> list[Diagnostic]:
     """Check that every call of ``defn`` to itself within its own body sits
     in tail position. Tail positions are the body root, both branches of an
@@ -376,8 +333,8 @@ def verify_tailrec(defn: Definition) -> list[Diagnostic]:
     name = defn.name
 
     def walk(e: Expr, tail: bool, shadowed: frozenset) -> None:
-        if isinstance(e, _CHAIN_KINDS):
-            head, steps = _peel_call_chain(e)
+        if isinstance(e, CALL_KINDS):
+            head, steps = peel_call_chain(e)
             is_self_call = (
                 isinstance(head, Identifier)
                 and head.name == name
@@ -394,32 +351,17 @@ def verify_tailrec(defn: Definition) -> list[Diagnostic]:
             if not is_self_call:
                 walk(head, False, shadowed)
             for s in steps:
-                if s[0] == "pos":
-                    walk(s[1], False, shadowed)
-                elif s[0] == "named":
-                    walk(s[2], False, shadowed)
+                if s[0] != "type":
+                    walk(s[-1], False, shadowed)
             return
-        if isinstance(e, If):
-            walk(e.cond, False, shadowed)
-            walk(e.then_branch, tail, shadowed)
-            walk(e.else_branch, tail, shadowed)
-            return
-        if isinstance(e, Match):
-            walk(e.scrutinee, False, shadowed)
-            for c in e.cases:
-                walk(c.result, tail, shadowed | _pattern_binds(c.pattern))
-            return
-        if isinstance(e, Lambda):
-            walk(e.body, False, shadowed | {e.param})
-            return
-        if isinstance(e, BinaryOp):
-            walk(e.left, False, shadowed)
-            walk(e.right, False, shadowed)
-            return
-        if isinstance(e, UnaryNot):
-            walk(e.operand, False, shadowed)
-            return
-        # literals, identifiers, this: a bare reference is not a call
+        if type(e) is Lambda:
+            shadowed = shadowed | {e.param}
+        elif type(e) is MatchCase:
+            shadowed = shadowed | _pattern_binds(e.pattern)
+        kids = children(e)
+        first_tail = _FIRST_TAIL_CHILD.get(type(e), len(kids)) if tail else len(kids)
+        for i, child in enumerate(kids):
+            walk(child, i >= first_tail, shadowed)
 
     initial_shadow = frozenset(p for p, _ in defn.params if p == name)
     walk(defn.body, True, initial_shadow)
@@ -458,41 +400,26 @@ def _check_identifiers(
             warning("W-SEM-001", f"'{name}' is not declared in this file", span)
         )
 
-    def walk(e: Expr, scope: frozenset) -> None:
-        if isinstance(e, Identifier):
-            if e.name not in scope:
+    def walk(e: Expr, local: frozenset) -> None:
+        t = type(e)
+        if t is Identifier:
+            if e.name not in local and e.name not in class_names:
                 report(e.name, e.span)
             return
-        if isinstance(e, _CHAIN_KINDS):
-            head, steps = _peel_call_chain(e)
-            walk(head, scope)
+        if t in CALL_KINDS:
+            head, steps = peel_call_chain(e)
+            walk(head, local)
             for s in steps:
-                if s[0] == "pos":
-                    walk(s[1], scope)
-                elif s[0] == "named":
-                    walk(s[2], scope)
+                if s[0] != "type":
+                    walk(s[-1], local)
             return
-        if isinstance(e, Lambda):
-            walk(e.body, scope | {e.param})
-            return
-        if isinstance(e, If):
-            walk(e.cond, scope)
-            walk(e.then_branch, scope)
-            walk(e.else_branch, scope)
-            return
-        if isinstance(e, Match):
-            walk(e.scrutinee, scope)
-            for c in e.cases:
-                _check_pattern(c.pattern)
-                walk(c.result, scope | _pattern_binds(c.pattern))
-            return
-        if isinstance(e, BinaryOp):
-            walk(e.left, scope)
-            walk(e.right, scope)
-            return
-        if isinstance(e, UnaryNot):
-            walk(e.operand, scope)
-            return
+        if t is Lambda:
+            local = local | {e.param}
+        elif t is MatchCase:
+            _check_pattern(e.pattern)
+            local = local | _pattern_binds(e.pattern)
+        for child in children(e):
+            walk(child, local)
 
     def _check_pattern(p: Pattern) -> None:
         if isinstance(p, ConstructorPattern):
@@ -501,13 +428,14 @@ def _check_identifiers(
             for sub in p.sub_patterns:
                 _check_pattern(sub)
 
+    # Names visible throughout a class are collected once per class; the
+    # walk carries only the names bound locally (parameters, lambda
+    # parameters, pattern variables), so it stays linear in the class size.
     for cls in program.classes:
-        member_names = {d.name for d in _member_declarations(cls)}
+        class_names = global_names | {d.name for d in _member_declarations(cls)}
         for d in cls.definitions:
-            if d.body is None:
-                continue
-            scope = frozenset(global_names | member_names | {p for p, _ in d.params})
-            walk(d.body, scope)
+            if d.body is not None:
+                walk(d.body, frozenset(p for p, _ in d.params))
     return diagnostics
 
 

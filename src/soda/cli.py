@@ -130,7 +130,28 @@ def _parse_run_argument(text: str):
         return text
 
 
+def _recursion_budget(args) -> Optional[int]:
+    """The --max-recursion value, else SODA_MAX_RECURSION, else the
+    default; None after reporting a value that is not a positive integer."""
+    text = args.max_recursion
+    source = "--max-recursion"
+    if text is None:
+        text = os.environ.get("SODA_MAX_RECURSION", str(DEFAULT_MAX_RECURSION))
+        source = "SODA_MAX_RECURSION"
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget <= 0:
+        print(f"{source} must be a positive integer, got '{text}'", file=sys.stderr)
+        return None
+    return budget
+
+
 def _cmd_run(args) -> int:
+    max_recursion = _recursion_budget(args)
+    if max_recursion is None:
+        return 2
     analyzed = _analyze_file(args.file)
     if analyzed is None:
         return 1
@@ -141,9 +162,6 @@ def _cmd_run(args) -> int:
         )
         return 2
     class_name, def_name = args.entry.rsplit(".", 1)
-    max_recursion = args.max_recursion
-    if max_recursion is None:
-        max_recursion = int(os.environ.get("SODA_MAX_RECURSION", DEFAULT_MAX_RECURSION))
     interpreter = Interpreter(analyzed, max_recursion=max_recursion)
     if class_name not in {c.name for c in analyzed.program.classes}:
         print(f"{args.file}: no class named '{class_name}'", file=sys.stderr)
@@ -204,7 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("args", nargs="*", metavar="ARG")
     p_run.add_argument(
         "--max-recursion",
-        type=int,
         default=None,
         help=f"recursion budget (default {DEFAULT_MAX_RECURSION},"
         " or SODA_MAX_RECURSION)",

@@ -47,6 +47,7 @@ from .syntax import (
     UnaryNot,
     VarBindPattern,
     WildcardPattern,
+    escape_string,
     synthetic_span,
 )
 
@@ -223,8 +224,7 @@ def render_value(v: EvalOutcome) -> str:
     if type(v) is BoolV:
         return "true" if v.value else "false"
     if type(v) is StringV:
-        escaped = v.value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return f'"{escape_string(v.value)}"'
     if type(v) is SeqV:
         return "[" + ", ".join(render_value(i) for i in v.items) + "]"
     if type(v) is ObjectV:
@@ -240,27 +240,6 @@ def render_value(v: EvalOutcome) -> str:
     if type(v) is RuntimeFault:
         return v.render()
     return repr(v)
-
-
-def values_equal(a: Value, b: Value) -> bool:
-    """Structural equality; values of different shapes are unequal, never a
-    fault. Function values are equal only to themselves."""
-    ta, tb = type(a), type(b)
-    if ta is not tb:
-        return False
-    if ta in (IntV, BoolV, StringV):
-        return a.value == b.value
-    if ta is SeqV:
-        return len(a.items) == len(b.items) and all(
-            values_equal(x, y) for x, y in zip(a.items, b.items)
-        )
-    if ta is ObjectV:
-        return (
-            a.class_name == b.class_name
-            and a.fields.keys() == b.fields.keys()
-            and all(values_equal(a.fields[k], b.fields[k]) for k in a.fields)
-        )
-    return a is b
 
 
 # ============================================================
@@ -423,7 +402,9 @@ class Interpreter:
                 if type(right) is RuntimeFault:
                     return right
                 if op == "==":
-                    return TRUE_V if values_equal(left, right) else FALSE_V
+                    # The value classes' own equality: structural for data,
+                    # identity for functions and constructors.
+                    return TRUE_V if left == right else FALSE_V
                 if (
                     op == "+"
                     and type(left) is StringV

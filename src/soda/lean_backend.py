@@ -22,63 +22,35 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .analyzer import AnalyzedProgram, filter_directives
+from .analyzer import AnalyzedProgram, constructor_fields, filter_directives
 from .syntax import (
+    PREC_APP,
+    PREC_ATOM,
+    PREC_LOW,
+    PREC_OR,
     AbstractBlock,
     AppliedType,
-    Apply,
-    BinaryOp,
-    BoolLiteral,
     ClassDecl,
     ConstructorPattern,
     Definition,
     Diagnostic,
     DirectiveBlock,
     Expr,
+    ExprPrinter,
     FunctionType,
-    Identifier,
-    If,
-    IntLiteral,
     Lambda,
     LiteralPattern,
     Match,
-    NamedApply,
-    NamedType,
     Pattern,
     Program,
     SelfRef,
-    StringLiteral,
-    TypeApply,
     TypeExpr,
-    UnaryNot,
-    VarBindPattern,
-    WildcardPattern,
-    escape_string,
     error,
-    PREC_ADD,
-    PREC_AND,
-    PREC_APP,
-    PREC_ATOM,
-    PREC_CMP,
-    PREC_LOW,
-    PREC_MUL,
-    PREC_OR,
-    PREC_UNARY,
+    format_pattern,
+    join_blocks,
+    peel_call_chain,
+    walk,
 )
-
-_LEAN_BINOPS = {
-    "*": ("*", PREC_MUL),
-    "/": ("/", PREC_MUL),
-    "+": ("+", PREC_ADD),
-    "-": ("-", PREC_ADD),
-    "==": ("==", PREC_CMP),
-    "<": ("<", PREC_CMP),
-    "<=": ("<=", PREC_CMP),
-    ">": (">", PREC_CMP),
-    ">=": (">=", PREC_CMP),
-    "and": ("&&", PREC_AND),
-    "or": ("||", PREC_OR),
-}
 
 
 @dataclass
@@ -102,77 +74,21 @@ class LeanRendering:
 def check_lean_supported(program: Program) -> list[Diagnostic]:
     """One diagnostic per occurrence of a construct the Lean translation
     does not cover, each naming the construct."""
-    diagnostics: list[Diagnostic] = []
+    found = []  # (what is refused, where), in source order
     if program.package_name is not None:
-        diagnostics.append(
-            error(
-                "E-LEAN-001",
-                "'package' declarations are not supported by the Lean backend",
-                program.span,
-            )
-        )
-    for _ in program.imports:
-        diagnostics.append(
-            error(
-                "E-LEAN-001",
-                "'import' declarations are not supported by the Lean backend",
-                program.span,
-            )
-        )
+        found.append(("'package' declarations are", program.span))
+    found += [("'import' declarations are", program.span)] * len(program.imports)
     for cls in program.classes:
         for tp in cls.type_params:
             if tp.bound_kind in ("subtype", "supertype"):
-                diagnostics.append(
-                    error(
-                        "E-LEAN-001",
-                        f"'{tp.bound_kind}' bounds are not supported by the Lean backend",
-                        tp.span,
-                    )
-                )
+                found.append((f"'{tp.bound_kind}' bounds are", tp.span))
         for d in cls.definitions:
             if d.body is not None:
-                _check_expr(d.body, diagnostics)
-    return diagnostics
-
-
-def _check_expr(e: Expr, diagnostics: list[Diagnostic]) -> None:
-    if isinstance(e, SelfRef):
-        diagnostics.append(
-            error(
-                "E-LEAN-001",
-                "'this' is not supported by the Lean backend",
-                e.span,
-            )
-        )
-        return
-    if isinstance(e, (Apply, TypeApply)):
-        _check_expr(e.function, diagnostics)
-        if isinstance(e, Apply):
-            _check_expr(e.argument, diagnostics)
-        return
-    if isinstance(e, NamedApply):
-        _check_expr(e.function, diagnostics)
-        _check_expr(e.argument, diagnostics)
-        return
-    if isinstance(e, Lambda):
-        _check_expr(e.body, diagnostics)
-        return
-    if isinstance(e, If):
-        _check_expr(e.cond, diagnostics)
-        _check_expr(e.then_branch, diagnostics)
-        _check_expr(e.else_branch, diagnostics)
-        return
-    if isinstance(e, Match):
-        _check_expr(e.scrutinee, diagnostics)
-        for c in e.cases:
-            _check_expr(c.result, diagnostics)
-        return
-    if isinstance(e, BinaryOp):
-        _check_expr(e.left, diagnostics)
-        _check_expr(e.right, diagnostics)
-        return
-    if isinstance(e, UnaryNot):
-        _check_expr(e.operand, diagnostics)
+                found += [("'this' is", e.span) for e in walk(d.body) if type(e) is SelfRef]
+    return [
+        error("E-LEAN-001", f"{what} not supported by the Lean backend", span)
+        for what, span in found
+    ]
 
 
 # ============================================================
@@ -181,25 +97,7 @@ def _check_expr(e: Expr, diagnostics: list[Diagnostic]) -> None:
 
 
 def translate_type_to_lean(t: TypeExpr) -> str:
-    if isinstance(t, NamedType):
-        return t.name
-    if isinstance(t, AppliedType):
-        base = translate_type_to_lean(t.base)
-        if isinstance(t.base, FunctionType):
-            base = f"({base})"
-        parts = [base]
-        for a in t.args:
-            rendered = translate_type_to_lean(a)
-            if isinstance(a, (AppliedType, FunctionType)):
-                rendered = f"({rendered})"
-            parts.append(rendered)
-        return " ".join(parts)
-    if isinstance(t, FunctionType):
-        dom = translate_type_to_lean(t.domain)
-        if isinstance(t.domain, FunctionType):
-            dom = f"({dom})"
-        return f"{dom} -> {translate_type_to_lean(t.codomain)}"
-    raise TypeError(f"not a type: {t!r}")
+    return _LEAN.type_(t)
 
 
 # ============================================================
@@ -207,89 +105,66 @@ def translate_type_to_lean(t: TypeExpr) -> str:
 # ============================================================
 
 
-def _render(e: Expr, context: int) -> str:
-    text, prec = _render_bare(e)
-    if prec < context:
-        return f"({text})"
-    return text
+class _LeanPrinter(ExprPrinter):
+    binary_ops = {**ExprPrinter.binary_ops, "and": "&&", "or": "||"}
+    not_word = "!"
+    arrow = "->"
 
+    def type_args(self, args: tuple[TypeExpr, ...]) -> str:
+        # Arguments go by juxtaposition, so compound ones need parentheses.
+        parts = []
+        for a in args:
+            text = self.type_(a)
+            parts.append(f" ({text})" if isinstance(a, (AppliedType, FunctionType)) else f" {text}")
+        return "".join(parts)
 
-def _render_bare(e: Expr) -> tuple[str, int]:
-    if isinstance(e, IntLiteral):
-        return str(e.value), (PREC_ATOM if e.value >= 0 else PREC_ADD)
-    if isinstance(e, BoolLiteral):
-        return ("true" if e.value else "false"), PREC_ATOM
-    if isinstance(e, StringLiteral):
-        return f'"{escape_string(e.value)}"', PREC_ATOM
-    if isinstance(e, Identifier):
-        return e.name, PREC_ATOM
-    if isinstance(e, TypeApply):
-        # Type arguments are erased; inference recovers them.
-        return _render_bare(e.function)
-    if isinstance(e, Apply):
-        fn = _render(e.function, PREC_APP)
-        arg = _render(e.argument, PREC_ATOM)
-        return f"{fn} {arg}", PREC_APP
-    if isinstance(e, NamedApply):
-        fn = _render(e.function, PREC_APP)
-        return f"{fn} ({e.param_name} := {_render(e.argument, PREC_LOW)})", PREC_APP
-    if isinstance(e, UnaryNot):
-        return f"! {_render(e.operand, PREC_UNARY)}", PREC_UNARY
-    if isinstance(e, BinaryOp):
-        op, prec = _LEAN_BINOPS[e.op]
-        left = _render(e.left, prec)
-        right = _render(e.right, prec + 1)
-        return f"{left} {op} {right}", prec
-    if isinstance(e, Lambda):
-        param = f"({e.param} : {translate_type_to_lean(e.param_type)})" if e.param_type else e.param
-        return f"fun {param} => {_render(e.body, PREC_LOW)}", PREC_LOW
-    if isinstance(e, If):
-        cond = _render(e.cond, PREC_LOW)
-        then_b = _render(e.then_branch, PREC_LOW)
-        else_b = _render(e.else_branch, PREC_LOW)
-        return f"if {cond} then {then_b} else {else_b}", PREC_LOW
-    if isinstance(e, Match):
-        arms = " ".join(
-            f"| {_render_pattern(c.pattern)} => {_render(c.result, PREC_OR)}"
-            for c in e.cases
-        )
-        return f"match {_render(e.scrutinee, PREC_OR)} with {arms}", PREC_LOW
-    if isinstance(e, SelfRef):
-        # Rejected by check_lean_supported; never reached through the
-        # public translation.
-        return "this", PREC_ATOM
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _render_pattern(p: Pattern, nested: bool = False) -> str:
-    if isinstance(p, WildcardPattern):
-        return "_"
-    if isinstance(p, VarBindPattern):
-        return p.name
-    if isinstance(p, LiteralPattern):
-        if isinstance(p.value, bool):
-            return "true" if p.value else "false"
-        if isinstance(p.value, int):
+    def pattern(self, p: Pattern, nested: bool = False) -> str:
+        # Sub-patterns go by juxtaposition, so a nested constructor pattern
+        # or negative literal needs parentheses.
+        if isinstance(p, ConstructorPattern) and p.sub_patterns:
+            text = p.name + "".join(f" {self.pattern(s, nested=True)}" for s in p.sub_patterns)
+        elif isinstance(p, LiteralPattern) and type(p.value) is int and p.value < 0:
             text = str(p.value)
-            return f"({text})" if nested and p.value < 0 else text
-        return f'"{escape_string(p.value)}"'
-    if isinstance(p, ConstructorPattern):
-        if not p.sub_patterns:
-            return p.name
-        subs = " ".join(_render_pattern(s, nested=True) for s in p.sub_patterns)
-        text = f"{p.name} {subs}"
+        else:
+            return format_pattern(p)
         return f"({text})" if nested else text
-    raise TypeError(f"not a pattern: {p!r}")
+
+    def call(self, e: Expr) -> tuple[str, int]:
+        # Type arguments are erased; inference recovers them.
+        head, steps = peel_call_chain(e)
+        values = [s for s in steps if s[0] != "type"]
+        if not values:
+            return self._bare[type(head)](self, head)
+        parts = [self.expr(head, PREC_APP)]
+        for step in values:
+            if step[0] == "pos":
+                parts.append(self.expr(step[1], PREC_ATOM))
+            else:
+                parts.append(f"({step[1]} := {self.expr(step[2])})")
+        return " ".join(parts), PREC_APP
+
+    def lambda_(self, e: Lambda) -> tuple[str, int]:
+        param = f"({e.param} : {self.type_(e.param_type)})" if e.param_type else e.param
+        return f"fun {param} => {self.expr(e.body)}", PREC_LOW
+
+    def match(self, e: Match) -> tuple[str, int]:
+        arms = " ".join(self.match_arms(e))
+        return f"match {self.expr(e.scrutinee, PREC_OR)} with {arms}", PREC_LOW
+
+    def match_arms(self, e: Match) -> list[str]:
+        arms = []
+        for c in e.cases:
+            arms.append(f"| {self.pattern(c.pattern)} => {self.expr(c.result, PREC_OR)}")
+        return arms
+
+
+_LEAN = _LeanPrinter()
 
 
 def translate_match_to_lean(e: Match, indent: str = "") -> str:
     """Block form of a match, one line per case."""
-    lines = [f"{indent}match {_render(e.scrutinee, PREC_OR)} with"]
-    for c in e.cases:
-        lines.append(
-            f"{indent}| {_render_pattern(c.pattern)} => {_render(c.result, PREC_OR)}"
-        )
-    return "\n".join(lines)
+    lines = [f"match {_LEAN.expr(e.scrutinee, PREC_OR)} with", *_LEAN.match_arms(e)]
+    return "\n".join(indent + line for line in lines)
 
 
 # ============================================================
@@ -301,32 +176,20 @@ def _render_definition(d: Definition) -> list[str]:
     lines: list[str] = []
     for c in d.leading_comments:
         lines.append(f"--{c}")
-    head = f"def {d.name}"
-    for pname, ptype in d.params:
-        head += f" ({pname} : {translate_type_to_lean(ptype)})"
-    if d.result_type is not None:
-        head += f" : {translate_type_to_lean(d.result_type)}"
+    head = f"def {d.name}{_LEAN.signature(d)}"
     if isinstance(d.body, Match):
         lines.append(head + " :=")
         lines.append(translate_match_to_lean(d.body, "  "))
         return lines
-    lines.append(f"{head} := {_render(d.body, PREC_LOW)}")
+    lines.append(f"{head} := {_LEAN.expr(d.body)}")
     return lines
-
-
-def _render_directive(block: DirectiveBlock) -> list[str]:
-    return list(block.raw_lines)
 
 
 def _render_class(cls: ClassDecl) -> list[str]:
     lines: list[str] = []
     for c in cls.leading_comments:
         lines.append(f"--{c}")
-    fields = [
-        (m.name, m.result_type)
-        for m in cls.abstract_members
-        if not m.params and m.result_type is not None
-    ]
+    fields = constructor_fields(cls)
     if fields:
         head = f"class {cls.name}"
         for tp in cls.type_params:
@@ -343,7 +206,7 @@ def _render_class(cls: ClassDecl) -> list[str]:
         if isinstance(member, AbstractBlock):
             continue
         if isinstance(member, DirectiveBlock):
-            chunks.append(_render_directive(member))
+            chunks.append(list(member.raw_lines))
         elif member.body is not None:
             chunks.append(_render_definition(member))
     for chunk in chunks:
@@ -371,11 +234,7 @@ def translate_to_lean(analyzed: AnalyzedProgram) -> LeanRendering:
         if isinstance(item, ClassDecl):
             chunks.append(_render_class(item))
         else:
-            chunks.append(_render_directive(item))
-    lines: list[str] = []
-    for i, chunk in enumerate(chunks):
-        if i:
-            lines.append("")
-        lines.extend(chunk)
+            chunks.append(list(item.raw_lines))
+    lines = join_blocks(chunks)
     text = "\n".join(lines) + "\n" if lines else ""
     return LeanRendering(text, diagnostics)

@@ -20,6 +20,8 @@ from typing import Optional
 
 from .lexer import decode_string_text, tokenize
 from .syntax import (
+    BINARY_PRECEDENCE,
+    PREC_OR,
     AbstractBlock,
     Apply,
     BinaryOp,
@@ -61,7 +63,7 @@ from .syntax import (
 
 _TOP_KEYWORDS = frozenset({"class", "directive", "package", "import"})
 _LAYOUT_KINDS = (TokenKind.INDENT, TokenKind.DEDENT, TokenKind.COMMENT)
-_COMPARISON_OPS = ("==", "<", "<=", ">", ">=")
+_BINARY_OP_KINDS = (TokenKind.OPERATOR_SYMBOL, TokenKind.RESERVED_WORD)
 
 
 @dataclass
@@ -267,43 +269,22 @@ class Parser:
             return self._parse_if()
         if self.at_reserved("match"):
             return self._parse_match()
-        return self._parse_or()
+        return self._parse_binary(PREC_OR)
 
-    def _binary_loop(self, parse_operand, op_test) -> Expr:
-        left = parse_operand()
+    def _parse_binary(self, min_prec: int) -> Expr:
+        """Precedence climbing over BINARY_PRECEDENCE: an operand, then every
+        following operator that binds at least ``min_prec``; each right
+        operand takes only operators that bind tighter (left-associative)."""
+        left = self._parse_unary()
         while True:
             self._expr_tick()
-            op = op_test()
-            if op is None:
+            t = self.cur()
+            prec = BINARY_PRECEDENCE.get(t.text, 0)
+            if prec < min_prec or t.kind not in _BINARY_OP_KINDS:
                 return left
             self.advance()
-            right = parse_operand()
-            left = BinaryOp(op, left, right, left.span.cover(right.span))
-
-    def _parse_or(self) -> Expr:
-        return self._binary_loop(
-            self._parse_and, lambda: "or" if self.at_reserved("or") else None
-        )
-
-    def _parse_and(self) -> Expr:
-        return self._binary_loop(
-            self._parse_cmp, lambda: "and" if self.at_reserved("and") else None
-        )
-
-    def _op_in(self, ops) -> Optional[str]:
-        t = self.cur()
-        if t.kind == TokenKind.OPERATOR_SYMBOL and t.text in ops:
-            return t.text
-        return None
-
-    def _parse_cmp(self) -> Expr:
-        return self._binary_loop(self._parse_add, lambda: self._op_in(_COMPARISON_OPS))
-
-    def _parse_add(self) -> Expr:
-        return self._binary_loop(self._parse_mul, lambda: self._op_in(("+", "-")))
-
-    def _parse_mul(self) -> Expr:
-        return self._binary_loop(self._parse_unary, lambda: self._op_in(("*", "/")))
+            right = self._parse_binary(prec + 1)
+            left = BinaryOp(t.text, left, right, left.span.cover(right.span))
 
     def _parse_unary(self) -> Expr:
         self._expr_tick()
@@ -428,7 +409,7 @@ class Parser:
 
     def _parse_match(self) -> Expr:
         kw = self.advance()
-        scrutinee = self._parse_or()
+        scrutinee = self._parse_binary(PREC_OR)
         cases: list[MatchCase] = []
         while True:
             self._expr_tick()
@@ -437,7 +418,7 @@ class Parser:
             case_kw = self.advance()
             pattern = self.parse_pattern()
             self.expect_op("==>")
-            result = self._parse_or()
+            result = self._parse_binary(PREC_OR)
             cases.append(MatchCase(pattern, result, case_kw.span.cover(result.span)))
         if not cases:
             self.err("E-PAR-011", "match requires at least one case", kw.span)

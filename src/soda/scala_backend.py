@@ -23,64 +23,25 @@ from dataclasses import dataclass, field
 
 from .analyzer import AnalyzedProgram, ConstructorSignature, filter_directives
 from .syntax import (
+    PREC_APP,
+    PREC_LOW,
     AbstractBlock,
-    AppliedType,
-    Apply,
-    BinaryOp,
-    BoolLiteral,
     ClassDecl,
     ConstructorPattern,
     Definition,
     DirectiveBlock,
     Expr,
-    FunctionType,
+    ExprPrinter,
     Identifier,
-    If,
-    IntLiteral,
     Lambda,
-    LiteralPattern,
     Match,
-    NamedApply,
-    NamedType,
     Pattern,
-    SelfRef,
     SourceSpan,
-    StringLiteral,
-    TypeApply,
-    TypeExpr,
     TypeParam,
-    UnaryNot,
-    VarBindPattern,
-    WildcardPattern,
-    escape_string,
-    PREC_ADD,
-    PREC_AND,
-    PREC_APP,
-    PREC_ATOM,
-    PREC_CMP,
-    PREC_LOW,
-    PREC_MUL,
-    PREC_OR,
-    PREC_UNARY,
+    format_pattern,
+    join_blocks,
+    peel_call_chain,
 )
-
-#: Soda type names that Scala spells differently.
-_TYPE_RENAMES = {"Bool": "Boolean"}
-
-_SCALA_BINOPS = {
-    "*": ("*", PREC_MUL),
-    "/": ("/", PREC_MUL),
-    "+": ("+", PREC_ADD),
-    "-": ("-", PREC_ADD),
-    "==": ("==", PREC_CMP),
-    "<": ("<", PREC_CMP),
-    "<=": ("<=", PREC_CMP),
-    ">": (">", PREC_CMP),
-    ">=": (">=", PREC_CMP),
-    "and": ("&&", PREC_AND),
-    "or": ("||", PREC_OR),
-}
-
 
 @dataclass
 class ScalaRendering:
@@ -104,20 +65,7 @@ def translate_type_to_scala(t) -> str:
         if t.bound_kind == "supertype":
             return f"{t.name} >: {translate_type_to_scala(t.bound)}"
         return t.name
-    if isinstance(t, NamedType):
-        return _TYPE_RENAMES.get(t.name, t.name)
-    if isinstance(t, AppliedType):
-        base = translate_type_to_scala(t.base)
-        if isinstance(t.base, FunctionType):
-            base = f"({base})"
-        args = ", ".join(translate_type_to_scala(a) for a in t.args)
-        return f"{base} [{args}]"
-    if isinstance(t, FunctionType):
-        dom = translate_type_to_scala(t.domain)
-        if isinstance(t.domain, FunctionType):
-            dom = f"({dom})"
-        return f"{dom} => {translate_type_to_scala(t.codomain)}"
-    raise TypeError(f"not a type: {t!r}")
+    return _SCALA_TYPES.type_(t)
 
 
 # ============================================================
@@ -125,129 +73,64 @@ def translate_type_to_scala(t) -> str:
 # ============================================================
 
 
-def _peel(e: Expr):
-    steps = []
-    while isinstance(e, (Apply, NamedApply, TypeApply)):
-        if isinstance(e, Apply):
-            steps.append(("pos", e.argument))
-        elif isinstance(e, NamedApply):
-            steps.append(("named", e.param_name, e.argument))
-        else:
-            steps.append(("type", e.type_argument))
-        e = e.function
-    steps.reverse()
-    return e, steps
+class _ScalaPrinter(ExprPrinter):
+    binary_ops = {**ExprPrinter.binary_ops, "and": "&&", "or": "||"}
+    not_word = "!"
+    arrow = "=>"
+    type_renames = {"Bool": "Boolean"}
 
-
-class _ExprRenderer:
     def __init__(self, constructors: dict[str, ConstructorSignature]):
         self.constructors = constructors
 
-    def render(self, e: Expr, context: int, indent: str) -> str:
-        text, prec = self._bare(e, indent)
-        if prec < context:
-            return f"({text})"
-        return text
+    def type_args(self, args) -> str:
+        return f" [{', '.join(map(self.type_, args))}]"
 
-    def _bare(self, e: Expr, indent: str) -> tuple[str, int]:
-        if isinstance(e, IntLiteral):
-            return str(e.value), (PREC_ATOM if e.value >= 0 else PREC_ADD)
-        if isinstance(e, BoolLiteral):
-            return ("true" if e.value else "false"), PREC_ATOM
-        if isinstance(e, StringLiteral):
-            return f'"{escape_string(e.value)}"', PREC_ATOM
-        if isinstance(e, Identifier):
-            return e.name, PREC_ATOM
-        if isinstance(e, SelfRef):
-            return "this", PREC_ATOM
-        if isinstance(e, (Apply, NamedApply, TypeApply)):
-            return self._render_call(e, indent), PREC_APP
-        if isinstance(e, UnaryNot):
-            return f"! {self.render(e.operand, PREC_UNARY, indent)}", PREC_UNARY
-        if isinstance(e, BinaryOp):
-            op, prec = _SCALA_BINOPS[e.op]
-            left = self.render(e.left, prec, indent)
-            right = self.render(e.right, prec + 1, indent)
-            return f"{left} {op} {right}", prec
-        if isinstance(e, Lambda):
-            param = (
-                f"({e.param} : {translate_type_to_scala(e.param_type)})"
-                if e.param_type
-                else f"({e.param})"
-            )
-            return f"{param} => {self.render(e.body, PREC_LOW, indent)}", PREC_LOW
-        if isinstance(e, If):
-            cond = self.render(e.cond, PREC_LOW, indent)
-            then_b = self.render(e.then_branch, PREC_LOW, indent)
-            else_b = self.render(e.else_branch, PREC_LOW, indent)
-            return f"if {cond} then {then_b} else {else_b}", PREC_LOW
-        if isinstance(e, Match):
-            return self._render_match_inline(e, indent), PREC_LOW
-        raise TypeError(f"not an expression: {e!r}")
-
-    def _render_call(self, e: Expr, indent: str) -> str:
-        head, steps = _peel(e)
-        head_text = self.render(head, PREC_APP, indent)
-        type_args = [s[1] for s in steps if s[0] == "type"]
-        value_steps = [s for s in steps if s[0] != "type"]
-        out = head_text
-        if type_args:
-            out += " [" + ", ".join(translate_type_to_scala(t) for t in type_args) + "]"
-        if (
-            isinstance(head, Identifier)
-            and head.name in self.constructors
-            and value_steps
-            and len(value_steps) == len(self.constructors[head.name].fields)
-        ):
-            # Case classes apply in one argument list.
-            rendered = []
-            for s in value_steps:
-                if s[0] == "pos":
-                    rendered.append(self.render(s[1], PREC_LOW, indent))
-                else:
-                    rendered.append(f"{s[1]} = {self.render(s[2], PREC_LOW, indent)}")
-            return out + " (" + ", ".join(rendered) + ")"
-        for s in value_steps:
-            if s[0] == "pos":
-                out += f" ({self.render(s[1], PREC_LOW, indent)})"
-            else:
-                out += f" ({s[1]} = {self.render(s[2], PREC_LOW, indent)})"
-        return out
-
-    def render_pattern(self, p: Pattern) -> str:
-        if isinstance(p, WildcardPattern):
-            return "_"
-        if isinstance(p, VarBindPattern):
-            return p.name
-        if isinstance(p, LiteralPattern):
-            if isinstance(p.value, bool):
-                return "true" if p.value else "false"
-            if isinstance(p.value, int):
-                return str(p.value)
-            return f'"{escape_string(p.value)}"'
+    def pattern(self, p: Pattern) -> str:
         if isinstance(p, ConstructorPattern):
-            subs = ", ".join(self.render_pattern(s) for s in p.sub_patterns)
-            return f"{p.name} ({subs})"
-        raise TypeError(f"not a pattern: {p!r}")
+            return f"{p.name} ({', '.join(self.pattern(s) for s in p.sub_patterns)})"
+        return format_pattern(p)
 
-    def _render_match_inline(self, e: Match, indent: str) -> str:
-        scrutinee = self.render(e.scrutinee, PREC_APP, indent)
-        cases = "; ".join(
-            f"case {self.render_pattern(c.pattern)} => {self.render(c.result, PREC_LOW, indent)}"
-            for c in e.cases
-        )
-        return f"{scrutinee} match {{ {cases} }}"
+    def call(self, e: Expr) -> tuple[str, int]:
+        head, steps = peel_call_chain(e)
+        out = self.expr(head, PREC_APP)
+        type_args = [s[1] for s in steps if s[0] == "type"]
+        if type_args:
+            out += self.type_args(type_args)
+        args = []
+        for s in steps:
+            if s[0] == "pos":
+                args.append(self.expr(s[1]))
+            elif s[0] == "named":
+                args.append(f"{s[1]} = {self.expr(s[2])}")
+        sig = self.constructors.get(head.name) if isinstance(head, Identifier) else None
+        if args and sig is not None and len(args) == len(sig.fields):
+            # Case classes apply in one argument list.
+            return f"{out} ({', '.join(args)})", PREC_APP
+        return out + "".join(f" ({a})" for a in args), PREC_APP
 
-    def render_match_block(self, e: Match, indent: str) -> list[str]:
-        """Multi-line match used when a match is a definition's whole body."""
-        scrutinee = self.render(e.scrutinee, PREC_APP, indent)
-        lines = [f"{indent}{scrutinee} match {{"]
+    def lambda_(self, e: Lambda) -> tuple[str, int]:
+        param = f"({e.param} : {self.type_(e.param_type)})" if e.param_type else f"({e.param})"
+        return f"{param} => {self.expr(e.body)}", PREC_LOW
+
+    def match(self, e: Match) -> tuple[str, int]:
+        cases = "; ".join(self.match_cases(e))
+        return f"{self.expr(e.scrutinee, PREC_APP)} match {{ {cases} }}", PREC_LOW
+
+    def match_cases(self, e: Match) -> list[str]:
+        cases = []
         for c in e.cases:
-            pattern = self.render_pattern(c.pattern)
-            result = self.render(c.result, PREC_LOW, indent + "  ")
-            lines.append(f"{indent}  case {pattern} => {result}")
+            cases.append(f"case {self.pattern(c.pattern)} => {self.expr(c.result)}")
+        return cases
+
+    def match_block(self, e: Match, indent: str) -> list[str]:
+        """Multi-line match used when a match is a definition's whole body."""
+        lines = [f"{indent}{self.expr(e.scrutinee, PREC_APP)} match {{"]
+        lines.extend(f"{indent}  {case}" for case in self.match_cases(e))
         lines.append(f"{indent}}}")
         return lines
+
+
+_SCALA_TYPES = _ScalaPrinter({})
 
 
 # ============================================================
@@ -262,28 +145,22 @@ def translate_definition_to_scala(
 ) -> list[str]:
     """Render one member definition (or abstract declaration) as Scala
     lines. Constants become ``lazy val``, functions become ``def``."""
-    renderer = _ExprRenderer(constructors or {})
+    printer = _ScalaPrinter(constructors or {})
     lines: list[str] = []
     for c in d.leading_comments:
         lines.append(f"{indent}//{c}")
     if d.is_tailrec_annotated:
         lines.append(f"{indent}@tailrec")
-    if d.body is None or d.params:
-        head = f"def {d.name}"
-        for pname, ptype in d.params:
-            head += f" ({pname} : {translate_type_to_scala(ptype)})"
-    else:
-        head = f"lazy val {d.name}"
-    if d.result_type is not None:
-        head += f" : {translate_type_to_scala(d.result_type)}"
+    keyword = "def" if d.body is None or d.params else "lazy val"
+    head = f"{keyword} {d.name}{printer.signature(d)}"
     if d.body is None:
         lines.append(indent + head)
         return lines
     if isinstance(d.body, Match):
         lines.append(f"{indent}{head} =")
-        lines.extend(renderer.render_match_block(d.body, indent + "  "))
+        lines.extend(printer.match_block(d.body, indent + "  "))
         return lines
-    lines.append(f"{indent}{head} = {renderer.render(d.body, PREC_LOW, indent)}")
+    lines.append(f"{indent}{head} = {printer.expr(d.body)}")
     return lines
 
 
@@ -317,10 +194,7 @@ def _render_class(
             body_chunks.append(translate_definition_to_scala(member, constructors, "  "))
     if body_chunks:
         lines.append(head + " {")
-        for i, chunk in enumerate(body_chunks):
-            if i:
-                lines.append("")
-            lines.extend(chunk)
+        lines.extend(join_blocks(body_chunks))
         lines.append("}")
     else:
         lines.append(head)

@@ -1,5 +1,5 @@
 """Soda abstract syntax: spans, tokens, expression and declaration trees,
-diagnostics, and the canonical pretty-printer.
+diagnostics, the shared traversal, the expression printer and pretty-printer.
 
 Every node is a frozen dataclass, immutable after construction. Source spans
 are excluded from equality (``compare=False``), so ``==`` on two trees is
@@ -67,11 +67,6 @@ RESERVED_WORDS = frozenset(
         "not", "and", "or", "true", "false",
     }
 )
-
-OPERATOR_SYMBOLS = frozenset(
-    {":", "=", ":=", "-->", "==>", "<:", ">:", "+", "-", "*", "/", "==", "<", "<=", ">", ">="}
-)
-
 
 class TokenKind:
     """Token kind names. Plain string constants: kinds travel in data files
@@ -368,6 +363,88 @@ class UnaryNot(Expr):
 
 
 # ============================================================
+# TRAVERSAL
+#
+# The one description of the expression tree's shape: each node type's
+# sub-expressions in source order, and how to rebuild it from new ones.
+# Patterns and types are not children. A type in neither table is a leaf.
+# ============================================================
+
+_CHILDREN = {
+    Apply: lambda e: (e.function, e.argument),
+    NamedApply: lambda e: (e.function, e.argument),
+    TypeApply: lambda e: (e.function,),
+    Lambda: lambda e: (e.body,),
+    If: lambda e: (e.cond, e.then_branch, e.else_branch),
+    Match: lambda e: (e.scrutinee, *e.cases),
+    MatchCase: lambda e: (e.result,),
+    BinaryOp: lambda e: (e.left, e.right),
+    UnaryNot: lambda e: (e.operand,),
+}
+
+# Constructor arguments for a copy of each node with new children ``k``.
+_REBUILD_ARGS = {
+    Apply: lambda e, k: (k[0], k[1], e.span),
+    NamedApply: lambda e, k: (k[0], e.param_name, k[1], e.span),
+    TypeApply: lambda e, k: (k[0], e.type_argument, e.span),
+    Lambda: lambda e, k: (e.param, e.param_type, k[0], e.span),
+    If: lambda e, k: (k[0], k[1], k[2], e.span),
+    Match: lambda e, k: (k[0], k[1:], e.span),
+    MatchCase: lambda e, k: (e.pattern, k[0], e.span),
+    BinaryOp: lambda e, k: (e.op, k[0], k[1], e.span),
+    UnaryNot: lambda e, k: (k[0], e.span),
+}
+
+
+def children(e: Expr) -> tuple[Expr, ...]:
+    """Direct sub-expressions of ``e`` in source order; () for a leaf."""
+    get = _CHILDREN.get(type(e))
+    return get(e) if get else ()
+
+
+def rebuild(e: Expr, kids: tuple[Expr, ...]) -> Expr:
+    """Copy of ``e`` (span included) whose children are ``kids``, a tuple in
+    the order ``children(e)`` gives. Recursive rewriters call
+    ``rebuild(e, tuple(map(f, children(e))))`` in their own frame, so a tree
+    level costs them one Python frame."""
+    args = _REBUILD_ARGS.get(type(e))
+    return type(e)(*args(e, kids)) if args else e
+
+
+def walk(e: Expr):
+    """Every node of the tree rooted at ``e`` in preorder, without recursion."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        get = _CHILDREN.get(type(node))
+        if get:
+            stack.extend(reversed(get(node)))
+
+
+CALL_KINDS = (Apply, NamedApply, TypeApply)
+
+
+def peel_call_chain(e: Expr):
+    """Split a (possibly nested) application into its head and the ordered
+    argument steps. Steps are ('pos', expr), ('named', name, expr), or
+    ('type', type_expr)."""
+    steps = []
+    while True:
+        t = type(e)
+        if t is Apply:
+            steps.append(("pos", e.argument))
+        elif t is NamedApply:
+            steps.append(("named", e.param_name, e.argument))
+        elif t is TypeApply:
+            steps.append(("type", e.type_argument))
+        else:
+            steps.reverse()
+            return e, steps
+        e = e.function
+
+
+# ============================================================
 # DECLARATIONS
 # ============================================================
 
@@ -494,8 +571,8 @@ class Program:
 # with the minimum parenthesization that survives reparsing.
 # ============================================================
 
-# Precedence levels, tightest first. Used by the printer to decide where
-# parentheses are required; the parser implements the same table.
+# Precedence levels, tightest first. BINARY_PRECEDENCE is the one operator
+# table: the parser climbs it and every expression printer reads it.
 PREC_ATOM = 9
 PREC_APP = 8
 PREC_UNARY = 7
@@ -525,36 +602,8 @@ def escape_string(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _expr_precedence(e: Expr) -> int:
-    if isinstance(e, IntLiteral):
-        # A negative literal renders with a leading minus, which binds like
-        # subtraction when reparsed.
-        return PREC_ATOM if e.value >= 0 else PREC_ADD
-    if isinstance(e, (BoolLiteral, StringLiteral, Identifier, SelfRef)):
-        return PREC_ATOM
-    if isinstance(e, (Apply, NamedApply, TypeApply)):
-        return PREC_APP
-    if isinstance(e, UnaryNot):
-        return PREC_UNARY
-    if isinstance(e, BinaryOp):
-        return BINARY_PRECEDENCE[e.op]
-    return PREC_LOW  # Lambda, If, Match
-
-
 def format_type(t: TypeExpr) -> str:
-    if isinstance(t, NamedType):
-        return t.name
-    if isinstance(t, AppliedType):
-        base = format_type(t.base)
-        if isinstance(t.base, FunctionType):
-            base = f"({base})"
-        return base + "".join(f" [{format_type(a)}]" for a in t.args)
-    if isinstance(t, FunctionType):
-        dom = format_type(t.domain)
-        if isinstance(t.domain, FunctionType):
-            dom = f"({dom})"
-        return f"{dom} --> {format_type(t.codomain)}"
-    raise TypeError(f"not a TypeExpr: {t!r}")
+    return _SODA_PRINTER.type_(t)
 
 
 def format_pattern(p: Pattern) -> str:
@@ -563,66 +612,158 @@ def format_pattern(p: Pattern) -> str:
     if isinstance(p, VarBindPattern):
         return p.name
     if isinstance(p, LiteralPattern):
-        if isinstance(p.value, bool):
-            return "true" if p.value else "false"
-        if isinstance(p.value, int):
-            return str(p.value)
-        return f'"{escape_string(p.value)}"'
+        return _SODA_PRINTER.literal(p)[0]
     if isinstance(p, ConstructorPattern):
         return p.name + "".join(f" ({format_pattern(s)})" for s in p.sub_patterns)
     raise TypeError(f"not a Pattern: {p!r}")
 
 
+_PRINT_METHODS = {
+    IntLiteral: "literal",
+    BoolLiteral: "literal",
+    StringLiteral: "literal",
+    Identifier: "identifier",
+    SelfRef: "self_ref",
+    Apply: "call",
+    NamedApply: "call",
+    TypeApply: "call",
+    UnaryNot: "unary_not",
+    BinaryOp: "binary_op",
+    Lambda: "lambda_",
+    If: "if_",
+    Match: "match",
+}
+
+
+class ExprPrinter:
+    """Single-line expression printer. Each node prints bare together with
+    its precedence, and ``expr`` parenthesizes it exactly where the context
+    binds tighter. This class writes Soda; the Scala and Lean backends
+    subclass it and override what their language writes differently."""
+
+    #: Spelling of each binary operator.
+    binary_ops = {op: op for op in BINARY_PRECEDENCE}
+    not_word = "not"
+    arrow = "-->"
+    type_renames: dict[str, str] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Each printer class dispatches on the node type to its own methods.
+        cls._bare = {t: getattr(cls, name) for t, name in _PRINT_METHODS.items()}
+
+    def expr(self, e: Expr, context: int = PREC_LOW) -> str:
+        try:
+            method = self._bare[type(e)]
+        except KeyError:
+            raise TypeError(f"not an Expr: {e!r}") from None
+        text, prec = method(self, e)
+        return f"({text})" if prec < context else text
+
+    def type_(self, t: TypeExpr) -> str:
+        if isinstance(t, NamedType):
+            return self.type_renames.get(t.name, t.name)
+        if isinstance(t, AppliedType):
+            base = self.type_(t.base)
+            if isinstance(t.base, FunctionType):
+                base = f"({base})"
+            return base + self.type_args(t.args)
+        if isinstance(t, FunctionType):
+            dom = self.type_(t.domain)
+            if isinstance(t.domain, FunctionType):
+                dom = f"({dom})"
+            return f"{dom} {self.arrow} {self.type_(t.codomain)}"
+        raise TypeError(f"not a TypeExpr: {t!r}")
+
+    def type_args(self, args: tuple[TypeExpr, ...]) -> str:
+        return "".join(f" [{self.type_(a)}]" for a in args)
+
+    def pattern(self, p: Pattern) -> str:
+        return format_pattern(p)
+
+    def signature(self, d: Definition) -> str:
+        """Parameter groups and result type that follow a definition's name."""
+        params = "".join(f" ({name} : {self.type_(t)})" for name, t in d.params)
+        return params + (f" : {self.type_(d.result_type)}" if d.result_type is not None else "")
+
+    def literal(self, e: Union[IntLiteral, BoolLiteral, StringLiteral, LiteralPattern]) -> tuple[str, int]:
+        v = e.value
+        if isinstance(v, bool):
+            return ("true" if v else "false"), PREC_ATOM
+        if isinstance(v, int):
+            # A negative literal prints with a leading minus, which binds
+            # like subtraction when reparsed.
+            return str(v), (PREC_ATOM if v >= 0 else PREC_ADD)
+        return f'"{escape_string(v)}"', PREC_ATOM
+
+    def identifier(self, e: Identifier) -> tuple[str, int]:
+        return e.name, PREC_ATOM
+
+    def self_ref(self, e: SelfRef) -> tuple[str, int]:
+        return "this", PREC_ATOM
+
+    def call(self, e: Expr) -> tuple[str, int]:
+        head, steps = peel_call_chain(e)
+        parts = [self.expr(head, PREC_APP)]
+        for step in steps:
+            if step[0] == "pos":
+                parts.append(f"({self.expr(step[1])})")
+            elif step[0] == "named":
+                parts.append(f"({step[1]} := {self.expr(step[2])})")
+            else:
+                parts.append(f"[{self.type_(step[1])}]")
+        return " ".join(parts), PREC_APP
+
+    def unary_not(self, e: UnaryNot) -> tuple[str, int]:
+        return f"{self.not_word} {self.expr(e.operand, PREC_UNARY)}", PREC_UNARY
+
+    def binary_op(self, e: BinaryOp) -> tuple[str, int]:
+        # Operators are left-associative, so the left spine of a chain such
+        # as a + b + ... + z is printed in a loop rather than by recursion.
+        # A left operand that binds looser than its parent is closed after
+        # its text, and its opening parenthesis goes at the very front.
+        spine = []
+        while type(e) is BinaryOp:
+            spine.append(e)
+            e = e.left
+        prec = BINARY_PRECEDENCE[spine[-1].op]
+        parts = [self.expr(e, prec)]
+        opens = 0
+        for node in reversed(spine):
+            outer = BINARY_PRECEDENCE[node.op]
+            if prec < outer:
+                parts[-1] += ")"
+                opens += 1
+            parts += (self.binary_ops[node.op], self.expr(node.right, outer + 1))
+            prec = outer
+        return "(" * opens + " ".join(parts), prec
+
+    def lambda_(self, e: Lambda) -> tuple[str, int]:
+        param = f"({e.param} : {self.type_(e.param_type)})" if e.param_type else e.param
+        return f"lambda {param} --> {self.expr(e.body)}", PREC_LOW
+
+    def if_(self, e: If) -> tuple[str, int]:
+        cond = self.expr(e.cond)
+        then_branch = self.expr(e.then_branch)
+        return f"if {cond} then {then_branch} else {self.expr(e.else_branch)}", PREC_LOW
+
+    def match(self, e: Match) -> tuple[str, int]:
+        # Scrutinee and case results are followed by `case`: a bare
+        # lambda/if/match tail there would swallow the next case arm.
+        parts = [f"match {self.expr(e.scrutinee, PREC_OR)}"]
+        for c in e.cases:
+            parts.append(f"case {self.pattern(c.pattern)} ==> {self.expr(c.result, PREC_OR)}")
+        return " ".join(parts), PREC_LOW
+
+
+ExprPrinter.__init_subclass__()  # the base class's own dispatch table
+_SODA_PRINTER = ExprPrinter()
+
+
 def format_expr(e: Expr, context: int = PREC_LOW) -> str:
     """Render one expression on a single line, parenthesizing exactly where
     the rendered text would otherwise reparse differently."""
-    text = _format_expr_bare(e)
-    if _expr_precedence(e) < context:
-        return f"({text})"
-    return text
-
-
-def _format_expr_bare(e: Expr) -> str:
-    if isinstance(e, IntLiteral):
-        return str(e.value)
-    if isinstance(e, BoolLiteral):
-        return "true" if e.value else "false"
-    if isinstance(e, StringLiteral):
-        return f'"{escape_string(e.value)}"'
-    if isinstance(e, Identifier):
-        return e.name
-    if isinstance(e, SelfRef):
-        return "this"
-    if isinstance(e, Apply):
-        return f"{format_expr(e.function, PREC_APP)} ({format_expr(e.argument, PREC_LOW)})"
-    if isinstance(e, NamedApply):
-        return f"{format_expr(e.function, PREC_APP)} ({e.param_name} := {format_expr(e.argument, PREC_LOW)})"
-    if isinstance(e, TypeApply):
-        return f"{format_expr(e.function, PREC_APP)} [{format_type(e.type_argument)}]"
-    if isinstance(e, UnaryNot):
-        return f"not {format_expr(e.operand, PREC_UNARY)}"
-    if isinstance(e, BinaryOp):
-        prec = BINARY_PRECEDENCE[e.op]
-        left = format_expr(e.left, prec)
-        right = format_expr(e.right, prec + 1)  # left-associative
-        return f"{left} {e.op} {right}"
-    if isinstance(e, Lambda):
-        param = f"({e.param} : {format_type(e.param_type)})" if e.param_type else e.param
-        return f"lambda {param} --> {format_expr(e.body, PREC_LOW)}"
-    if isinstance(e, If):
-        return (
-            f"if {format_expr(e.cond, PREC_LOW)}"
-            f" then {format_expr(e.then_branch, PREC_LOW)}"
-            f" else {format_expr(e.else_branch, PREC_LOW)}"
-        )
-    if isinstance(e, Match):
-        # Scrutinee and case results are followed by `case`: a bare
-        # lambda/if/match tail there would swallow the next case arm.
-        parts = [f"match {format_expr(e.scrutinee, PREC_OR)}"]
-        for c in e.cases:
-            parts.append(f"case {format_pattern(c.pattern)} ==> {format_expr(c.result, PREC_OR)}")
-        return " ".join(parts)
-    raise TypeError(f"not an Expr: {e!r}")
+    return _SODA_PRINTER.expr(e, context)
 
 
 def _format_definition(d: Definition, indent: str) -> list[str]:
@@ -631,11 +772,7 @@ def _format_definition(d: Definition, indent: str) -> list[str]:
         lines.append(f"{indent}//{c}")
     if d.is_tailrec_annotated:
         lines.append(f"{indent}@tailrec")
-    head = d.name
-    for pname, ptype in d.params:
-        head += f" ({pname} : {format_type(ptype)})"
-    if d.result_type is not None:
-        head += f" : {format_type(d.result_type)}"
+    head = d.name + _SODA_PRINTER.signature(d)
     if d.body is not None:
         head += f" = {format_expr(d.body, PREC_LOW)}"
     lines.append(indent + head)
@@ -703,9 +840,14 @@ def pretty_print(program: Program) -> str:
             chunks.append(_format_directive(item, ""))
     if not chunks:
         return ""
+    return "\n".join(join_blocks(chunks)) + "\n"
+
+
+def join_blocks(blocks: list[list[str]]) -> list[str]:
+    """The blocks' lines in order, with one blank line between neighbours."""
     lines: list[str] = []
-    for i, chunk in enumerate(chunks):
+    for i, block in enumerate(blocks):
         if i:
             lines.append("")
-        lines.extend(chunk)
-    return "\n".join(lines) + "\n"
+        lines.extend(block)
+    return lines

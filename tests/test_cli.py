@@ -155,6 +155,25 @@ def test_run_recursion_limit_env(pair_file, capsys, monkeypatch):
     assert "recursion_limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, env",
+    [(None, "abc"), ("0", None), ("-5", None)],
+    ids=["env-not-a-number", "flag-zero", "flag-negative"],
+)
+def test_run_rejects_a_recursion_budget_that_is_not_positive(
+    pair_file, capsys, monkeypatch, flag, env
+):
+    if env is not None:
+        monkeypatch.setenv("SODA_MAX_RECURSION", env)
+    argv = ["run", pair_file, "Main.demo"]
+    if flag is not None:
+        argv[1:1] = ["--max-recursion", flag]
+    assert call(*argv) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert len(cap.err.splitlines()) == 1
+
+
 def test_run_entry_must_be_class_dot_definition(pair_file, capsys):
     assert call("run", pair_file, "Main") == 2
 

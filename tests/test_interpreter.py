@@ -94,6 +94,11 @@ def test_equality_is_structural():
     assert ev("P_ (1) (2) == P_ (1) (3)") == BoolV(False)
     assert ev('"a" == "a"') == BoolV(True)
     assert ev("range (3) == range (3)") == BoolV(True)
+    # functions compare by identity: a definition equals itself, two
+    # separately written lambdas never equal each other
+    it = interp_of("class F\n\n  inc (n : Int) : Int = n + 1\n\nend\n")
+    assert ev("inc == inc", it, "F") == BoolV(True)
+    assert ev("(lambda x --> x) == (lambda x --> x)") == BoolV(False)
 
 
 def test_equality_across_types_is_false():
