@@ -32,23 +32,20 @@ from .syntax import (
     DirectiveBlock,
     Expr,
     Identifier,
-    If,
-    Lambda,
-    Match,
     MatchCase,
     NamedApply,
-    Pattern,
     Program,
     TypeApply,
     TypeExpr,
     TypeParam,
-    VarBindPattern,
     ConstructorPattern,
     children,
     error,
     has_errors,
+    pattern_nodes,
     peel_call_chain,
     rebuild,
+    scoped_walk,
     warning,
 )
 
@@ -91,30 +88,18 @@ class AnalyzedProgram:
 def check_single_definition(program: Program) -> list[Diagnostic]:
     """One diagnostic per duplicate occurrence, placed at the duplicate."""
     diagnostics: list[Diagnostic] = []
-    seen_classes: dict[str, ClassDecl] = {}
+    class_names: set[str] = set()
     for cls in program.classes:
-        if cls.name in seen_classes:
-            diagnostics.append(
-                error(
-                    "E-SEM-001",
-                    f"class '{cls.name}' is already defined",
-                    cls.span,
-                )
-            )
-        else:
-            seen_classes[cls.name] = cls
-        seen_members: dict[str, Definition] = {}
+        if cls.name in class_names:
+            message = f"class '{cls.name}' is already defined"
+            diagnostics.append(error("E-SEM-001", message, cls.span))
+        class_names.add(cls.name)
+        member_names: set[str] = set()
         for member in _member_declarations(cls):
-            if member.name in seen_members:
-                diagnostics.append(
-                    error(
-                        "E-SEM-001",
-                        f"'{member.name}' is already defined in class '{cls.name}'",
-                        member.span,
-                    )
-                )
-            else:
-                seen_members[member.name] = member
+            if member.name in member_names:
+                message = f"'{member.name}' is already defined in class '{cls.name}'"
+                diagnostics.append(error("E-SEM-001", message, member.span))
+            member_names.add(member.name)
     return diagnostics
 
 
@@ -158,8 +143,9 @@ def synthesize_constructors(program: Program) -> dict[str, ConstructorSignature]
 
 
 # ============================================================
-# call-chain helpers
+# named arguments
 # ============================================================
+
 
 def _rebuild_chain(head: Expr, steps, span) -> Expr:
     expr = head
@@ -171,11 +157,6 @@ def _rebuild_chain(head: Expr, steps, span) -> Expr:
         else:
             expr = TypeApply(expr, step[1], span)
     return expr
-
-
-# ============================================================
-# named arguments
-# ============================================================
 
 
 def resolve_named_arguments(
@@ -241,37 +222,50 @@ def resolve_named_arguments(
     return _rebuild_chain(head, ordered, call.span), diagnostics
 
 
-class _NamedArgRewriter:
-    """Rewrites every resolvable named-argument call in a class's bodies.
-    Calls whose head is not a sibling definition or a known constructor are
-    left as written; the code generators render those named arguments in the
-    target language's own syntax."""
+def _rewrite_named_calls(
+    body: Expr, signatures: dict[str, list[str]], diagnostics: list[Diagnostic]
+) -> Expr:
+    """Copy of ``body`` with every resolvable named-argument call in
+    positional form. Calls whose head is not a sibling definition or a known
+    constructor keep their named arguments; the code generators render those
+    in the target language's own syntax.
 
-    def __init__(self, signatures: dict[str, list[str]]):
-        self.signatures = signatures
-        self.diagnostics: list[Diagnostic] = []
-
-    def rewrite(self, e: Expr) -> Expr:
-        if isinstance(e, CALL_KINDS):
+    The copy is built bottom-up from an explicit stack, not by recursion.
+    Each call chain is rebuilt from its rewritten head and arguments, and
+    every call node in it carries the span of the whole chain."""
+    done: list[Expr] = []  # rewritten sub-expressions, in postorder
+    todo: list = [body]  # nodes to visit, and (node, steps, part count) to rebuild
+    while todo:
+        e = todo.pop()
+        if type(e) in CALL_KINDS:
             head, steps = peel_call_chain(e)
-            head = self.rewrite(head)
-            for i, step in enumerate(steps):
-                if step[0] != "type":
-                    steps[i] = (*step[:-1], self.rewrite(step[-1]))
-            rebuilt = _rebuild_chain(head, steps, e.span)
-            if (
-                any(step[0] == "named" for step in steps)
-                and isinstance(head, Identifier)
-                and head.name in self.signatures
-            ):
-                resolved, diags = resolve_named_arguments(
-                    rebuilt, self.signatures[head.name]
-                )
-                self.diagnostics.extend(diags)
-                if resolved is not None:
-                    return resolved
-            return rebuilt
-        return rebuild(e, tuple(map(self.rewrite, children(e))))
+            parts = [head, *[s[-1] for s in steps if s[0] != "type"]]
+            todo += [(e, steps, len(parts)), *reversed(parts)]
+            continue
+        if type(e) is not tuple:
+            parts = children(e)
+            if parts:
+                todo += [(e, None, len(parts)), *reversed(parts)]
+            else:
+                done.append(e)
+            continue
+        e, steps, count = e  # its parts are rewritten: rebuild the node
+        parts = done[len(done) - count:]
+        del done[len(done) - count:]
+        if steps is None:
+            done.append(rebuild(e, tuple(parts)))
+            continue
+        head, args = parts[0], iter(parts[1:])
+        steps = [s if s[0] == "type" else (*s[:-1], next(args)) for s in steps]
+        call = _rebuild_chain(head, steps, e.span)
+        params = signatures.get(head.name) if type(head) is Identifier else None
+        if params is not None and any(s[0] == "named" for s in steps):
+            resolved, diags = resolve_named_arguments(call, params)
+            diagnostics.extend(diags)
+            if resolved is not None:
+                call = resolved
+        done.append(call)
+    return done[0]
 
 
 def _resolve_named_calls(
@@ -289,14 +283,13 @@ def _resolve_named_calls(
         signatures = dict(constructor_params)
         for d in _member_declarations(item):
             signatures[d.name] = [p[0] for p in d.params]
-        rewriter = _NamedArgRewriter(signatures)
         new_members = []
         for m in item.members:
             if isinstance(m, Definition) and m.body is not None:
-                new_members.append(replace(m, body=rewriter.rewrite(m.body)))
+                body = _rewrite_named_calls(m.body, signatures, diagnostics)
+                new_members.append(replace(m, body=body))
             else:
                 new_members.append(m)
-        diagnostics.extend(rewriter.diagnostics)
         new_items.append(replace(item, members=tuple(new_members)))
     return replace(program, items=tuple(new_items)), diagnostics
 
@@ -304,22 +297,6 @@ def _resolve_named_calls(
 # ============================================================
 # tail recursion
 # ============================================================
-
-
-def _pattern_binds(p: Pattern) -> set[str]:
-    if isinstance(p, VarBindPattern):
-        return {p.name}
-    if isinstance(p, ConstructorPattern):
-        out: set[str] = set()
-        for sub in p.sub_patterns:
-            out |= _pattern_binds(sub)
-        return out
-    return set()
-
-
-#: Index of the first child in tail position, for the nodes that pass tail
-#: position on: both branches of an ``if``, and each ``match`` case result.
-_FIRST_TAIL_CHILD = {If: 1, Match: 1, MatchCase: 0}
 
 
 def verify_tailrec(defn: Definition) -> list[Diagnostic]:
@@ -331,49 +308,18 @@ def verify_tailrec(defn: Definition) -> list[Diagnostic]:
         return []
     diagnostics: list[Diagnostic] = []
     name = defn.name
-
-    def walk(e: Expr, tail: bool, shadowed: frozenset) -> None:
-        if isinstance(e, CALL_KINDS):
-            head, steps = peel_call_chain(e)
-            is_self_call = (
-                isinstance(head, Identifier)
-                and head.name == name
-                and name not in shadowed
-            )
-            if is_self_call and not tail:
-                diagnostics.append(
-                    error(
-                        "E-SEM-010",
-                        f"'{name}' calls itself outside tail position",
-                        e.span,
-                    )
-                )
-            if not is_self_call:
-                walk(head, False, shadowed)
-            for s in steps:
-                if s[0] != "type":
-                    walk(s[-1], False, shadowed)
-            return
-        if type(e) is Lambda:
-            shadowed = shadowed | {e.param}
-        elif type(e) is MatchCase:
-            shadowed = shadowed | _pattern_binds(e.pattern)
-        kids = children(e)
-        first_tail = _FIRST_TAIL_CHILD.get(type(e), len(kids)) if tail else len(kids)
-        for i, child in enumerate(kids):
-            walk(child, i >= first_tail, shadowed)
-
-    initial_shadow = frozenset(p for p, _ in defn.params if p == name)
-    walk(defn.body, True, initial_shadow)
-    return diagnostics
-
-
-def _check_tailrec(program: Program) -> list[Diagnostic]:
-    diagnostics: list[Diagnostic] = []
-    for cls in program.classes:
-        for d in cls.definitions:
-            if d.is_tailrec_annotated:
-                diagnostics.extend(verify_tailrec(d))
+    # A parameter, lambda parameter or pattern variable named like the
+    # definition shadows it.
+    shadowed = frozenset(p for p, _ in defn.params if p == name)
+    for node, tail, bound in scoped_walk(defn.body, shadowed):
+        if tail or type(node) not in CALL_KINDS:
+            continue
+        head = node.function
+        while type(head) in CALL_KINDS:
+            head = head.function
+        if type(head) is Identifier and head.name == name and name not in bound:
+            message = f"'{name}' calls itself outside tail position"
+            diagnostics.append(error("E-SEM-010", message, node.span))
     return diagnostics
 
 
@@ -393,40 +339,10 @@ def _check_identifiers(
 
     def report(name: str, span) -> None:
         key = (name, span.line_start, span.col_start)
-        if key in reported_spans:
-            return
-        reported_spans.add(key)
-        diagnostics.append(
-            warning("W-SEM-001", f"'{name}' is not declared in this file", span)
-        )
-
-    def walk(e: Expr, local: frozenset) -> None:
-        t = type(e)
-        if t is Identifier:
-            if e.name not in local and e.name not in class_names:
-                report(e.name, e.span)
-            return
-        if t in CALL_KINDS:
-            head, steps = peel_call_chain(e)
-            walk(head, local)
-            for s in steps:
-                if s[0] != "type":
-                    walk(s[-1], local)
-            return
-        if t is Lambda:
-            local = local | {e.param}
-        elif t is MatchCase:
-            _check_pattern(e.pattern)
-            local = local | _pattern_binds(e.pattern)
-        for child in children(e):
-            walk(child, local)
-
-    def _check_pattern(p: Pattern) -> None:
-        if isinstance(p, ConstructorPattern):
-            if p.name not in global_names:
-                report(p.name, p.span)
-            for sub in p.sub_patterns:
-                _check_pattern(sub)
+        if key not in reported_spans:
+            reported_spans.add(key)
+            message = f"'{name}' is not declared in this file"
+            diagnostics.append(warning("W-SEM-001", message, span))
 
     # Names visible throughout a class are collected once per class; the
     # walk carries only the names bound locally (parameters, lambda
@@ -434,8 +350,18 @@ def _check_identifiers(
     for cls in program.classes:
         class_names = global_names | {d.name for d in _member_declarations(cls)}
         for d in cls.definitions:
-            if d.body is not None:
-                walk(d.body, frozenset(p for p, _ in d.params))
+            if d.body is None:
+                continue
+            params = frozenset(p for p, _ in d.params)
+            for node, _, local in scoped_walk(d.body, params):
+                t = type(node)
+                if t is Identifier:
+                    if node.name not in local and node.name not in class_names:
+                        report(node.name, node.span)
+                elif t is MatchCase:
+                    for p in pattern_nodes(node.pattern):
+                        if type(p) is ConstructorPattern and p.name not in global_names:
+                            report(p.name, p.span)
     return diagnostics
 
 
@@ -475,6 +401,9 @@ def analyze(program: Program) -> AnalyzedProgram:
     constructors = synthesize_constructors(program)
     rewritten, named_diags = _resolve_named_calls(program, constructors)
     diagnostics.extend(named_diags)
-    diagnostics.extend(_check_tailrec(rewritten))
+    for cls in rewritten.classes:
+        for d in cls.definitions:
+            if d.is_tailrec_annotated:
+                diagnostics.extend(verify_tailrec(d))
     diagnostics.extend(_check_identifiers(rewritten, constructors))
     return AnalyzedProgram(rewritten, constructors, diagnostics)

@@ -622,26 +622,40 @@ def _stack_bytes_for(max_recursion: int) -> int:
     return max(256 * 1024 * 1024, min(need, 1024 * 1024 * 1024))
 
 
+#: The recursion limit each guarded run in progress found when it started.
+#: The limit is process-wide and runs may overlap on several threads: it
+#: stays raised until the last run ends, then goes back to the first value.
+_limits_found: list[int] = []
+_limits_lock = threading.Lock()
+
+
 def _call_with_big_stack(fn, max_recursion: int):
     """Run ``fn`` on a thread whose stack comfortably fits the recursion
     budget, so the budget fault is reachable before the host stack ends."""
     box: list = []
 
     def runner():
-        limit = max(sys.getrecursionlimit(), 4 * max_recursion + 20_000)
-        sys.setrecursionlimit(limit)
         try:
             box.append(("ok", fn()))
         except BaseException as ex:  # surface errors on the calling thread
             box.append(("err", ex))
 
-    old = threading.stack_size(_stack_bytes_for(max_recursion))
+    with _limits_lock:
+        _limits_found.append(sys.getrecursionlimit())
+        sys.setrecursionlimit(max(_limits_found[-1], 4 * max_recursion + 20_000))
     try:
-        worker = threading.Thread(target=runner, name="soda-eval", daemon=True)
-        worker.start()
+        old = threading.stack_size(_stack_bytes_for(max_recursion))
+        try:
+            worker = threading.Thread(target=runner, name="soda-eval", daemon=True)
+            worker.start()
+        finally:
+            threading.stack_size(old)
+        worker.join()
     finally:
-        threading.stack_size(old)
-    worker.join()
+        with _limits_lock:
+            if len(_limits_found) == 1:
+                sys.setrecursionlimit(_limits_found[0])
+            _limits_found.pop()
     tag, payload = box[0]
     if tag == "err":
         raise payload

@@ -43,12 +43,6 @@ class SourceSpan:
         end = max((self.line_end, self.col_end), (other.line_end, other.col_end))
         return SourceSpan(self.file, start[0], start[1], end[0], end[1])
 
-    def contains(self, other: SourceSpan) -> bool:
-        return (self.line_start, self.col_start) <= (other.line_start, other.col_start) and (
-            other.line_end,
-            other.col_end,
-        ) <= (self.line_end, self.col_end)
-
 
 def synthetic_span(file: str = "<synthetic>") -> SourceSpan:
     """Placeholder span for trees built in memory rather than parsed."""
@@ -404,9 +398,9 @@ def children(e: Expr) -> tuple[Expr, ...]:
 
 def rebuild(e: Expr, kids: tuple[Expr, ...]) -> Expr:
     """Copy of ``e`` (span included) whose children are ``kids``, a tuple in
-    the order ``children(e)`` gives. Recursive rewriters call
-    ``rebuild(e, tuple(map(f, children(e))))`` in their own frame, so a tree
-    level costs them one Python frame."""
+    the order ``children(e)`` gives. It builds one node and never descends,
+    so a bottom-up rewrite that calls it from a loop uses no Python frame
+    per tree level."""
     args = _REBUILD_ARGS.get(type(e))
     return type(e)(*args(e, kids)) if args else e
 
@@ -442,6 +436,64 @@ def peel_call_chain(e: Expr):
             steps.reverse()
             return e, steps
         e = e.function
+
+
+#: Index of the first child in tail position, for the nodes that pass tail
+#: position on: both branches of an ``if``, and each ``match`` case result.
+_FIRST_TAIL_CHILD = {If: 1, Match: 1, MatchCase: 0}
+
+
+def pattern_nodes(p: Pattern):
+    """Pattern ``p`` and its sub-patterns in preorder, without recursion."""
+    stack = [p]
+    while stack:
+        p = stack.pop()
+        yield p
+        if type(p) is ConstructorPattern:
+            stack.extend(reversed(p.sub_patterns))
+
+
+def scoped_walk(e: Expr, bound: frozenset):
+    """``(node, tail, bound)`` for every node under ``e`` in preorder, without
+    recursion. ``tail`` says whether the node is in tail position, counting
+    ``e`` as one; ``bound`` is the given ``bound`` plus the names that the
+    lambdas and match cases around the node bind.
+
+    A call chain is visited as one node, followed by its head and then its
+    argument expressions, none of them in tail position; the inner call
+    nodes of the chain are not visited."""
+    stack = [(e, True, bound)]
+    while stack:
+        item = stack.pop()
+        yield item
+        node = item[0]
+        t = type(node)
+        get = _CHILDREN.get(t)
+        if get is None:
+            continue
+        _, tail, bound = item
+        if t in CALL_KINDS:
+            # Push the arguments last to first, then the head.
+            while t in CALL_KINDS:
+                if t is not TypeApply:
+                    stack.append((node.argument, False, bound))
+                node = node.function
+                t = type(node)
+            stack.append((node, False, bound))
+            continue
+        kids = get(node)
+        if t is Lambda:
+            bound = bound | {node.param}
+        elif t is MatchCase:
+            names = {p.name for p in pattern_nodes(node.pattern) if type(p) is VarBindPattern}
+            bound = bound | names
+        first_tail = _FIRST_TAIL_CHILD.get(t) if tail else None
+        if first_tail is None:
+            for kid in reversed(kids):
+                stack.append((kid, False, bound))
+        else:
+            for i in range(len(kids) - 1, -1, -1):
+                stack.append((kids[i], i >= first_tail, bound))
 
 
 # ============================================================
@@ -715,7 +767,11 @@ class ExprPrinter:
         return " ".join(parts), PREC_APP
 
     def unary_not(self, e: UnaryNot) -> tuple[str, int]:
-        return f"{self.not_word} {self.expr(e.operand, PREC_UNARY)}", PREC_UNARY
+        # A run of `not` prints in a loop; a negated negation needs no parentheses.
+        nots = 0
+        while type(e) is UnaryNot:
+            e, nots = e.operand, nots + 1
+        return f"{self.not_word} " * nots + self.expr(e, PREC_UNARY), PREC_UNARY
 
     def binary_op(self, e: BinaryOp) -> tuple[str, int]:
         # Operators are left-associative, so the left spine of a chain such

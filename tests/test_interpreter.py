@@ -1,6 +1,9 @@
 """Evaluation semantics: arithmetic, laziness, matching, builtins, faults,
 and the constant-stack guarantee for tail calls."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -296,6 +299,15 @@ def test_faults_propagate_out_of_arguments():
     assert isinstance(out, RuntimeFault) and out.kind == "division_by_zero"
 
 
+def test_a_fault_inside_a_call_chain_reports_the_whole_chain():
+    # Analysis rebuilds call chains; every call node in one gets its span.
+    line = "  f (x : Int) : Int = x (1) (2)"
+    out = interp_of(f"class T\n\n{line}\n\nend\n").run_entry("T", "f", (5,))
+    assert isinstance(out, RuntimeFault) and out.kind == "arity_fault"
+    start = line.index("x (1)") + 1
+    assert (out.span.line_start, out.span.col_start, out.span.col_end) == (3, start, len(line) + 1)
+
+
 # --- recursion and the stack guarantee ---
 
 LOOP = (
@@ -341,6 +353,38 @@ def test_recursion_limit_does_not_stop_tail_loops():
 def test_deep_non_tail_recursion_within_budget_succeeds():
     it = interp_of(LOOP)
     assert as_int(it.run_entry("T", "deep", (5_000,))) == 5_000
+
+
+def test_guarded_runs_restore_the_recursion_limit():
+    before = sys.getrecursionlimit()
+    assert as_int(interp_of(LOOP).run_entry("T", "deep", (2_000,))) == 2_000
+    assert sys.getrecursionlimit() == before
+    assert as_int(ev("1 + 2")) == 3
+    assert sys.getrecursionlimit() == before
+
+
+def test_overlapping_runs_keep_the_limit_raised_until_the_last_ends():
+    # Each run needs more than the default limit, and the runs overlap:
+    # a run that ended early must not lower the limit under the others.
+    before = sys.getrecursionlimit()
+    results = []
+
+    def run():
+        results.append(interp_of(LOOP).run_entry("T", "deep", (3_000,)))
+
+    threads = [threading.Thread(target=run) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [as_int(r) for r in results] == [3_000] * 4
+    assert sys.getrecursionlimit() == before
 
 
 # --- random expression oracle ---

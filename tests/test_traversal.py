@@ -1,6 +1,7 @@
 """The shared expression traversal in ``soda.syntax``: the children/rebuild
 tables cover every expression type, rebuilding from unchanged children gives
-the same node, and ``walk`` visits nodes in preorder."""
+the same node, ``walk`` visits nodes in preorder, and ``scoped_walk`` gives
+each node's tail position and bound names as a recursive reference does."""
 
 import dataclasses
 import re
@@ -9,7 +10,17 @@ import pytest
 
 from astgen import random_program
 from soda import syntax
-from soda.syntax import _CHILDREN, _REBUILD_ARGS, Expr, children, rebuild, walk
+from soda.syntax import (
+    _CHILDREN,
+    _REBUILD_ARGS,
+    CALL_KINDS,
+    Expr,
+    children,
+    peel_call_chain,
+    rebuild,
+    scoped_walk,
+    walk,
+)
 
 #: A field holds sub-expressions when its annotation names Expr or MatchCase
 #: (TypeExpr does not count: types are not children).
@@ -42,6 +53,37 @@ def _recursive_preorder(e, out):
     return out
 
 
+def _reference_binds(p):
+    if isinstance(p, syntax.VarBindPattern):
+        return {p.name}
+    if isinstance(p, syntax.ConstructorPattern):
+        return set().union(*map(_reference_binds, p.sub_patterns))
+    return set()
+
+
+def _recursive_scoped(e, tail, bound, out):
+    """Preorder (node, tail, bound) by the rules stated one by one: a call
+    chain is followed by its head and then its arguments, none in tail
+    position; the branches of an ``if`` and the results of a ``match`` are in
+    tail position when the node is; lambdas and match cases bind names."""
+    out.append((e, tail, bound))
+    if isinstance(e, CALL_KINDS):
+        head, steps = peel_call_chain(e)
+        for part in [head, *(s[-1] for s in steps if s[0] != "type")]:
+            _recursive_scoped(part, False, bound, out)
+        return out
+    if isinstance(e, syntax.Lambda):
+        bound = bound | {e.param}
+    elif isinstance(e, syntax.MatchCase):
+        bound = bound | _reference_binds(e.pattern)
+    for i, child in enumerate(_expr_field_values(e)):
+        passes_tail = isinstance(e, syntax.MatchCase) or (
+            isinstance(e, (syntax.If, syntax.Match)) and i > 0
+        )
+        _recursive_scoped(child, tail and passes_tail, bound, out)
+    return out
+
+
 def _bodies(program):
     return [d.body for c in program.classes for d in c.definitions if d.body is not None]
 
@@ -71,6 +113,18 @@ def test_children_and_rebuild_agree_with_the_fields(seed):
 def test_walk_is_the_recursive_preorder(seed):
     for body in _bodies(random_program(seed)):
         assert [id(n) for n in walk(body)] == [id(n) for n in _recursive_preorder(body, [])]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_scoped_walk_matches_a_recursive_reference(seed):
+    for c in random_program(seed).classes:
+        for d in c.definitions:
+            if d.body is None:
+                continue
+            params = frozenset(p for p, _ in d.params)
+            got = [(id(n), tail, bound) for n, tail, bound in scoped_walk(d.body, params)]
+            want = [(id(n), tail, bound) for n, tail, bound in _recursive_scoped(d.body, True, params, [])]
+            assert got == want
 
 
 def test_rebuild_replaces_children_in_order():
