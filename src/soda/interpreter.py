@@ -6,22 +6,21 @@ at the language level: anything that goes wrong (division by zero, a match
 with no applicable case, an unbound name, a misapplied value, exhausting the
 recursion budget) comes back as a ``RuntimeFault`` value.
 
-The evaluator is a while-loop trampoline: tail positions (the branches of an
-``if``, the result of a ``match`` case, and the body of a function applied
-in tail position) continue the loop instead of recursing, so annotated tail
-loops run in constant evaluation depth. Operand evaluation recurses with
-depth + 1; the peak depth is recorded on every entry, which is what the
-constant-stack tests measure.
-
-Public entry points run the evaluation inside a dedicated worker thread with
-a large stack, so that a program exceeding the recursion budget receives its
-``recursion_limit`` fault instead of exhausting the host stack.
+The evaluator is one loop over an explicit list of frames: each evaluation
+that waits for a value (an operand, the function or argument of an
+application, an ``if`` condition, a ``match`` scrutinee, a ``fold`` step)
+is a frame on that list, not a Python call, so no program deepens the host
+stack. Tail positions (the branches of an ``if``, the result of a ``match``
+case, and the body of a function applied in tail position) replace the
+current expression instead of pushing a frame, so annotated tail loops run
+in constant evaluation depth. Every other evaluation goes one level deeper;
+the peak depth is recorded, which is what the constant-stack tests measure,
+and going deeper than the recursion budget gives a ``recursion_limit``
+fault. Values of any depth print and compare without recursion as well.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -119,11 +118,24 @@ class ObjectV:
     fields: dict
 
     def __eq__(self, other):
-        return (
-            type(other) is ObjectV
-            and self.class_name == other.class_name
-            and self.fields == other.fields
-        )
+        # Objects nest as deep as evaluation goes, so the fields are
+        # compared from a work list rather than by recursion.
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is ObjectV or type(b) is ObjectV:
+                if (
+                    type(a) is not type(b)
+                    or a.class_name != b.class_name
+                    or a.fields.keys() != b.fields.keys()
+                ):
+                    return False
+                pairs.extend((v, b.fields[k]) for k, v in a.fields.items())
+            elif a != b:
+                return False
+        return True
 
     def __hash__(self):
         return hash((self.class_name, tuple(sorted(self.fields))))
@@ -208,38 +220,44 @@ def from_python(x) -> Value:
     raise TypeError(f"no Soda value for {type(x).__name__}")
 
 
-def to_python(v: Value):
-    if isinstance(v, (IntV, BoolV, StringV)):
-        return v.value
-    if isinstance(v, SeqV):
-        return [to_python(i) for i in v.items]
-    if isinstance(v, ObjectV):
-        return {name: to_python(f) for name, f in v.fields.items()}
-    return v
-
-
 def render_value(v: EvalOutcome) -> str:
-    if type(v) is IntV:
-        return str(v.value)
-    if type(v) is BoolV:
-        return "true" if v.value else "false"
-    if type(v) is StringV:
-        return f'"{escape_string(v.value)}"'
-    if type(v) is SeqV:
-        return "[" + ", ".join(render_value(i) for i in v.items) + "]"
-    if type(v) is ObjectV:
-        parts = [v.class_name + "_"]
-        parts.extend(f"({render_value(f)})" for f in v.fields.values())
-        return " ".join(parts)
-    if type(v) is ClosureV:
-        return "<function>"
-    if type(v) is BuiltinV:
-        return f"<builtin {v.name}>"
-    if type(v) is ConstructorV:
-        return f"<constructor {v.signature.constructor_name}>"
-    if type(v) is RuntimeFault:
-        return v.render()
-    return repr(v)
+    # A work list of values still to print and text to emit between them,
+    # so that objects nested to any depth print without recursion.
+    parts: list[str] = []
+    todo: list = [v]
+    while todo:
+        v = todo.pop()
+        t = type(v)
+        if t is str:
+            parts.append(v)
+        elif t is IntV:
+            parts.append(str(v.value))
+        elif t is BoolV:
+            parts.append("true" if v.value else "false")
+        elif t is StringV:
+            parts.append(f'"{escape_string(v.value)}"')
+        elif t is SeqV:
+            todo.append("]")
+            for i in reversed(range(len(v.items))):
+                todo.append(v.items[i])
+                if i:
+                    todo.append(", ")
+            todo.append("[")
+        elif t is ObjectV:
+            for f in reversed(tuple(v.fields.values())):
+                todo += (")", f, " (")
+            parts.append(v.class_name + "_")
+        elif t is ClosureV:
+            parts.append("<function>")
+        elif t is BuiltinV:
+            parts.append(f"<builtin {v.name}>")
+        elif t is ConstructorV:
+            parts.append(f"<constructor {v.signature.constructor_name}>")
+        elif t is RuntimeFault:
+            parts.append(v.render())
+        else:
+            parts.append(repr(v))
+    return "".join(parts)
 
 
 # ============================================================
@@ -247,6 +265,20 @@ def render_value(v: EvalOutcome) -> str:
 # ============================================================
 
 _MISSING = object()
+
+# Frames of the evaluation machine: tuples whose first item is one of these
+# kinds and whose other items are what the waiting evaluation needs once the
+# value it waits for arrives. ``depth`` is the waiting evaluation's depth.
+_LEFT = 0  # (_LEFT, BinaryOp, env, depth): the left operand
+_RIGHT = 1  # (_RIGHT, BinaryOp, left value): the right operand
+_FUN = 2  # (_FUN, Apply, env, depth): the function of an application
+_APPLY = 3  # (_APPLY, function, span, depth, body depth): the argument;
+#             a closure's body then runs at body depth
+_IF = 4  # (_IF, If, env, depth): the condition
+_MATCH = 5  # (_MATCH, Match, env, depth): the scrutinee
+_NOT = 6  # (_NOT, UnaryNot): the operand
+_FOLD = 7  # (_FOLD, op, items, index, span, depth): the accumulator so far
+_ARG = 8  # (_ARG, argument, span, depth): a function to apply to argument
 
 
 class Interpreter:
@@ -262,7 +294,6 @@ class Interpreter:
         self.constructors = analyzed.constructors
         self.max_recursion = max_recursion
         self.last_peak_depth = 0
-        self._peak = 0
         global_vars: dict = {
             "range": BuiltinV("range", ()),
             "fold": BuiltinV("fold", ()),
@@ -303,9 +334,9 @@ class Interpreter:
 
     def evaluate(self, expr: Expr, class_name: Optional[str] = None) -> EvalOutcome:
         """Evaluate one expression, in the scope of ``class_name`` when
-        given, on a worker thread sized for deep recursion."""
-        env = self._class_envs[class_name] if class_name else self._global_env
-        return self._run_guarded(lambda: self._eval(expr, env, 0))
+        given."""
+        env = self.class_environment(class_name) if class_name else self._global_env
+        return self._run(expr, env, ())
 
     def run_entry(self, class_name: str, def_name: str, args=()) -> EvalOutcome:
         """Apply a named definition to the given arguments (Python values
@@ -318,345 +349,307 @@ class Interpreter:
                 synthetic_span(),
             )
         values = [from_python(a) for a in args]
+        return self._run(Identifier(def_name, synthetic_span()), env, values)
 
-        def go():
-            fn = self._eval(Identifier(def_name, synthetic_span()), env, 0)
-            for v in values:
-                if type(fn) is RuntimeFault:
-                    return fn
-                fn = self._apply_value(fn, v, 0, synthetic_span())
-            return fn
+    # ---------- evaluation machine ----------
 
-        return self._run_guarded(go)
-
-    # ---------- guarded execution ----------
-
-    def _run_guarded(self, fn) -> EvalOutcome:
-        self._peak = 0
-        outcome = _call_with_big_stack(fn, self.max_recursion)
-        self.last_peak_depth = self._peak
-        return outcome
-
-    # ---------- evaluation core ----------
-
-    def _eval(self, expr: Expr, env: Env, depth: int) -> EvalOutcome:
-        if depth > self.max_recursion:
-            return RuntimeFault(
-                FAULT_RECURSION_LIMIT,
-                f"recursion limit of {self.max_recursion} exceeded",
-                expr.span,
-            )
-        if depth > self._peak:
-            self._peak = depth
-        while True:
-            t = type(expr)
-            if t is Identifier:
-                name = expr.name
-                e = env
-                while e is not None:
-                    v = e.vars.get(name, _MISSING)
-                    if v is not _MISSING:
-                        if type(v) is _Thunk:
-                            return self._eval(v.body, v.env, depth + 1)
-                        return v
-                    e = e.parent
-                return RuntimeFault(
-                    FAULT_UNKNOWN_IDENTIFIER, f"'{name}' is not bound", expr.span
-                )
-            if t is IntLiteral:
-                return IntV(expr.value)
-            if t is BoolLiteral:
-                return TRUE_V if expr.value else FALSE_V
-            if t is StringLiteral:
-                return StringV(expr.value)
-            if t is BinaryOp:
-                op = expr.op
-                if op == "and" or op == "or":
-                    left = self._eval(expr.left, env, depth + 1)
-                    if type(left) is RuntimeFault:
-                        return left
-                    if type(left) is not BoolV:
-                        return RuntimeFault(
-                            FAULT_NOT_APPLICABLE,
-                            f"'{op}' requires boolean operands",
-                            expr.span,
-                        )
-                    if op == "and" and not left.value:
-                        return FALSE_V
-                    if op == "or" and left.value:
-                        return TRUE_V
-                    right = self._eval(expr.right, env, depth + 1)
-                    if type(right) is RuntimeFault:
-                        return right
-                    if type(right) is not BoolV:
-                        return RuntimeFault(
-                            FAULT_NOT_APPLICABLE,
-                            f"'{op}' requires boolean operands",
-                            expr.span,
-                        )
-                    return right
-                left = self._eval(expr.left, env, depth + 1)
-                if type(left) is RuntimeFault:
-                    return left
-                right = self._eval(expr.right, env, depth + 1)
-                if type(right) is RuntimeFault:
-                    return right
-                if op == "==":
-                    # The value classes' own equality: structural for data,
-                    # identity for functions and constructors.
-                    return TRUE_V if left == right else FALSE_V
-                if (
-                    op == "+"
-                    and type(left) is StringV
-                    and type(right) is StringV
-                ):
-                    # agrees with the translated programs, where '+' on two
-                    # strings concatenates
-                    return StringV(left.value + right.value)
-                if type(left) is not IntV or type(right) is not IntV:
+    def _run(self, expr: Expr, env: Env, args) -> EvalOutcome:
+        """Evaluate ``expr`` in ``env``, then apply the value to each of
+        ``args`` in turn. The first fault ends the run."""
+        limit = self.max_recursion
+        frames: list = [(_ARG, a, synthetic_span(), 0) for a in reversed(args)]
+        depth = peak = 0
+        try:
+            while True:
+                # Evaluate expr in env at depth: either reach a value or
+                # push the frame that waits for a sub-expression and go on
+                # with that one.
+                if depth > limit:
                     return RuntimeFault(
-                        FAULT_NOT_APPLICABLE,
-                        f"'{op}' requires integer operands",
+                        FAULT_RECURSION_LIMIT,
+                        f"recursion limit of {limit} exceeded",
                         expr.span,
                     )
-                a, b = left.value, right.value
-                if op == "+":
-                    return IntV(a + b)
-                if op == "-":
-                    return IntV(a - b)
-                if op == "*":
-                    return IntV(a * b)
-                if op == "/":
-                    if b == 0:
+                if depth > peak:
+                    peak = depth
+                t = type(expr)
+                if t is Identifier:
+                    name = expr.name
+                    e = env
+                    while e is not None:
+                        value = e.vars.get(name, _MISSING)
+                        if value is not _MISSING:
+                            break
+                        e = e.parent
+                    else:
                         return RuntimeFault(
-                            FAULT_DIVISION_BY_ZERO, "division by zero", expr.span
+                            FAULT_UNKNOWN_IDENTIFIER, f"'{name}' is not bound", expr.span
                         )
-                    q = a // b
-                    if q < 0 and q * b != a:
-                        q += 1  # truncate toward zero
-                    return IntV(q)
-                if op == "<":
-                    return TRUE_V if a < b else FALSE_V
-                if op == "<=":
-                    return TRUE_V if a <= b else FALSE_V
-                if op == ">":
-                    return TRUE_V if a > b else FALSE_V
-                if op == ">=":
-                    return TRUE_V if a >= b else FALSE_V
-                return RuntimeFault(
-                    FAULT_NOT_APPLICABLE, f"unknown operator '{op}'", expr.span
-                )
-            if t is Apply:
-                fn = self._eval(expr.function, env, depth + 1)
-                if type(fn) is RuntimeFault:
-                    return fn
-                arg = self._eval(expr.argument, env, depth + 1)
-                if type(arg) is RuntimeFault:
-                    return arg
-                if type(fn) is ClosureV:
-                    env = Env({fn.param: arg}, fn.env)
-                    expr = fn.body
+                    if type(value) is _Thunk:
+                        expr, env = value.body, value.env
+                        depth += 1
+                        continue
+                elif t is IntLiteral:
+                    value = IntV(expr.value)
+                elif t is BoolLiteral:
+                    value = TRUE_V if expr.value else FALSE_V
+                elif t is StringLiteral:
+                    value = StringV(expr.value)
+                elif t is BinaryOp:
+                    frames.append((_LEFT, expr, env, depth))
+                    expr = expr.left
+                    depth += 1
                     continue
-                return self._apply_data(fn, arg, depth, expr.span)
-            if t is If:
-                cond = self._eval(expr.cond, env, depth + 1)
-                if type(cond) is RuntimeFault:
-                    return cond
-                if type(cond) is not BoolV:
+                elif t is Apply:
+                    frames.append((_FUN, expr, env, depth))
+                    expr = expr.function
+                    depth += 1
+                    continue
+                elif t is If:
+                    frames.append((_IF, expr, env, depth))
+                    expr = expr.cond
+                    depth += 1
+                    continue
+                elif t is Match:
+                    frames.append((_MATCH, expr, env, depth))
+                    expr = expr.scrutinee
+                    depth += 1
+                    continue
+                elif t is Lambda:
+                    value = ClosureV(expr.param, expr.body, env)
+                elif t is UnaryNot:
+                    frames.append((_NOT, expr))
+                    expr = expr.operand
+                    depth += 1
+                    continue
+                elif t is TypeApply:
+                    expr = expr.function  # types are erased at runtime
+                    continue
+                elif t is NamedApply:
                     return RuntimeFault(
                         FAULT_NOT_APPLICABLE,
-                        "'if' condition is not a boolean",
-                        expr.cond.span,
+                        f"named argument '{expr.param_name}' could not be resolved"
+                        " to a declared parameter",
+                        expr.span,
                     )
-                expr = expr.then_branch if cond.value else expr.else_branch
-                continue
-            if t is Match:
-                scrutinee = self._eval(expr.scrutinee, env, depth + 1)
-                if type(scrutinee) is RuntimeFault:
-                    return scrutinee
-                for case in expr.cases:
-                    bindings = self._match_pattern(case.pattern, scrutinee)
-                    if bindings is not None:
+                elif t is SelfRef:
+                    e = env
+                    while e is not None:
+                        value = e.vars.get("this", _MISSING)
+                        if value is not _MISSING:
+                            break
+                        e = e.parent
+                    else:
+                        return RuntimeFault(
+                            FAULT_UNKNOWN_IDENTIFIER, "'this' is not bound here", expr.span
+                        )
+                else:
+                    return RuntimeFault(
+                        FAULT_NOT_APPLICABLE,
+                        f"cannot evaluate {type(expr).__name__}",
+                        getattr(expr, "span", synthetic_span()),
+                    )
+
+                # Hand the value to the frames that wait for it, until one of
+                # them has an expression to evaluate next.
+                while frames:
+                    frame = frames.pop()
+                    kind = frame[0]
+                    if kind == _APPLY:
+                        _, fn, span, depth, body_depth = frame
+                        if type(fn) is ClosureV:
+                            env = Env({fn.param: value}, fn.env)
+                            expr = fn.body
+                            depth = body_depth
+                            break
+                        if type(fn) is ConstructorV:
+                            collected = fn.collected + (value,)
+                            sig = fn.signature
+                            if len(collected) == len(sig.fields):
+                                fields = {name: v for (name, _), v in zip(sig.fields, collected)}
+                                value = ObjectV(sig.class_name, fields)
+                            else:
+                                value = ConstructorV(sig, collected)
+                        elif type(fn) is BuiltinV and fn.name == "range":
+                            if type(value) is not IntV:
+                                return RuntimeFault(
+                                    FAULT_NOT_APPLICABLE, "range requires an integer", span
+                                )
+                            value = SeqV(tuple(IntV(i) for i in builtin_range(value.value)))
+                        elif type(fn) is BuiltinV:  # fold
+                            collected = fn.collected + (value,)
+                            if len(collected) < 3:
+                                value = BuiltinV("fold", collected)
+                            elif type(collected[0]) is not SeqV:
+                                return RuntimeFault(
+                                    FAULT_NOT_APPLICABLE, "fold requires a sequence first", span
+                                )
+                            else:
+                                seq, value, op = collected
+                                frames.append((_FOLD, op, seq.items, 0, span, depth))
+                        else:
+                            return RuntimeFault(
+                                FAULT_NOT_APPLICABLE,
+                                f"value {render_value(fn)} cannot be applied to an argument",
+                                span,
+                            )
+                    elif kind == _FUN:
+                        _, e, env, depth = frame
+                        frames.append((_APPLY, value, e.span, depth, depth))
+                        expr = e.argument
+                        depth += 1
+                        break
+                    elif kind == _LEFT:
+                        _, e, env, depth = frame
+                        op = e.op
+                        if op == "and" or op == "or":
+                            if type(value) is not BoolV:
+                                return RuntimeFault(
+                                    FAULT_NOT_APPLICABLE,
+                                    f"'{op}' requires boolean operands",
+                                    e.span,
+                                )
+                            if value.value == (op == "or"):
+                                continue  # decided without the right operand
+                        frames.append((_RIGHT, e, value))
+                        expr = e.right
+                        depth += 1
+                        break
+                    elif kind == _RIGHT:
+                        value = self._binary(frame[1], frame[2], value)
+                        if type(value) is RuntimeFault:
+                            return value
+                    elif kind == _IF:
+                        _, e, env, depth = frame
+                        if type(value) is not BoolV:
+                            return RuntimeFault(
+                                FAULT_NOT_APPLICABLE,
+                                "'if' condition is not a boolean",
+                                e.cond.span,
+                            )
+                        expr = e.then_branch if value.value else e.else_branch
+                        break
+                    elif kind == _MATCH:
+                        _, e, env, depth = frame
+                        for case in e.cases:
+                            bindings = self._match_pattern(case.pattern, value)
+                            if bindings is not None:
+                                break
+                        else:
+                            return RuntimeFault(
+                                FAULT_NO_MATCHING_CASE,
+                                "no case matched the value " + render_value(value),
+                                e.span,
+                            )
                         if bindings:
                             env = Env(bindings, env)
                         expr = case.result
                         break
+                    elif kind == _NOT:
+                        if type(value) is not BoolV:
+                            return RuntimeFault(
+                                FAULT_NOT_APPLICABLE,
+                                "'not' requires a boolean operand",
+                                frame[1].span,
+                            )
+                        value = FALSE_V if value.value else TRUE_V
+                    elif kind == _FOLD:
+                        # value is the accumulator; the next item feeds it
+                        # through op, or the fold is done.
+                        _, op, items, i, span, depth = frame
+                        if i < len(items):
+                            frames.append((_FOLD, op, items, i + 1, span, depth))
+                            frames.append((_ARG, items[i], span, depth))
+                            frames.append((_APPLY, op, span, depth, depth + 1))
+                    else:  # _ARG
+                        _, arg, span, depth = frame
+                        frames.append((_APPLY, value, span, depth, depth + 1))
+                        value = arg
                 else:
-                    return RuntimeFault(
-                        FAULT_NO_MATCHING_CASE,
-                        "no case matched the value "
-                        + render_value(scrutinee),
-                        expr.span,
-                    )
-                continue
-            if t is Lambda:
-                return ClosureV(expr.param, expr.body, env)
-            if t is UnaryNot:
-                operand = self._eval(expr.operand, env, depth + 1)
-                if type(operand) is RuntimeFault:
-                    return operand
-                if type(operand) is not BoolV:
-                    return RuntimeFault(
-                        FAULT_NOT_APPLICABLE,
-                        "'not' requires a boolean operand",
-                        expr.span,
-                    )
-                return FALSE_V if operand.value else TRUE_V
-            if t is TypeApply:
-                expr = expr.function  # types are erased at runtime
-                continue
-            if t is NamedApply:
+                    return value
+        finally:
+            self.last_peak_depth = peak
+
+    @staticmethod
+    def _binary(expr: BinaryOp, left: Value, right: Value) -> EvalOutcome:
+        """The value of ``expr`` given the values of both operands."""
+        op = expr.op
+        if op == "and" or op == "or":
+            if type(right) is not BoolV:
                 return RuntimeFault(
-                    FAULT_NOT_APPLICABLE,
-                    f"named argument '{expr.param_name}' could not be resolved"
-                    " to a declared parameter",
-                    expr.span,
+                    FAULT_NOT_APPLICABLE, f"'{op}' requires boolean operands", expr.span
                 )
-            if t is SelfRef:
-                e = env
-                while e is not None:
-                    v = e.vars.get("this", _MISSING)
-                    if v is not _MISSING:
-                        return v
-                    e = e.parent
-                return RuntimeFault(
-                    FAULT_UNKNOWN_IDENTIFIER, "'this' is not bound here", expr.span
-                )
+            return right
+        if op == "==":
+            # The value classes' own equality: structural for data,
+            # identity for functions and constructors.
+            return TRUE_V if left == right else FALSE_V
+        if op == "+" and type(left) is StringV and type(right) is StringV:
+            # agrees with the translated programs, where '+' on two
+            # strings concatenates
+            return StringV(left.value + right.value)
+        if type(left) is not IntV or type(right) is not IntV:
             return RuntimeFault(
-                FAULT_NOT_APPLICABLE,
-                f"cannot evaluate {type(expr).__name__}",
-                getattr(expr, "span", synthetic_span()),
+                FAULT_NOT_APPLICABLE, f"'{op}' requires integer operands", expr.span
             )
-
-    # ---------- application of non-closure values ----------
-
-    def _apply_value(self, fn: Value, arg: Value, depth: int, span: SourceSpan) -> EvalOutcome:
-        if type(fn) is ClosureV:
-            return self._eval(fn.body, Env({fn.param: arg}, fn.env), depth + 1)
-        return self._apply_data(fn, arg, depth, span)
-
-    def _apply_data(self, fn: Value, arg: Value, depth: int, span: SourceSpan) -> EvalOutcome:
-        if type(fn) is ConstructorV:
-            collected = fn.collected + (arg,)
-            sig = fn.signature
-            if len(collected) == len(sig.fields):
-                fields = {name: v for (name, _), v in zip(sig.fields, collected)}
-                return ObjectV(sig.class_name, fields)
-            return ConstructorV(sig, collected)
-        if type(fn) is BuiltinV:
-            collected = fn.collected + (arg,)
-            if fn.name == "range":
-                if type(arg) is not IntV:
-                    return RuntimeFault(
-                        FAULT_NOT_APPLICABLE, "range requires an integer", span
-                    )
-                return SeqV(tuple(IntV(i) for i in builtin_range(arg.value)))
-            if fn.name == "fold":
-                if len(collected) < 3:
-                    return BuiltinV("fold", collected)
-                seq, init, op = collected
-                if type(seq) is not SeqV:
-                    return RuntimeFault(
-                        FAULT_NOT_APPLICABLE, "fold requires a sequence first", span
-                    )
-                acc: EvalOutcome = init
-                for item in seq.items:
-                    step = self._apply_value(op, acc, depth, span)
-                    if type(step) is RuntimeFault:
-                        return step
-                    acc = self._apply_value(step, item, depth, span)
-                    if type(acc) is RuntimeFault:
-                        return acc
-                return acc
-            return RuntimeFault(
-                FAULT_NOT_APPLICABLE, f"unknown builtin '{fn.name}'", span
-            )
-        return RuntimeFault(
-            FAULT_NOT_APPLICABLE,
-            f"value {render_value(fn)} cannot be applied to an argument",
-            span,
-        )
+        a, b = left.value, right.value
+        if op == "+":
+            return IntV(a + b)
+        if op == "-":
+            return IntV(a - b)
+        if op == "*":
+            return IntV(a * b)
+        if op == "/":
+            if b == 0:
+                return RuntimeFault(FAULT_DIVISION_BY_ZERO, "division by zero", expr.span)
+            q = a // b
+            if q < 0 and q * b != a:
+                q += 1  # truncate toward zero
+            return IntV(q)
+        if op == "<":
+            return TRUE_V if a < b else FALSE_V
+        if op == "<=":
+            return TRUE_V if a <= b else FALSE_V
+        if op == ">":
+            return TRUE_V if a > b else FALSE_V
+        if op == ">=":
+            return TRUE_V if a >= b else FALSE_V
+        return RuntimeFault(FAULT_NOT_APPLICABLE, f"unknown operator '{op}'", expr.span)
 
     # ---------- patterns ----------
 
     def _match_pattern(self, pattern: Pattern, value: Value) -> Optional[dict]:
-        t = type(pattern)
-        if t is WildcardPattern:
-            return {}
-        if t is VarBindPattern:
-            return {pattern.name: value}
-        if t is LiteralPattern:
-            pv = pattern.value
-            if isinstance(pv, bool):
-                return {} if type(value) is BoolV and value.value == pv else None
-            if isinstance(pv, int):
-                return {} if type(value) is IntV and value.value == pv else None
-            return {} if type(value) is StringV and value.value == pv else None
-        if t is ConstructorPattern:
-            if type(value) is not ObjectV:
-                return None
-            sig = self.constructors.get(pattern.name)
-            if sig is None or sig.class_name != value.class_name:
-                return None
-            if len(pattern.sub_patterns) != len(sig.fields):
-                return None
-            bindings: dict = {}
-            for sub, (field_name, _) in zip(pattern.sub_patterns, sig.fields):
-                sub_bindings = self._match_pattern(sub, value.fields[field_name])
-                if sub_bindings is None:
+        """The names ``pattern`` binds when it matches ``value``, else None.
+        Sub-patterns are matched from a work list, left to right."""
+        bindings: dict = {}
+        todo = [(pattern, value)]
+        while todo:
+            pattern, value = todo.pop()
+            t = type(pattern)
+            if t is VarBindPattern:
+                bindings[pattern.name] = value
+            elif t is LiteralPattern:
+                pv = pattern.value
+                if isinstance(pv, bool):
+                    want = BoolV
+                elif isinstance(pv, int):
+                    want = IntV
+                else:
+                    want = StringV
+                if type(value) is not want or value.value != pv:
                     return None
-                bindings.update(sub_bindings)
-            return bindings
-        return None
-
-
-# ============================================================
-# big-stack execution
-# ============================================================
-
-
-def _stack_bytes_for(max_recursion: int) -> int:
-    # Around 1.5 KB of thread stack per interpreter frame, with headroom;
-    # clamped to something every platform accepts.
-    need = max_recursion * 8 * 1024
-    return max(256 * 1024 * 1024, min(need, 1024 * 1024 * 1024))
-
-
-#: The recursion limit each guarded run in progress found when it started.
-#: The limit is process-wide and runs may overlap on several threads: it
-#: stays raised until the last run ends, then goes back to the first value.
-_limits_found: list[int] = []
-_limits_lock = threading.Lock()
-
-
-def _call_with_big_stack(fn, max_recursion: int):
-    """Run ``fn`` on a thread whose stack comfortably fits the recursion
-    budget, so the budget fault is reachable before the host stack ends."""
-    box: list = []
-
-    def runner():
-        try:
-            box.append(("ok", fn()))
-        except BaseException as ex:  # surface errors on the calling thread
-            box.append(("err", ex))
-
-    with _limits_lock:
-        _limits_found.append(sys.getrecursionlimit())
-        sys.setrecursionlimit(max(_limits_found[-1], 4 * max_recursion + 20_000))
-    try:
-        old = threading.stack_size(_stack_bytes_for(max_recursion))
-        try:
-            worker = threading.Thread(target=runner, name="soda-eval", daemon=True)
-            worker.start()
-        finally:
-            threading.stack_size(old)
-        worker.join()
-    finally:
-        with _limits_lock:
-            if len(_limits_found) == 1:
-                sys.setrecursionlimit(_limits_found[0])
-            _limits_found.pop()
-    tag, payload = box[0]
-    if tag == "err":
-        raise payload
-    return payload
+            elif t is ConstructorPattern:
+                if type(value) is not ObjectV:
+                    return None
+                sig = self.constructors.get(pattern.name)
+                if sig is None or sig.class_name != value.class_name:
+                    return None
+                if len(pattern.sub_patterns) != len(sig.fields):
+                    return None
+                todo.extend(
+                    (sub, value.fields[name])
+                    for sub, (name, _) in reversed(tuple(zip(pattern.sub_patterns, sig.fields)))
+                )
+            elif t is not WildcardPattern:
+                return None
+        return bindings

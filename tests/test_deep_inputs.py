@@ -1,4 +1,5 @@
-"""Long and deeply nested inputs through the front end and the printers.
+"""Long and deeply nested inputs through the front end and the printers,
+and deeply nested evaluations and values through the interpreter.
 
 Each case runs in a fresh ``python`` process, so the stages face the
 default recursion limit and nothing a test ran earlier in the pytest
@@ -93,3 +94,55 @@ def test_parse_handles_150_nested_parentheses():
         assert result.ok, [d.render() for d in result.diagnostics]
         """
     )
+
+
+DEEP_PROGRAM = """\
+class L
+
+  abstract
+    head : Int
+    tail : L
+
+end
+
+class M
+
+  @tailrec
+  build (n : Int) (acc : L) : L =
+    if n == 0 then acc else build (n - 1) (L_ (n) (acc))
+
+  same (n : Int) : Bool = build (n) (L_ (0) (0)) == build (n) (L_ (0) (0))
+
+  differ (n : Int) : Bool = build (n) (L_ (0) (0)) == build (n) (L_ (0) (1))
+
+  deep (n : Int) : Int = if n == 0 then 0 else 1 + deep (n - 1)
+
+end
+"""
+
+
+def run_deep_program(tmp_path, entry: str, *args, options=()) -> subprocess.CompletedProcess:
+    path = tmp_path / "deep.soda"
+    path.write_text(DEEP_PROGRAM)
+    return run_fresh(["-m", "soda", "run", *options, str(path), entry, *map(str, args)])
+
+
+def test_run_prints_a_list_100000_objects_deep(tmp_path):
+    n = 100_000
+    proc = run_deep_program(tmp_path, "M.build", n, 0)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "".join(f"L_ ({i}) (" for i in range(1, n + 1)) + "0" + ")" * n + "\n"
+
+
+def test_equality_compares_lists_20000_objects_deep(tmp_path):
+    proc = run_deep_program(tmp_path, "M.same", 20_000)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "true\n", "")
+    proc = run_deep_program(tmp_path, "M.differ", 20_000)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "false\n", "")
+
+
+def test_run_recurses_as_deep_as_the_budget_allows(tmp_path):
+    proc = run_deep_program(tmp_path, "M.deep", 150_000, options=("--max-recursion", "200000"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "150000\n", "")
+    proc = run_deep_program(tmp_path, "M.deep", 5_000, options=("--max-recursion", "1000"))
+    assert proc.returncode == 1 and "fault[recursion_limit]" in proc.stderr

@@ -249,6 +249,12 @@ def test_this_is_unbound_when_the_class_has_fields():
     assert isinstance(out, RuntimeFault) and out.kind == "unknown_identifier"
 
 
+def test_evaluate_names_an_unknown_class():
+    expr, _ = parse_expression(tokenize("1").tokens)
+    with pytest.raises(KeyError, match="no class named 'Nope'"):
+        _pair_interp.evaluate(expr, "Nope")
+
+
 # --- builtins ---
 
 def test_range_enumerates_from_zero():
@@ -355,12 +361,62 @@ def test_deep_non_tail_recursion_within_budget_succeeds():
     assert as_int(it.run_entry("T", "deep", (5_000,))) == 5_000
 
 
+DEPTHS = LOOP.replace("\nend\n", "\n  zero : Int = 0\n\n  one : Int = zero + 1\n\nend\n")
+
+
+@pytest.mark.parametrize("source, value, peak", [
+    ("7", "7", 0),
+    ("1 + 2", "3", 1),
+    ("not (1 < 2)", "false", 2),
+    ("if 1 < 2 then 3 else 4", "3", 2),
+    ("match 5 case n ==> n + 1", "6", 1),
+    # the body of a closure applied in tail position stays at depth 0
+    ("(lambda x --> x + 1) (2)", "3", 1),
+    # each curried application nests the function one level deeper
+    ("fold (range (3)) (0) (lambda a --> lambda x --> a + x)", "3", 4),
+    # a constant's body is one level below its name
+    ("one", "1", 3),
+])
+def test_peak_depth_counts_nested_evaluations(source, value, peak):
+    it = interp_of(DEPTHS)
+    assert render_value(ev(source, it, "T")) == value
+    assert it.last_peak_depth == peak
+
+
+def test_run_entry_applies_its_arguments_one_level_down():
+    it = interp_of(DEPTHS)
+    assert as_int(it.run_entry("T", "zero")) == 0 and it.last_peak_depth == 1
+    assert as_int(it.run_entry("T", "deep", (10,))) == 10 and it.last_peak_depth == 13
+
+
+def test_the_budget_fault_comes_just_past_the_budget():
+    it = interp_of(LOOP, max_recursion=50)
+    assert as_int(it.run_entry("T", "deep", (47,))) == 47 and it.last_peak_depth == 50
+    out = it.run_entry("T", "deep", (48,))
+    assert isinstance(out, RuntimeFault) and out.kind == "recursion_limit"
+    assert out.message == "recursion limit of 50 exceeded" and it.last_peak_depth == 50
+    line = LOOP.split("\n")[5]
+    assert (out.span.line_start, out.span.col_start) == (6, line.index("n - 1") + 1)
+
+
 def test_guarded_runs_restore_the_recursion_limit():
     before = sys.getrecursionlimit()
     assert as_int(interp_of(LOOP).run_entry("T", "deep", (2_000,))) == 2_000
     assert sys.getrecursionlimit() == before
     assert as_int(ev("1 + 2")) == 3
     assert sys.getrecursionlimit() == before
+
+
+def test_runs_start_no_thread_and_leave_the_recursion_limit_alone(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluation started a thread or set the recursion limit")
+
+    it = interp_of(LOOP)
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    monkeypatch.setattr(threading, "Thread", refuse)
+    assert as_int(it.run_entry("T", "deep", (5_000,))) == 5_000
+    assert it.last_peak_depth > 5_000
+    assert as_int(ev("1 + 2")) == 3
 
 
 def test_overlapping_runs_keep_the_limit_raised_until_the_last_ends():
