@@ -30,7 +30,7 @@ from .interpreter import (
 from .lean_backend import translate_to_lean
 from .parser import parse
 from .scala_backend import translate_to_scala
-from .syntax import Diagnostic, has_errors, pretty_print
+from .syntax import Diagnostic, has_errors, int_from_text, pretty_print
 
 
 def _emit(diagnostics: list[Diagnostic]) -> None:
@@ -125,7 +125,7 @@ def _parse_run_argument(text: str):
     if text == "false":
         return False
     try:
-        return int(text)
+        return int_from_text(text)
     except ValueError:
         return text
 

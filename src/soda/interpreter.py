@@ -47,6 +47,7 @@ from .syntax import (
     VarBindPattern,
     WildcardPattern,
     escape_string,
+    int_to_text,
     synthetic_span,
 )
 
@@ -231,7 +232,7 @@ def render_value(v: EvalOutcome) -> str:
         if t is str:
             parts.append(v)
         elif t is IntV:
-            parts.append(str(v.value))
+            parts.append(int_to_text(v.value))
         elif t is BoolV:
             parts.append("true" if v.value else "false")
         elif t is StringV:

@@ -47,6 +47,7 @@ from .syntax import (
     TypeExpr,
     error,
     format_pattern,
+    int_to_text,
     join_blocks,
     peel_call_chain,
     walk,
@@ -124,7 +125,7 @@ class _LeanPrinter(ExprPrinter):
         if isinstance(p, ConstructorPattern) and p.sub_patterns:
             text = p.name + "".join(f" {self.pattern(s, nested=True)}" for s in p.sub_patterns)
         elif isinstance(p, LiteralPattern) and type(p.value) is int and p.value < 0:
-            text = str(p.value)
+            text = int_to_text(p.value)
         else:
             return format_pattern(p)
         return f"({text})" if nested else text

@@ -14,6 +14,7 @@ Raw lines carry target-language text and are never scanned as Soda.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .syntax import (
@@ -25,13 +26,28 @@ from .syntax import (
     error,
 )
 
-# Multi-character lexemes first so maximal munch wins; "." only appears in
-# qualified package and import names.
-_OPERATOR_LEXEMES = [
-    "-->", "==>",
-    ":=", "==", "<=", ">=", "<:", ">:",
-    ":", "=", "<", ">", "+", "-", "*", "/", ".",
-]
+# One master pattern, matched at the cursor after the blanks between
+# tokens, as in the ``re`` documentation's "Writing a Tokenizer". A group
+# named after a token kind gives that kind. ``[^\W\d]`` admits letters and
+# "_" but also non-letters such as "½" and "Ⅻ", which ``_scan_content``
+# turns away: an identifier starts with ``isalpha()`` or "_". Integer
+# literals are runs of decimal digits, which is what ``int`` accepts.
+# Operators go longest first; "." only appears in qualified package and
+# import names. When no group matches, the character at the cursor (if any)
+# starts no token.
+_TOKEN = re.compile(
+    r"""[ \t]*(?:
+        (?P<comment>//.*)
+      | (?P<string>")
+      | (?P<integer_literal>\d+)
+      | (?P<word>[^\W\d]\w*)
+      | (?P<annotation>@\w+)
+      | (?P<open>[(\[])
+      | (?P<close>[)\]])
+      | (?P<operator_symbol>-->|==>|:=|==|<=|>=|<:|>:|[:=<>+\-*/.])
+    )?""",
+    re.VERBOSE,
+).match
 
 _BRACKETS = {
     "(": TokenKind.OPEN_PAREN,
@@ -39,14 +55,6 @@ _BRACKETS = {
     "[": TokenKind.OPEN_BRACKET,
     "]": TokenKind.CLOSE_BRACKET,
 }
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
 
 
 @dataclass
@@ -155,11 +163,11 @@ class _Scanner:
             self._apply_layout(indent, lineno)
             col = indent
         else:
-            col = len(line) - len(line.lstrip(" \t"))
+            col = 0
 
         first_token_index = len(self.tokens)
         line_opened_at_depth_zero = self.bracket_depth == 0
-        col = self._scan_content(line, lineno, col)
+        self._scan_content(line, lineno, col)
         if self.bracket_depth == 0:
             self.emit(TokenKind.NEWLINE, "", lineno, len(line) + 1, len(line) + 1)
         if (
@@ -171,72 +179,43 @@ class _Scanner:
             self.raw_mode = True
             self.raw_threshold = len(line) - len(line.lstrip(" \t"))
 
-    def _scan_content(self, line: str, lineno: int, col: int) -> int:
-        n = len(line)
-        while col < n:
-            ch = line[col]
-            if ch in " \t":
+    def _scan_content(self, line: str, lineno: int, col: int) -> None:
+        tokens, file, n = self.tokens, self.file, len(line)
+        while True:
+            m = _TOKEN(line, col)
+            group = m.lastgroup
+            if group is None:
+                col = m.end()
+                if col == n:
+                    return
+                self._illegal(line, lineno, col)
                 col += 1
                 continue
-            if line.startswith("//", col):
-                self.emit(TokenKind.COMMENT, line[col:], lineno, col + 1, n + 1)
-                return n
-            if ch == '"':
-                col = self._scan_string(line, lineno, col)
-                continue
-            if ch.isdigit():
-                end = col
-                while end < n and line[end].isdigit():
-                    end += 1
-                self.emit(TokenKind.INTEGER_LITERAL, line[col:end], lineno, col + 1, end + 1)
-                col = end
-                continue
-            if _is_ident_start(ch):
-                end = col
-                while end < n and _is_ident_char(line[end]):
-                    end += 1
-                word = line[col:end]
-                kind = TokenKind.RESERVED_WORD if word in RESERVED_WORDS else TokenKind.IDENTIFIER
-                self.emit(kind, word, lineno, col + 1, end + 1)
-                col = end
-                continue
-            if ch == "@":
-                end = col + 1
-                while end < n and _is_ident_char(line[end]):
-                    end += 1
-                if end == col + 1:
-                    self.diagnostics.append(
-                        error("E-LEX-002", "stray '@'", self.span(lineno, col + 1, col + 2))
-                    )
-                    col += 1
+            start, col = m.span(group)
+            text = m[group]
+            if group == "word":
+                if not (text[0].isalpha() or text[0] == "_"):
+                    self._illegal(line, lineno, start)
+                    col = start + 1
                     continue
-                self.emit(TokenKind.ANNOTATION, line[col:end], lineno, col + 1, end + 1)
-                col = end
+                kind = TokenKind.RESERVED_WORD if text in RESERVED_WORDS else TokenKind.IDENTIFIER
+            elif group == "open":
+                self.bracket_depth += 1
+                kind = _BRACKETS[text]
+            elif group == "close":
+                self.bracket_depth = max(0, self.bracket_depth - 1)
+                kind = _BRACKETS[text]
+            elif group == "string":
+                col = self._scan_string(line, lineno, start)
                 continue
-            if ch in _BRACKETS:
-                if ch in "([":
-                    self.bracket_depth += 1
-                else:
-                    self.bracket_depth = max(0, self.bracket_depth - 1)
-                self.emit(_BRACKETS[ch], ch, lineno, col + 1, col + 2)
-                col += 1
-                continue
-            matched = False
-            for lexeme in _OPERATOR_LEXEMES:
-                if line.startswith(lexeme, col):
-                    self.emit(
-                        TokenKind.OPERATOR_SYMBOL, lexeme, lineno, col + 1, col + 1 + len(lexeme)
-                    )
-                    col += len(lexeme)
-                    matched = True
-                    break
-            if matched:
-                continue
-            self.diagnostics.append(
-                error("E-LEX-002", f"illegal character {ch!r}", self.span(lineno, col + 1, col + 2))
-            )
-            col += 1
-        return col
+            else:
+                kind = group
+            tokens.append(Token(kind, text, SourceSpan(file, lineno, start + 1, lineno, col + 1)))
+
+    def _illegal(self, line: str, lineno: int, col: int) -> None:
+        ch = line[col]
+        message = "stray '@'" if ch == "@" else f"illegal character {ch!r}"
+        self.diagnostics.append(error("E-LEX-002", message, self.span(lineno, col + 1, col + 2)))
 
     def _scan_string(self, line: str, lineno: int, col: int) -> int:
         """Scan a string literal from its opening quote. Only ``\\\"`` and

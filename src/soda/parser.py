@@ -58,6 +58,7 @@ from .syntax import (
     AppliedType,
     error,
     has_errors,
+    int_from_text,
     synthetic_span,
 )
 
@@ -297,7 +298,7 @@ class Parser:
             self._expr_tick()
             if self.at(TokenKind.INTEGER_LITERAL):
                 lit = self.advance()
-                return IntLiteral(-int(lit.text), minus.span.cover(lit.span))
+                return IntLiteral(-int_from_text(lit.text), minus.span.cover(lit.span))
             operand = self._parse_unary()
             # No dedicated negation node: -e is zero minus e.
             return BinaryOp("-", IntLiteral(0, minus.span), operand, minus.span.cover(operand.span))
@@ -336,7 +337,7 @@ class Parser:
         t = self.cur()
         if t.kind == TokenKind.INTEGER_LITERAL:
             self.advance()
-            return IntLiteral(int(t.text), t.span)
+            return IntLiteral(int_from_text(t.text), t.span)
         if t.kind == TokenKind.STRING_LITERAL:
             self.advance()
             return StringLiteral(decode_string_text(t.text), t.span)
@@ -440,11 +441,11 @@ class Parser:
         if t.kind == TokenKind.OPERATOR_SYMBOL and t.text == "-":
             self.advance()
             lit = self.expect_kind(TokenKind.INTEGER_LITERAL, "an integer literal")
-            value = -int(lit.text) if lit else 0
+            value = -int_from_text(lit.text) if lit else 0
             return LiteralPattern(value, t.span.cover(self.prev_span()))
         if t.kind == TokenKind.INTEGER_LITERAL:
             self.advance()
-            return LiteralPattern(int(t.text), t.span)
+            return LiteralPattern(int_from_text(t.text), t.span)
         if t.kind == TokenKind.STRING_LITERAL:
             self.advance()
             return LiteralPattern(decode_string_text(t.text), t.span)

@@ -11,7 +11,7 @@ tests rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 
 # ============================================================
@@ -19,10 +19,12 @@ from typing import Optional, Union
 # ============================================================
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """Half-open source region: lines and start column are 1-based,
     ``col_end`` is one past the last character.
+
+    A named tuple, because the lexer builds one for every token: it compares
+    equal to a plain tuple of the same fields.
 
     Invariants:
     - line_start <= line_end
@@ -84,9 +86,8 @@ class TokenKind:
     END_OF_INPUT = "end_of_input"
 
 
-@dataclass(frozen=True)
-class Token:
-    """Smallest lexical unit.
+class Token(NamedTuple):
+    """Smallest lexical unit; a named tuple, like ``SourceSpan``.
 
     ``text`` is the verbatim lexeme (for layout tokens it is empty, for
     string literals it includes the quotes). ``raw_line`` tokens carry one
@@ -96,6 +97,52 @@ class Token:
     kind: str
     text: str
     span: SourceSpan
+
+
+# ============================================================
+# INTEGER TEXT
+# ============================================================
+
+# Soda integers have no size limit, but from Python 3.11 ``int()`` and
+# ``str()`` refuse more than 4300 digits by default. The limit is
+# process-wide (``sys.set_int_max_str_digits``), so the toolchain leaves it
+# alone and converts long values in chunks below it instead.
+_CHUNK_DIGITS = 4000
+_CHUNK_LIMIT = 10**_CHUNK_DIGITS
+
+
+def int_from_text(text: str) -> int:
+    """``int(text)`` for decimal text of any length: a longer text must be
+    an optional sign and a run of decimal digits, between optional blanks.
+    Raises ``ValueError`` otherwise."""
+    if len(text) <= _CHUNK_DIGITS:
+        return int(text)
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if not digits.isdecimal():
+        raise ValueError(f"invalid literal for int() with base 10: {text[:20]!r}...")
+    value = _int_from_digits(digits)
+    return -value if body[:1] == "-" else value
+
+
+def _int_from_digits(digits: str) -> int:
+    # Halving the text keeps the recursion as deep as log2(len / 4000).
+    if len(digits) <= _CHUNK_DIGITS:
+        return int(digits)
+    low = len(digits) // 2
+    return _int_from_digits(digits[:-low]) * 10**low + _int_from_digits(digits[-low:])
+
+
+def int_to_text(value: int) -> str:
+    """``str(value)`` for an integer of any size."""
+    if -_CHUNK_LIMIT < value < _CHUNK_LIMIT:
+        return str(value)
+    if value < 0:
+        return "-" + int_to_text(-value)
+    # log10(2) < 0.30103, so ``low`` is at most half the digits.
+    low = int(value.bit_length() * 0.30103) // 2
+    high, rest = divmod(value, 10**low)
+    return int_to_text(high) + int_to_text(rest).zfill(low)
 
 
 # ============================================================
@@ -745,7 +792,7 @@ class ExprPrinter:
         if isinstance(v, int):
             # A negative literal prints with a leading minus, which binds
             # like subtraction when reparsed.
-            return str(v), (PREC_ATOM if v >= 0 else PREC_ADD)
+            return int_to_text(v), (PREC_ATOM if v >= 0 else PREC_ADD)
         return f'"{escape_string(v)}"', PREC_ATOM
 
     def identifier(self, e: Identifier) -> tuple[str, int]:

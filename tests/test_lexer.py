@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from astgen import random_program
-from soda import DIAGNOSTIC_CODES, TokenKind, pretty_print, tokenize
+from soda import DIAGNOSTIC_CODES, TokenKind, parse, pretty_print, tokenize
 
 
 def kinds(source):
@@ -51,6 +51,34 @@ def test_integer_literal_token():
     res = tokenize("value = 120")
     lits = [t for t in res.tokens if t.kind == TokenKind.INTEGER_LITERAL]
     assert len(lits) == 1 and lits[0].text == "120"
+
+
+def test_integer_literals_are_runs_of_decimal_digits():
+    # "٣" (ARABIC-INDIC DIGIT THREE) is a decimal digit: it lexes as an
+    # integer literal and reads as 3, as int() reads it. "²" is a digit but
+    # not a decimal one and "½" is a number but not a digit: at token start
+    # both are illegal characters, and inside an identifier they stay part
+    # of it.
+    def lex(text):
+        res = tokenize(text)
+        toks = [(t.kind, t.text) for t in res.tokens if t.kind not in _LAYOUT]
+        return toks, [(d.code, d.message, d.span.col_start) for d in res.diagnostics]
+
+    assert lex("٣") == ([(TokenKind.INTEGER_LITERAL, "٣")], [])
+    assert lex("²") == ([], [("E-LEX-002", "illegal character '²'", 1)])
+    assert lex("½") == ([], [("E-LEX-002", "illegal character '½'", 1)])
+    assert lex("1²") == (
+        [(TokenKind.INTEGER_LITERAL, "1")], [("E-LEX-002", "illegal character '²'", 2)])
+    assert lex("a²b a½ _٣") == (
+        [(TokenKind.IDENTIFIER, "a²b"), (TokenKind.IDENTIFIER, "a½"), (TokenKind.IDENTIFIER, "_٣")], [])
+
+    def parsed(text):
+        return parse(f"class A\n\n  x : Int = {text}\n\nend\n")
+
+    res = parsed("٣")
+    assert res.diagnostics == [] and res.program.items[0].members[0].body.value == 3
+    for text, col in (("²", 13), ("½", 13), ("1²", 14)):
+        assert ("E-LEX-002", col) in [(d.code, d.span.col_start) for d in parsed(text).diagnostics]
 
 
 def test_string_with_valid_escapes():
@@ -148,6 +176,30 @@ def test_arbitrary_text_never_breaks_the_lexer(source):
     assert ks[-1] == TokenKind.END_OF_INPUT
     assert ks.count(TokenKind.INDENT) == ks.count(TokenKind.DEDENT)
     for d in res.diagnostics:
+        assert d.code in DIAGNOSTIC_CODES
+
+
+# Lines of any code points, drawing a Unicode number as often as anything
+# else (the digit and identifier rules turn on the number categories Nd, Nl
+# and No, a sliver of the code space). A line may follow the head of a
+# definition and the text may open a class, so that characters also land
+# where the parser reads a literal or a name.
+_LINE = st.tuples(
+    st.sampled_from(["", "  x : Int = ", "  f (n : Int) : Int = n + ", "    case "]),
+    st.text(st.characters() | st.characters(categories=("N",)), max_size=12),
+).map("".join)
+_ANY_TEXT = st.tuples(st.sampled_from(["", "class A\n"]), st.lists(_LINE, max_size=8)).map(
+    lambda t: t[0] + "\n".join(t[1])
+)
+
+
+@given(_ANY_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_unicode_text_never_breaks_the_lexer_or_the_parser(source):
+    res = tokenize(source)
+    assert res.tokens[-1].kind == TokenKind.END_OF_INPUT
+    parsed = parse(source)
+    for d in res.diagnostics + parsed.diagnostics:
         assert d.code in DIAGNOSTIC_CODES
 
 
