@@ -1,7 +1,8 @@
 """Soda abstract syntax: spans, tokens, expression and declaration trees,
 diagnostics, the shared traversal, the expression printer and pretty-printer.
 
-Every node is a frozen dataclass, immutable after construction. Source spans
+Every node is a frozen dataclass, immutable after construction; spans and
+tokens, which the lexer builds for every token, are named tuples. Source spans
 are excluded from equality (``compare=False``), so ``==`` on two trees is
 structural equality: same shape, same names, same literals, regardless of
 where the nodes came from. That is the equality the parse/print round-trip
