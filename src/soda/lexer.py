@@ -148,8 +148,10 @@ class _Scanner:
                     self.span(lineno, indent + 1, indent + 1),
                 )
             )
-            # Recover by adopting the nearest level below.
+            # Recover by opening a level at this column, with its own
+            # indent token, so that indents and dedents stay balanced.
             self.indent_stack.append(indent)
+            self.emit(TokenKind.INDENT, "", lineno, indent + 1, indent + 1)
 
     def _scan_line(self, line: str, lineno: int) -> None:
         if self.bracket_depth == 0:
