@@ -6,21 +6,25 @@ at the language level: anything that goes wrong (division by zero, a match
 with no applicable case, an unbound name, a misapplied value, exhausting the
 recursion budget) comes back as a ``RuntimeFault`` value.
 
-The evaluator is one loop over an explicit list of frames: each evaluation
-that waits for a value (an operand, the function or argument of an
-application, an ``if`` condition, a ``match`` scrutinee, a ``fold`` step)
-is a frame on that list, not a Python call, so no program deepens the host
-stack. Tail positions (the branches of an ``if``, the result of a ``match``
-case, and the body of a function applied in tail position) replace the
-current expression instead of pushing a frame, so annotated tail loops run
-in constant evaluation depth. Every other evaluation goes one level deeper;
-the peak depth is recorded, which is what the constant-stack tests measure,
-and going deeper than the recursion budget gives a ``recursion_limit``
-fault. Values of any depth print and compare without recursion as well.
+Each body is first resolved, once, into nodes that give each local as a
+slot number and hold what every other name denotes, so evaluation looks no
+name up. The evaluator is one loop over those nodes and a list of frames:
+each evaluation that waits for a value (an operand, the function or
+argument of an application, an ``if`` condition, a ``match`` scrutinee, a
+``fold`` step) is a frame on that list, not a Python call, so no program
+deepens the host stack. Tail positions (the branches of an ``if``, the
+result of a ``match`` case, and the body of a function applied in tail
+position) replace the current expression instead of pushing a frame, so
+annotated tail loops run in constant evaluation depth. Every other
+evaluation goes one level deeper; the peak depth is recorded, which is what
+the constant-stack tests measure, and going deeper than the recursion budget
+gives a ``recursion_limit`` fault. Values of any depth print and compare
+without recursion as well.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -46,8 +50,10 @@ from .syntax import (
     UnaryNot,
     VarBindPattern,
     WildcardPattern,
+    children,
     escape_string,
     int_to_text,
+    pattern_nodes,
     synthetic_span,
 )
 
@@ -87,12 +93,11 @@ class SeqV:
 
 @dataclass(eq=False, slots=True)
 class ClosureV:
-    """Function value; compares by identity, since its captured environment
-    can reach the closure itself."""
+    """Function value: a resolved body and the tuple of locals it captured.
+    Compares by identity, since that tuple can reach the closure itself."""
 
-    param: str
-    body: Expr
-    env: "Env"
+    body: tuple
+    env: tuple
 
 
 @dataclass(eq=False, slots=True)
@@ -160,27 +165,6 @@ EvalOutcome = Union[Value, RuntimeFault]
 
 TRUE_V = BoolV(True)
 FALSE_V = BoolV(False)
-
-
-class _Thunk:
-    """Delayed constant body; resolved on every lookup. Constant bodies are
-    pure, so re-evaluation is observationally free."""
-
-    __slots__ = ("body", "env")
-
-    def __init__(self, body: Expr, env: "Env"):
-        self.body = body
-        self.env = env
-
-
-class Env:
-    """Chained scope: local bindings plus a parent link."""
-
-    __slots__ = ("vars", "parent")
-
-    def __init__(self, vars: dict, parent: Optional["Env"] = None):
-        self.vars = vars
-        self.parent = parent
 
 
 # ============================================================
@@ -265,29 +249,94 @@ def render_value(v: EvalOutcome) -> str:
 # interpreter
 # ============================================================
 
-_MISSING = object()
+#: What each operator on two integers computes, other than 'and', 'or' and
+#: '=='. Division truncates toward zero.
+_ON_INTEGERS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": lambda a, b: a // b if (a < 0) == (b < 0) else -(-a // b),
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 
-# Frames of the evaluation machine: tuples whose first item is one of these
-# kinds and whose other items are what the waiting evaluation needs once the
-# value it waits for arrives. ``depth`` is the waiting evaluation's depth.
-_LEFT = 0  # (_LEFT, BinaryOp, env, depth): the left operand
-_RIGHT = 1  # (_RIGHT, BinaryOp, left value): the right operand
-_FUN = 2  # (_FUN, Apply, env, depth): the function of an application
-_APPLY = 3  # (_APPLY, function, span, depth, body depth): the argument;
-#             a closure's body then runs at body depth
-_IF = 4  # (_IF, If, env, depth): the condition
-_MATCH = 5  # (_MATCH, Match, env, depth): the scrutinee
-_NOT = 6  # (_NOT, UnaryNot): the operand
-_FOLD = 7  # (_FOLD, op, items, index, span, depth): the accumulator so far
-_ARG = 8  # (_ARG, argument, span, depth): a function to apply to argument
+
+def _binary(node: tuple, left: Value, right: Value) -> EvalOutcome:
+    """The value of a binary operator node given its operands' values."""
+    op, span = node[4], node[1]
+    if op == "and" or op == "or":
+        if type(right) is not BoolV:
+            return RuntimeFault(FAULT_NOT_APPLICABLE, f"'{op}' requires boolean operands", span)
+        return right
+    if op == "==":
+        # structural for data, identity for functions and constructors
+        return TRUE_V if left == right else FALSE_V
+    if type(left) is IntV and type(right) is IntV and op in _ON_INTEGERS:
+        if op == "/" and right.value == 0:
+            return RuntimeFault(FAULT_DIVISION_BY_ZERO, "division by zero", span)
+        result = _ON_INTEGERS[op](left.value, right.value)
+        return IntV(result) if type(result) is int else TRUE_V if result else FALSE_V
+    if op == "+" and type(left) is StringV and type(right) is StringV:
+        # concatenation, as in the translated programs
+        return StringV(left.value + right.value)
+    if type(left) is not IntV or type(right) is not IntV:
+        return RuntimeFault(FAULT_NOT_APPLICABLE, f"'{op}' requires integer operands", span)
+    return RuntimeFault(FAULT_NOT_APPLICABLE, f"unknown operator '{op}'", span)
+
+
+# The resolve pass turns each expression into nested tuples (kind, span,
+# ...), the span being that of the expression. A local is its slot in the
+# flat tuple of locals, one slot per enclosing lambda parameter or pattern
+# variable (SICP §5.5.6's lexical addresses, with a single frame); anything
+# else a name can denote is known before evaluation and held in the node.
+_LOCAL = 0  # (_LOCAL, span, slot counted from the end of the locals, so negative)
+_VALUE = 1  # (_VALUE, span, value): a literal, builtin, constructor, function or 'this'
+_CONSTANT = 2  # (_CONSTANT, span, [body, value once evaluated, else None])
+_LAMBDA = 3  # (_LAMBDA, span, body, number of innermost locals the body uses)
+_TYPED = 4  # (_TYPED, span, function): types are erased at runtime
+_FAULT = 5  # (_FAULT, span, fault): the fault to give when evaluated
+_OPERANDS = 6  # (_OPERANDS, span, left, right, op): neither operand pushes a frame
+# Nodes that first evaluate the sub-expression at index 2. Each kind is also
+# that of the frame which waits for its value: (kind, node, locals, depth).
+_CALL = 7  # (_CALL, span, function, argument)
+_BINARY = 8  # (_BINARY, span, left, right, op)
+_IF = 9  # (_IF, span, cond, then, else)
+_MATCH = 10  # (_MATCH, span, scrutinee, ((pattern, result, locals used), ...))
+_NOT = 11  # (_NOT, span, operand)
+
+# The other frames, with what the waiting evaluation needs once its value
+# arrives; ``depth`` is the waiting evaluation's depth.
+_RIGHT = 12  # (_RIGHT, _BINARY node, left value): the right operand
+_APPLY = 13  # (_APPLY, function, span, depth, depth of a closure's body): the argument
+_FOLD = 14  # (_FOLD, op, items, index, span, depth): the accumulator so far
+_ARG = 15  # (_ARG, argument, span, depth): a function to apply to argument
+_CONST = 16  # (_CONST, cell): a constant's value, kept in its cell
+
+_VISIT, _BIND, _UNBIND, _BUILD = range(4)  # the resolve pass's steps
+#: The kind of node built from the resolved children of each expression.
+_BUILT = {Apply: _CALL, BinaryOp: _BINARY, If: _IF, Match: _MATCH, UnaryNot: _NOT,
+          TypeApply: _TYPED, Lambda: _LAMBDA}
+
+
+def _scopes(e: Expr) -> list:
+    """``(names, child)`` for each child of ``e`` in ``children`` order:
+    the locals ``e`` binds around a lambda body or a case result, else None."""
+    if type(e) is Lambda:
+        return [((e.param,), e.body)]
+    if type(e) is not Match:
+        return [(None, kid) for kid in children(e)]
+    return [(None, e.scrutinee)] + [
+        (tuple(p.name for p in pattern_nodes(c.pattern) if type(p) is VarBindPattern), c.result)
+        for c in e.cases
+    ]
 
 
 class Interpreter:
     """Evaluator over an analyzed program.
 
-    Each class gets one environment holding its definitions (multi-parameter
-    definitions curried into closures, constants as lazily resolved thunks)
-    on top of a global environment of constructors and builtins.
+    Every definition body is resolved once, here, and ``evaluate`` resolves
+    the expression it is given. A name is the innermost local of that name,
+    else the class's definition (or 'this'), else a constructor or builtin.
+    Multi-parameter definitions are curried closures. A constant is
+    evaluated on its first lookup and then kept, like the ``lazy val`` the
+    Scala backend emits.
     """
 
     def __init__(self, analyzed: AnalyzedProgram, max_recursion: int = DEFAULT_MAX_RECURSION):
@@ -295,268 +344,272 @@ class Interpreter:
         self.constructors = analyzed.constructors
         self.max_recursion = max_recursion
         self.last_peak_depth = 0
-        global_vars: dict = {
-            "range": BuiltinV("range", ()),
-            "fold": BuiltinV("fold", ()),
-        }
+        # What each name denotes: the kind and last item of its nodes.
+        self._globals = {name: (_VALUE, BuiltinV(name, ())) for name in ("range", "fold")}
         for name, sig in analyzed.constructors.items():
-            if sig.fields:
-                global_vars[name] = ConstructorV(sig, ())
-            else:
-                global_vars[name] = ObjectV(sig.class_name, {})
-        self._global_env = Env(global_vars)
-        self._class_envs: dict[str, Env] = {}
+            value = ConstructorV(sig, ()) if sig.fields else ObjectV(sig.class_name, {})
+            self._globals[name] = (_VALUE, value)
+        self._classes: dict[str, dict] = {}
+        bodies = []
         for cls in self.program.classes:
-            env = Env({}, self._global_env)
+            names = self._classes[cls.name] = {}
             for d in cls.definitions:
-                if d.body is None:
-                    continue
-                if d.params:
-                    expr: Expr = d.body
-                    for pname, ptype in reversed(d.params):
-                        expr = Lambda(pname, ptype, expr, d.span or synthetic_span())
-                    env.vars[d.name] = ClosureV(expr.param, expr.body, env)
-                else:
-                    env.vars[d.name] = _Thunk(d.body, env)
-            # Classes whose constructor takes no fields have one canonical
-            # instance, so 'this' can denote it; elsewhere it stays unbound.
-            instance = global_vars.get(cls.name + "_")
+                if d.body is not None:
+                    target = ClosureV(None, ()) if d.params else [None, None]
+                    names[d.name] = (_VALUE if d.params else _CONSTANT, target)
+                    bodies.append((d, target, names))
+            # 'this' is bound only in a class whose constructor takes no fields
+            instance = self._globals.get(cls.name + "_", (None, None))[1]
             if type(instance) is ObjectV:
-                env.vars["this"] = instance
-            self._class_envs[cls.name] = env
+                names["this"] = (_VALUE, instance)
+        for d, target, names in bodies:
+            expr: Expr = d.body
+            for pname, ptype in reversed(d.params):
+                expr = Lambda(pname, ptype, expr, d.span or synthetic_span())
+            if d.params:
+                target.body = self._resolve(expr, names)[2]
+            else:
+                target[0] = self._resolve(expr, names)
 
     # ---------- public API ----------
 
-    def class_environment(self, class_name: str) -> Env:
-        try:
-            return self._class_envs[class_name]
-        except KeyError:
-            raise KeyError(f"no class named '{class_name}'") from None
+    def _class_names(self, class_name: str) -> dict:
+        if class_name not in self._classes:
+            raise KeyError(f"no class named '{class_name}'")
+        return self._classes[class_name]
 
     def evaluate(self, expr: Expr, class_name: Optional[str] = None) -> EvalOutcome:
-        """Evaluate one expression, in the scope of ``class_name`` when
-        given."""
-        env = self.class_environment(class_name) if class_name else self._global_env
-        return self._run(expr, env, ())
+        """Evaluate one expression, in the scope of ``class_name`` when given."""
+        names = self._class_names(class_name) if class_name else {}
+        return self._run(self._resolve(expr, names), (), ())
 
     def run_entry(self, class_name: str, def_name: str, args=()) -> EvalOutcome:
         """Apply a named definition to the given arguments (Python values
         are converted) and return the outcome."""
-        env = self.class_environment(class_name)
-        if def_name not in env.vars:
-            return RuntimeFault(
-                FAULT_UNKNOWN_IDENTIFIER,
-                f"class '{class_name}' has no definition '{def_name}'",
-                synthetic_span(),
-            )
+        entry = self._class_names(class_name).get(def_name)
+        if entry is None:
+            message = f"class '{class_name}' has no definition '{def_name}'"
+            return RuntimeFault(FAULT_UNKNOWN_IDENTIFIER, message, synthetic_span())
         values = [from_python(a) for a in args]
-        return self._run(Identifier(def_name, synthetic_span()), env, values)
+        return self._run((entry[0], synthetic_span(), entry[1]), (), values)
+
+    # ---------- resolve pass ----------
+
+    def _resolve(self, root: Expr, names: dict) -> tuple:
+        """The resolved node of ``root`` in a class whose names denote
+        ``names``; one loop over explicit stacks, so any depth resolves."""
+        slots: dict = {}  # each local name's slots, innermost last
+        size = 0  # the number of locals in scope
+        # Each open lambda body or case result, as [the number of locals
+        # outside it, the lowest slot used in it], inside a sentinel.
+        scopes: list = [[0, 0]]
+        done: list = []  # the resolved nodes of finished sub-trees
+        todo: list = [(_VISIT, root)]
+        while todo:
+            step, x = todo.pop()
+            if step == _BIND:
+                scopes.append([size, size])
+                for name in x:
+                    slots.setdefault(name, []).append(size)
+                    size += 1
+            elif step == _UNBIND:
+                for name in x:
+                    slots[name].pop()
+                size -= len(x)
+                # Pair the node with how many locals from outside the scope it
+                # keeps: the innermost ones, down to the lowest slot it uses.
+                start, low = scopes.pop()
+                done[-1] = (done[-1], start - low)
+                scopes[-1][1] = min(scopes[-1][1], low)
+            elif step == _BUILD:  # x's resolved children are last in done
+                first = len(done) - len(children(x))
+                kids = done[first:]
+                del done[first:]
+                t = type(x)
+                if t is Match:
+                    cases = tuple((case.pattern, *kid) for case, kid in zip(x.cases, kids[1:]))
+                    done.append((_MATCH, x.span, kids[0], cases))
+                elif t is Lambda:
+                    done.append((_LAMBDA, x.span, *kids[0]))
+                elif t is BinaryOp:
+                    simple = x.op not in ("and", "or") and max(kids[0][0], kids[1][0]) <= _VALUE
+                    done.append((_OPERANDS if simple else _BINARY, x.span, *kids, x.op))
+                else:
+                    done.append((_BUILT[t], x.span, *kids))
+            else:
+                t = type(x)
+                if t in _BUILT:
+                    todo.append((_BUILD, x))
+                    for bound, kid in reversed(_scopes(x)):
+                        if bound is None:
+                            todo.append((_VISIT, kid))
+                        else:
+                            todo += ((_UNBIND, bound), (_VISIT, kid), (_BIND, bound))
+                    continue
+                if t is IntLiteral or t is BoolLiteral or t is StringLiteral:
+                    done.append((_VALUE, x.span, from_python(x.value)))
+                    continue
+                if t is Identifier or t is SelfRef:
+                    name = "this" if t is SelfRef else x.name
+                    if slots.get(name):
+                        slot = slots[name][-1]
+                        scopes[-1][1] = min(scopes[-1][1], slot)
+                        entry = (_LOCAL, slot - size)
+                    else:
+                        entry = names.get(name) or self._globals.get(name)
+                    if entry:
+                        done.append((entry[0], x.span, entry[1]))
+                        continue
+                    kind, message = FAULT_UNKNOWN_IDENTIFIER, f"'{name}' is not bound"
+                    message += " here" if t is SelfRef else ""
+                elif t is NamedApply:
+                    kind, message = FAULT_NOT_APPLICABLE, f"named argument '{x.param_name}'"
+                    message += " could not be resolved to a declared parameter"
+                else:
+                    kind, message = FAULT_NOT_APPLICABLE, f"cannot evaluate {t.__name__}"
+                span = getattr(x, "span", synthetic_span())
+                done.append((_FAULT, span, RuntimeFault(kind, message, span)))
+        return done.pop()
 
     # ---------- evaluation machine ----------
 
-    def _run(self, expr: Expr, env: Env, args) -> EvalOutcome:
-        """Evaluate ``expr`` in ``env``, then apply the value to each of
-        ``args`` in turn. The first fault ends the run."""
+    def _run(self, expr: tuple, env: tuple, args) -> EvalOutcome:
+        """Evaluate the resolved node ``expr`` with the locals ``env``, then apply
+        the value to each of ``args`` in turn. The first fault ends the run."""
         limit = self.max_recursion
         frames: list = [(_ARG, a, synthetic_span(), 0) for a in reversed(args)]
         depth = peak = 0
         try:
             while True:
-                # Evaluate expr in env at depth: either reach a value or
-                # push the frame that waits for a sub-expression and go on
-                # with that one.
+                # Evaluate expr at depth, to a value or to a frame and a sub-expression.
                 if depth > limit:
-                    return RuntimeFault(
-                        FAULT_RECURSION_LIMIT,
-                        f"recursion limit of {limit} exceeded",
-                        expr.span,
-                    )
+                    message = f"recursion limit of {limit} exceeded"
+                    return RuntimeFault(FAULT_RECURSION_LIMIT, message, expr[1])
                 if depth > peak:
                     peak = depth
-                t = type(expr)
-                if t is Identifier:
-                    name = expr.name
-                    e = env
-                    while e is not None:
-                        value = e.vars.get(name, _MISSING)
-                        if value is not _MISSING:
-                            break
-                        e = e.parent
-                    else:
-                        return RuntimeFault(
-                            FAULT_UNKNOWN_IDENTIFIER, f"'{name}' is not bound", expr.span
-                        )
-                    if type(value) is _Thunk:
-                        expr, env = value.body, value.env
+                kind = expr[0]
+                if kind == _LOCAL:
+                    value = env[expr[2]]
+                elif kind == _VALUE:
+                    value = expr[2]
+                elif kind >= _CALL:
+                    frames.append((kind, expr, env, depth))
+                    expr = expr[2]
+                    depth += 1
+                    continue
+                elif kind == _OPERANDS:  # operands one level down, but in place
+                    if depth >= limit:
+                        expr, depth = expr[2], depth + 1
+                        continue  # to the budget fault, at the left operand
+                    if depth >= peak:
+                        peak = depth + 1
+                    left, right = expr[2], expr[3]
+                    left = env[left[2]] if left[0] == _LOCAL else left[2]
+                    value = _binary(expr, left, env[right[2]] if right[0] == _LOCAL else right[2])
+                    if type(value) is RuntimeFault:
+                        return value
+                elif kind == _CONSTANT:
+                    cell = expr[2]
+                    value = cell[1]
+                    if value is None:  # first evaluation, one level down
+                        frames.append((_CONST, cell))
+                        expr, env = cell[0], ()
                         depth += 1
                         continue
-                elif t is IntLiteral:
-                    value = IntV(expr.value)
-                elif t is BoolLiteral:
-                    value = TRUE_V if expr.value else FALSE_V
-                elif t is StringLiteral:
-                    value = StringV(expr.value)
-                elif t is BinaryOp:
-                    frames.append((_LEFT, expr, env, depth))
-                    expr = expr.left
-                    depth += 1
+                elif kind == _LAMBDA:
+                    value = ClosureV(expr[2], env[len(env) - expr[3]:])
+                elif kind == _TYPED:
+                    expr = expr[2]
                     continue
-                elif t is Apply:
-                    frames.append((_FUN, expr, env, depth))
-                    expr = expr.function
-                    depth += 1
-                    continue
-                elif t is If:
-                    frames.append((_IF, expr, env, depth))
-                    expr = expr.cond
-                    depth += 1
-                    continue
-                elif t is Match:
-                    frames.append((_MATCH, expr, env, depth))
-                    expr = expr.scrutinee
-                    depth += 1
-                    continue
-                elif t is Lambda:
-                    value = ClosureV(expr.param, expr.body, env)
-                elif t is UnaryNot:
-                    frames.append((_NOT, expr))
-                    expr = expr.operand
-                    depth += 1
-                    continue
-                elif t is TypeApply:
-                    expr = expr.function  # types are erased at runtime
-                    continue
-                elif t is NamedApply:
-                    return RuntimeFault(
-                        FAULT_NOT_APPLICABLE,
-                        f"named argument '{expr.param_name}' could not be resolved"
-                        " to a declared parameter",
-                        expr.span,
-                    )
-                elif t is SelfRef:
-                    e = env
-                    while e is not None:
-                        value = e.vars.get("this", _MISSING)
-                        if value is not _MISSING:
-                            break
-                        e = e.parent
-                    else:
-                        return RuntimeFault(
-                            FAULT_UNKNOWN_IDENTIFIER, "'this' is not bound here", expr.span
-                        )
-                else:
-                    return RuntimeFault(
-                        FAULT_NOT_APPLICABLE,
-                        f"cannot evaluate {type(expr).__name__}",
-                        getattr(expr, "span", synthetic_span()),
-                    )
+                else:  # _FAULT
+                    return expr[2]
 
-                # Hand the value to the frames that wait for it, until one of
-                # them has an expression to evaluate next.
+                # Hand the value to the frames until one has an expression to evaluate.
                 while frames:
                     frame = frames.pop()
                     kind = frame[0]
                     if kind == _APPLY:
                         _, fn, span, depth, body_depth = frame
                         if type(fn) is ClosureV:
-                            env = Env({fn.param: value}, fn.env)
+                            env = fn.env + (value,)
                             expr = fn.body
                             depth = body_depth
                             break
                         if type(fn) is ConstructorV:
-                            collected = fn.collected + (value,)
-                            sig = fn.signature
-                            if len(collected) == len(sig.fields):
+                            collected, sig = fn.collected + (value,), fn.signature
+                            if len(collected) < len(sig.fields):
+                                value = ConstructorV(sig, collected)
+                            else:
                                 fields = {name: v for (name, _), v in zip(sig.fields, collected)}
                                 value = ObjectV(sig.class_name, fields)
-                            else:
-                                value = ConstructorV(sig, collected)
                         elif type(fn) is BuiltinV and fn.name == "range":
                             if type(value) is not IntV:
-                                return RuntimeFault(
-                                    FAULT_NOT_APPLICABLE, "range requires an integer", span
-                                )
+                                message = "range requires an integer"
+                                return RuntimeFault(FAULT_NOT_APPLICABLE, message, span)
                             value = SeqV(tuple(IntV(i) for i in builtin_range(value.value)))
                         elif type(fn) is BuiltinV:  # fold
                             collected = fn.collected + (value,)
                             if len(collected) < 3:
                                 value = BuiltinV("fold", collected)
                             elif type(collected[0]) is not SeqV:
-                                return RuntimeFault(
-                                    FAULT_NOT_APPLICABLE, "fold requires a sequence first", span
-                                )
+                                message = "fold requires a sequence first"
+                                return RuntimeFault(FAULT_NOT_APPLICABLE, message, span)
                             else:
                                 seq, value, op = collected
                                 frames.append((_FOLD, op, seq.items, 0, span, depth))
                         else:
-                            return RuntimeFault(
-                                FAULT_NOT_APPLICABLE,
-                                f"value {render_value(fn)} cannot be applied to an argument",
-                                span,
-                            )
-                    elif kind == _FUN:
+                            message = f"value {render_value(fn)} cannot be applied to an argument"
+                            return RuntimeFault(FAULT_NOT_APPLICABLE, message, span)
+                    elif kind == _CALL:
                         _, e, env, depth = frame
-                        frames.append((_APPLY, value, e.span, depth, depth))
-                        expr = e.argument
+                        frames.append((_APPLY, value, e[1], depth, depth))
+                        expr = e[3]
                         depth += 1
                         break
-                    elif kind == _LEFT:
+                    elif kind == _BINARY:
                         _, e, env, depth = frame
-                        op = e.op
+                        op = e[4]
                         if op == "and" or op == "or":
                             if type(value) is not BoolV:
-                                return RuntimeFault(
-                                    FAULT_NOT_APPLICABLE,
-                                    f"'{op}' requires boolean operands",
-                                    e.span,
-                                )
+                                message = f"'{op}' requires boolean operands"
+                                return RuntimeFault(FAULT_NOT_APPLICABLE, message, e[1])
                             if value.value == (op == "or"):
                                 continue  # decided without the right operand
                         frames.append((_RIGHT, e, value))
-                        expr = e.right
+                        expr = e[3]
                         depth += 1
                         break
                     elif kind == _RIGHT:
-                        value = self._binary(frame[1], frame[2], value)
+                        value = _binary(frame[1], frame[2], value)
                         if type(value) is RuntimeFault:
                             return value
                     elif kind == _IF:
                         _, e, env, depth = frame
                         if type(value) is not BoolV:
-                            return RuntimeFault(
-                                FAULT_NOT_APPLICABLE,
-                                "'if' condition is not a boolean",
-                                e.cond.span,
-                            )
-                        expr = e.then_branch if value.value else e.else_branch
+                            message = "'if' condition is not a boolean"
+                            return RuntimeFault(FAULT_NOT_APPLICABLE, message, e[2][1])
+                        expr = e[3] if value.value else e[4]
                         break
+                    elif kind == _CONST:
+                        frame[1][1] = value
                     elif kind == _MATCH:
                         _, e, env, depth = frame
-                        for case in e.cases:
-                            bindings = self._match_pattern(case.pattern, value)
+                        for pattern, expr, used in e[3]:
+                            bindings = self._match_pattern(pattern, value)
                             if bindings is not None:
                                 break
                         else:
-                            return RuntimeFault(
-                                FAULT_NO_MATCHING_CASE,
-                                "no case matched the value " + render_value(value),
-                                e.span,
-                            )
-                        if bindings:
-                            env = Env(bindings, env)
-                        expr = case.result
+                            message = "no case matched the value " + render_value(value)
+                            return RuntimeFault(FAULT_NO_MATCHING_CASE, message, e[1])
+                        env = env[len(env) - used:] + tuple(bindings)
                         break
                     elif kind == _NOT:
                         if type(value) is not BoolV:
-                            return RuntimeFault(
-                                FAULT_NOT_APPLICABLE,
-                                "'not' requires a boolean operand",
-                                frame[1].span,
-                            )
+                            message = "'not' requires a boolean operand"
+                            return RuntimeFault(FAULT_NOT_APPLICABLE, message, frame[1][1])
                         value = FALSE_V if value.value else TRUE_V
                     elif kind == _FOLD:
-                        # value is the accumulator; the next item feeds it
-                        # through op, or the fold is done.
+                        # value is the accumulator: feed it the next item, if any
                         _, op, items, i, span, depth = frame
                         if i < len(items):
                             frames.append((_FOLD, op, items, i + 1, span, depth))
@@ -571,81 +624,26 @@ class Interpreter:
         finally:
             self.last_peak_depth = peak
 
-    @staticmethod
-    def _binary(expr: BinaryOp, left: Value, right: Value) -> EvalOutcome:
-        """The value of ``expr`` given the values of both operands."""
-        op = expr.op
-        if op == "and" or op == "or":
-            if type(right) is not BoolV:
-                return RuntimeFault(
-                    FAULT_NOT_APPLICABLE, f"'{op}' requires boolean operands", expr.span
-                )
-            return right
-        if op == "==":
-            # The value classes' own equality: structural for data,
-            # identity for functions and constructors.
-            return TRUE_V if left == right else FALSE_V
-        if op == "+" and type(left) is StringV and type(right) is StringV:
-            # agrees with the translated programs, where '+' on two
-            # strings concatenates
-            return StringV(left.value + right.value)
-        if type(left) is not IntV or type(right) is not IntV:
-            return RuntimeFault(
-                FAULT_NOT_APPLICABLE, f"'{op}' requires integer operands", expr.span
-            )
-        a, b = left.value, right.value
-        if op == "+":
-            return IntV(a + b)
-        if op == "-":
-            return IntV(a - b)
-        if op == "*":
-            return IntV(a * b)
-        if op == "/":
-            if b == 0:
-                return RuntimeFault(FAULT_DIVISION_BY_ZERO, "division by zero", expr.span)
-            q = a // b
-            if q < 0 and q * b != a:
-                q += 1  # truncate toward zero
-            return IntV(q)
-        if op == "<":
-            return TRUE_V if a < b else FALSE_V
-        if op == "<=":
-            return TRUE_V if a <= b else FALSE_V
-        if op == ">":
-            return TRUE_V if a > b else FALSE_V
-        if op == ">=":
-            return TRUE_V if a >= b else FALSE_V
-        return RuntimeFault(FAULT_NOT_APPLICABLE, f"unknown operator '{op}'", expr.span)
-
     # ---------- patterns ----------
 
-    def _match_pattern(self, pattern: Pattern, value: Value) -> Optional[dict]:
-        """The names ``pattern`` binds when it matches ``value``, else None.
-        Sub-patterns are matched from a work list, left to right."""
-        bindings: dict = {}
+    def _match_pattern(self, pattern: Pattern, value: Value) -> Optional[list]:
+        """The values ``pattern`` binds, one per variable in preorder, when
+        it matches ``value``, else None. Sub-patterns are matched from a
+        work list, left to right."""
+        bindings: list = []
         todo = [(pattern, value)]
         while todo:
             pattern, value = todo.pop()
             t = type(pattern)
             if t is VarBindPattern:
-                bindings[pattern.name] = value
+                bindings.append(value)
             elif t is LiteralPattern:
-                pv = pattern.value
-                if isinstance(pv, bool):
-                    want = BoolV
-                elif isinstance(pv, int):
-                    want = IntV
-                else:
-                    want = StringV
-                if type(value) is not want or value.value != pv:
+                if value != from_python(pattern.value):
                     return None
             elif t is ConstructorPattern:
-                if type(value) is not ObjectV:
-                    return None
                 sig = self.constructors.get(pattern.name)
-                if sig is None or sig.class_name != value.class_name:
-                    return None
-                if len(pattern.sub_patterns) != len(sig.fields):
+                if (type(value) is not ObjectV or sig is None or sig.class_name != value.class_name
+                        or len(pattern.sub_patterns) != len(sig.fields)):
                     return None
                 todo.extend(
                     (sub, value.fields[name])

@@ -146,3 +146,53 @@ def test_run_recurses_as_deep_as_the_budget_allows(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "150000\n", "")
     proc = run_deep_program(tmp_path, "M.deep", 5_000, options=("--max-recursion", "1000"))
     assert proc.returncode == 1 and "fault[recursion_limit]" in proc.stderr
+
+
+def test_run_entry_evaluates_a_constant_that_is_a_flat_chain_of_5000_terms():
+    run_code(
+        """
+        from soda import Interpreter, analyze, parse
+
+        body = " + ".join(["1"] * 5000)
+        it = Interpreter(analyze(parse(f"class A\\n\\n  c : Int = {body}\\n\\nend\\n").program))
+        assert it.run_entry("A", "c").value == 5000 and it.last_peak_depth == 5000
+        """
+    )
+
+
+def test_evaluate_takes_20000_nested_nots():
+    run_code(
+        """
+        from soda import Interpreter, analyze, parse
+        from soda.syntax import BoolLiteral, UnaryNot, synthetic_span
+
+        span = synthetic_span()
+        expr = BoolLiteral(True, span)
+        for _ in range(20_000):
+            expr = UnaryNot(expr, span)
+        it = Interpreter(analyze(parse("class A\\n\\nend\\n").program), max_recursion=20_000)
+        assert it.evaluate(expr).value is True and it.last_peak_depth == 20_000
+        """
+    )
+
+
+def test_evaluate_takes_20000_nested_ifs_and_lambdas():
+    # Each level applies a lambda that shadows y, so each y must resolve to
+    # the innermost one; the lambdas keep no locals they do not use, so the
+    # run is linear in the depth.
+    run_code(
+        """
+        from soda import Interpreter, analyze, parse
+        from soda.syntax import Apply, BinaryOp, Identifier, If, IntLiteral, Lambda
+        from soda.syntax import synthetic_span
+
+        span = synthetic_span()
+        expr = Identifier("y", span)
+        for k in range(20_000):
+            cond = BinaryOp("==", Identifier("y", span), IntLiteral(k, span), span)
+            body = If(cond, expr, IntLiteral(-1, span), span)
+            expr = Apply(Lambda("y", None, body, span), IntLiteral(k, span), span)
+        it = Interpreter(analyze(parse("class A\\n\\nend\\n").program))
+        assert it.evaluate(expr).value == 0 and it.last_peak_depth == 2
+        """
+    )

@@ -211,6 +211,20 @@ def test_closure_captures_environment():
     assert as_int(ev("((lambda x --> lambda y --> x - y) (10)) (3)")) == 7
 
 
+@pytest.mark.parametrize("source, value", [
+    # a case result sees the locals around the match as well as its own
+    ("(lambda a --> lambda b --> match P_ (a) (b) case P_ (x) (y) ==> a * 1000 + b * 100 + x * 10 + y)"
+     " (1) (2)", 1212),
+    ("(lambda a --> lambda b --> match b case 0 ==> a case n ==> (lambda m --> a + n + m) (100))"
+     " (1) (10)", 111),
+    # a closure made in one scope and applied in another, under a shadowing name
+    ("(lambda a --> (lambda f --> (lambda a --> f (a)) (5)) (lambda x --> a * 10 + x)) (3)", 35),
+    ("(lambda a --> lambda b --> lambda c --> (lambda d --> lambda e --> a + e) (b) (c)) (1) (2) (3)", 4),
+])
+def test_lambdas_and_cases_see_every_enclosing_local(source, value):
+    assert as_int(ev(source)) == value
+
+
 def test_member_definitions_and_partial_application():
     it = interp_of(
         "class M\n\n  add (a : Int) (b : Int) : Int = a + b\n\n"
@@ -397,6 +411,42 @@ def test_the_budget_fault_comes_just_past_the_budget():
     assert out.message == "recursion limit of 50 exceeded" and it.last_peak_depth == 50
     line = LOOP.split("\n")[5]
     assert (out.span.line_start, out.span.col_start) == (6, line.index("n - 1") + 1)
+
+
+# --- constants are evaluated once per interpreter ---
+
+CHAIN = "class T\n\n  c0 : Int = 1\n" + "".join(
+    f"\n  c{i} : Int = c{i - 1} + c{i - 1}\n" for i in range(1, 61)
+) + "\nend\n"
+
+
+def test_a_constant_chain_evaluates_each_constant_once():
+    # Each level looks the one below up twice: evaluated on every lookup,
+    # c60 would take about 2^61 evaluations.
+    assert as_int(interp_of(CHAIN).run_entry("T", "c60")) == 2 ** 60
+
+
+def test_a_repeated_constant_lookup_gives_the_same_value_less_deep():
+    it = interp_of(DEPTHS)
+    assert render_value(ev("one", it, "T")) == "1" and it.last_peak_depth == 3
+    assert render_value(ev("one", it, "T")) == "1" and it.last_peak_depth == 0
+    assert as_int(it.run_entry("T", "one")) == 1 and it.last_peak_depth == 0
+    assert render_value(ev("one + zero", it, "T")) == "1" and it.last_peak_depth == 1
+
+
+def test_a_constant_that_faults_faults_on_every_lookup():
+    it = interp_of("class T\n\n  bad : Int = 1 / 0\n\n  uses : Int = bad + 1\n\nend\n")
+    for name in ("bad", "uses", "bad", "uses"):
+        out = it.run_entry("T", name)
+        assert isinstance(out, RuntimeFault) and out.kind == "division_by_zero"
+
+
+def test_a_constant_is_kept_only_once_it_has_a_value():
+    it = interp_of(DEPTHS, max_recursion=3)
+    # 'one' is at depth 1 here, so its body needs depth 4: over budget.
+    assert ev("1 + one", it, "T").kind == "recursion_limit"
+    assert as_int(it.run_entry("T", "one")) == 1 and it.last_peak_depth == 3
+    assert as_int(ev("1 + one", it, "T")) == 2 and it.last_peak_depth == 1
 
 
 def test_guarded_runs_restore_the_recursion_limit():
