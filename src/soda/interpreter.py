@@ -283,32 +283,34 @@ def _binary(node: tuple, left: Value, right: Value) -> EvalOutcome:
 
 # The resolve pass turns each expression into nested tuples (kind, span,
 # ...), the span being that of the expression. A local is its slot in the
-# flat tuple of locals, one slot per enclosing lambda parameter or pattern
-# variable (SICP §5.5.6's lexical addresses, with a single frame); anything
-# else a name can denote is known before evaluation and held in the node.
-_LOCAL = 0  # (_LOCAL, span, slot counted from the end of the locals, so negative)
+# tuple of locals of the innermost lambda body or case result (SICP §5.5.6's
+# lexical addresses, with a single frame): first the names it binds, then
+# the outer locals it uses, copied in when the closure is made or the case
+# chosen. Anything else a name can denote is known before evaluation and
+# held in the node.
+_LOCAL = 0  # (_LOCAL, span, slot)
 _VALUE = 1  # (_VALUE, span, value): a literal, builtin, constructor, function or 'this'
 _CONSTANT = 2  # (_CONSTANT, span, [body, value once evaluated, else None])
-_LAMBDA = 3  # (_LAMBDA, span, body, number of innermost locals the body uses)
+_LAMBDA = 3  # (_LAMBDA, span, body, slots of the outer locals the body uses)
 _TYPED = 4  # (_TYPED, span, function): types are erased at runtime
 _FAULT = 5  # (_FAULT, span, fault): the fault to give when evaluated
-_OPERANDS = 6  # (_OPERANDS, span, left, right, op): neither operand pushes a frame
 # Nodes that first evaluate the sub-expression at index 2. Each kind is also
 # that of the frame which waits for its value: (kind, node, locals, depth).
-_CALL = 7  # (_CALL, span, function, argument)
-_BINARY = 8  # (_BINARY, span, left, right, op)
-_IF = 9  # (_IF, span, cond, then, else)
-_MATCH = 10  # (_MATCH, span, scrutinee, ((pattern, result, locals used), ...))
-_NOT = 11  # (_NOT, span, operand)
+_CALL = 6  # (_CALL, span, function, argument)
+_BINARY = 7  # (_BINARY, span, left, right, op)
+_IF = 8  # (_IF, span, cond, then, else)
+_MATCH = 9  # (_MATCH, span, scrutinee, ((pattern, result, slots of outer locals), ...))
+_NOT = 10  # (_NOT, span, operand)
 
 # The other frames, with what the waiting evaluation needs once its value
 # arrives; ``depth`` is the waiting evaluation's depth.
-_RIGHT = 12  # (_RIGHT, _BINARY node, left value): the right operand
-_APPLY = 13  # (_APPLY, function, span, depth, depth of a closure's body): the argument
-_FOLD = 14  # (_FOLD, op, items, index, span, depth): the accumulator so far
-_ARG = 15  # (_ARG, argument, span, depth): a function to apply to argument
-_CONST = 16  # (_CONST, cell): a constant's value, kept in its cell
+_RIGHT = 11  # (_RIGHT, _BINARY node, left value): the right operand
+_APPLY = 12  # (_APPLY, function, span, depth, depth of a closure's body): the argument
+_FOLD = 13  # (_FOLD, op, items, index, span, depth): the accumulator so far
+_ARG = 14  # (_ARG, argument, span, depth): a function to apply to argument
+_CONST = 15  # (_CONST, cell): a constant's value, kept in its cell
 
+_LITERAL_TYPE = {bool: BoolV, int: IntV, str: StringV}  # of a literal pattern's value
 _VISIT, _BIND, _UNBIND, _BUILD = range(4)  # the resolve pass's steps
 #: The kind of node built from the resolved children of each expression.
 _BUILT = {Apply: _CALL, BinaryOp: _BINARY, If: _IF, Match: _MATCH, UnaryNot: _NOT,
@@ -398,29 +400,23 @@ class Interpreter:
     def _resolve(self, root: Expr, names: dict) -> tuple:
         """The resolved node of ``root`` in a class whose names denote
         ``names``; one loop over explicit stacks, so any depth resolves."""
-        slots: dict = {}  # each local name's slots, innermost last
-        size = 0  # the number of locals in scope
-        # Each open lambda body or case result, as [the number of locals
-        # outside it, the lowest slot used in it], inside a sentinel.
-        scopes: list = [[0, 0]]
+        binders: dict = {}  # how many open scopes bind each name
+        # Each open lambda body or case result, inside a sentinel, as (the
+        # slot of each local name it binds or uses, the slots in the scope
+        # outside of the outer locals it uses, the number of names it binds).
+        scopes: list = [({}, [], 0)]
         done: list = []  # the resolved nodes of finished sub-trees
         todo: list = [(_VISIT, root)]
         while todo:
             step, x = todo.pop()
             if step == _BIND:
-                scopes.append([size, size])
+                scopes.append(({name: i for i, name in enumerate(x)}, [], len(x)))
                 for name in x:
-                    slots.setdefault(name, []).append(size)
-                    size += 1
+                    binders[name] = binders.get(name, 0) + 1
             elif step == _UNBIND:
                 for name in x:
-                    slots[name].pop()
-                size -= len(x)
-                # Pair the node with how many locals from outside the scope it
-                # keeps: the innermost ones, down to the lowest slot it uses.
-                start, low = scopes.pop()
-                done[-1] = (done[-1], start - low)
-                scopes[-1][1] = min(scopes[-1][1], low)
+                    binders[name] -= 1
+                done[-1] = (done[-1], tuple(scopes.pop()[1]))
             elif step == _BUILD:  # x's resolved children are last in done
                 first = len(done) - len(children(x))
                 kids = done[first:]
@@ -432,8 +428,7 @@ class Interpreter:
                 elif t is Lambda:
                     done.append((_LAMBDA, x.span, *kids[0]))
                 elif t is BinaryOp:
-                    simple = x.op not in ("and", "or") and max(kids[0][0], kids[1][0]) <= _VALUE
-                    done.append((_OPERANDS if simple else _BINARY, x.span, *kids, x.op))
+                    done.append((_BINARY, x.span, *kids, x.op))
                 else:
                     done.append((_BUILT[t], x.span, *kids))
             else:
@@ -451,10 +446,17 @@ class Interpreter:
                     continue
                 if t is Identifier or t is SelfRef:
                     name = "this" if t is SelfRef else x.name
-                    if slots.get(name):
-                        slot = slots[name][-1]
-                        scopes[-1][1] = min(scopes[-1][1], slot)
-                        entry = (_LOCAL, slot - size)
+                    if binders.get(name):
+                        # The innermost scope that has the name passes it
+                        # in to each scope inside it.
+                        i = len(scopes) - 1
+                        while name not in scopes[i][0]:
+                            i -= 1
+                        slot = scopes[i][0][name]
+                        for has, uses, own in scopes[i + 1:]:
+                            uses.append(slot)
+                            slot = has[name] = own + len(uses) - 1
+                        entry = (_LOCAL, slot)
                     else:
                         entry = names.get(name) or self._globals.get(name)
                     if entry:
@@ -497,17 +499,6 @@ class Interpreter:
                     expr = expr[2]
                     depth += 1
                     continue
-                elif kind == _OPERANDS:  # operands one level down, but in place
-                    if depth >= limit:
-                        expr, depth = expr[2], depth + 1
-                        continue  # to the budget fault, at the left operand
-                    if depth >= peak:
-                        peak = depth + 1
-                    left, right = expr[2], expr[3]
-                    left = env[left[2]] if left[0] == _LOCAL else left[2]
-                    value = _binary(expr, left, env[right[2]] if right[0] == _LOCAL else right[2])
-                    if type(value) is RuntimeFault:
-                        return value
                 elif kind == _CONSTANT:
                     cell = expr[2]
                     value = cell[1]
@@ -517,7 +508,7 @@ class Interpreter:
                         depth += 1
                         continue
                 elif kind == _LAMBDA:
-                    value = ClosureV(expr[2], env[len(env) - expr[3]:])
+                    value = ClosureV(expr[2], tuple([env[i] for i in expr[3]]))
                 elif kind == _TYPED:
                     expr = expr[2]
                     continue
@@ -531,7 +522,7 @@ class Interpreter:
                     if kind == _APPLY:
                         _, fn, span, depth, body_depth = frame
                         if type(fn) is ClosureV:
-                            env = fn.env + (value,)
+                            env = (value,) + fn.env
                             expr = fn.body
                             depth = body_depth
                             break
@@ -594,14 +585,14 @@ class Interpreter:
                         frame[1][1] = value
                     elif kind == _MATCH:
                         _, e, env, depth = frame
-                        for pattern, expr, used in e[3]:
+                        for pattern, expr, uses in e[3]:
                             bindings = self._match_pattern(pattern, value)
                             if bindings is not None:
                                 break
                         else:
                             message = "no case matched the value " + render_value(value)
                             return RuntimeFault(FAULT_NO_MATCHING_CASE, message, e[1])
-                        env = env[len(env) - used:] + tuple(bindings)
+                        env = tuple(bindings + [env[i] for i in uses])
                         break
                     elif kind == _NOT:
                         if type(value) is not BoolV:
@@ -638,7 +629,8 @@ class Interpreter:
             if t is VarBindPattern:
                 bindings.append(value)
             elif t is LiteralPattern:
-                if value != from_python(pattern.value):
+                want = pattern.value
+                if type(value) is not _LITERAL_TYPE[type(want)] or value.value != want:
                     return None
             elif t is ConstructorPattern:
                 sig = self.constructors.get(pattern.name)

@@ -178,8 +178,7 @@ def test_evaluate_takes_20000_nested_nots():
 
 def test_evaluate_takes_20000_nested_ifs_and_lambdas():
     # Each level applies a lambda that shadows y, so each y must resolve to
-    # the innermost one; the lambdas keep no locals they do not use, so the
-    # run is linear in the depth.
+    # the innermost one; a closure keeps only the locals its body uses.
     run_code(
         """
         from soda import Interpreter, analyze, parse
@@ -194,5 +193,24 @@ def test_evaluate_takes_20000_nested_ifs_and_lambdas():
             expr = Apply(Lambda("y", None, body, span), IntLiteral(k, span), span)
         it = Interpreter(analyze(parse("class A\\n\\nend\\n").program))
         assert it.evaluate(expr).value == 0 and it.last_peak_depth == 2
+        """
+    )
+
+
+def test_evaluate_takes_20000_applied_lambdas_around_an_outer_local():
+    # Every level's body uses a, bound outside all of them, so each closure
+    # keeps that one local and the run is linear in the depth.
+    run_code(
+        """
+        from soda import Interpreter, analyze, parse
+        from soda.syntax import Apply, Identifier, IntLiteral, Lambda, synthetic_span
+
+        span = synthetic_span()
+        expr = Identifier("a", span)
+        for k in range(20_000):
+            expr = Apply(Lambda(f"y{k}", None, expr, span), IntLiteral(k, span), span)
+        expr = Apply(Lambda("a", None, expr, span), IntLiteral(7, span), span)
+        it = Interpreter(analyze(parse("class A\\n\\nend\\n").program))
+        assert it.evaluate(expr).value == 7 and it.last_peak_depth == 1
         """
     )

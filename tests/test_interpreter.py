@@ -217,12 +217,23 @@ def test_closure_captures_environment():
      " (1) (2)", 1212),
     ("(lambda a --> lambda b --> match b case 0 ==> a case n ==> (lambda m --> a + n + m) (100))"
      " (1) (10)", 111),
+    ("(lambda a --> lambda b --> match P_ (b) (a) case P_ (x) (y) ==> a * 1000 + b * 100 + x * 10 + y)"
+     " (1) (2)", 1221),
+    ("(lambda a --> lambda b --> match b case 0 ==> a case n ==> (lambda m --> a * 100 + n * 10 + m) (7))"
+     " (1) (2)", 127),
     # a closure made in one scope and applied in another, under a shadowing name
     ("(lambda a --> (lambda f --> (lambda a --> f (a)) (5)) (lambda x --> a * 10 + x)) (3)", 35),
     ("(lambda a --> lambda b --> lambda c --> (lambda d --> lambda e --> a + e) (b) (c)) (1) (2) (3)", 4),
 ])
 def test_lambdas_and_cases_see_every_enclosing_local(source, value):
     assert as_int(ev(source)) == value
+
+
+def test_a_closure_keeps_only_the_locals_its_body_uses():
+    # a, b and c are in scope where the innermost lambda is made; it uses a only
+    closure = ev("(lambda a --> lambda b --> lambda c --> lambda d --> a + d) (1) (2) (3)")
+    assert closure.env == (IntV(1),)
+    assert ev("(lambda a --> lambda b --> lambda c --> lambda d --> d) (1) (2) (3)").env == ()
 
 
 def test_member_definitions_and_partial_application():
