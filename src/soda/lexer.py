@@ -138,20 +138,16 @@ class _Scanner:
             self.emit(TokenKind.INDENT, "", lineno, indent + 1, indent + 1)
             return
         while indent < self.indent_stack[-1]:
+            if indent > self.indent_stack[-2]:
+                message = (f"dedent to column {indent + 1} does not match"
+                           " any enclosing indentation level")
+                span = self.span(lineno, indent + 1, indent + 1)
+                self.diagnostics.append(error("E-LEX-004", message, span))
+                # Recover by keeping the line in the level it leaves only in
+                # part, so no dedent is emitted without its indent.
+                return
             self.indent_stack.pop()
             self.emit(TokenKind.DEDENT, "", lineno, indent + 1, indent + 1)
-        if indent != self.indent_stack[-1]:
-            self.diagnostics.append(
-                error(
-                    "E-LEX-004",
-                    f"dedent to column {indent + 1} does not match any enclosing indentation level",
-                    self.span(lineno, indent + 1, indent + 1),
-                )
-            )
-            # Recover by opening a level at this column, with its own
-            # indent token, so that indents and dedents stay balanced.
-            self.indent_stack.append(indent)
-            self.emit(TokenKind.INDENT, "", lineno, indent + 1, indent + 1)
 
     def _scan_line(self, line: str, lineno: int) -> None:
         if self.bracket_depth == 0:

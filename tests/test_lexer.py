@@ -111,12 +111,12 @@ def test_inconsistent_dedent_is_reported_and_recovers():
 
 
 def test_inconsistent_dedent_keeps_indents_and_dedents_balanced():
-    # The recovery opens a level at the odd column, with its own indent
-    # token; it used to open it without one, leaving a dedent too many.
+    # The odd line stays in the level it leaves only in part; the recovery
+    # used to open a level there without an indent, leaving a dedent too many.
     for source in ("    a\n  b", "class A\n    x = 1\n  y = 2\nz = 3\n", "    case \n  x : Int = "):
         ks = kinds(source)
         assert "E-LEX-004" in codes(source)
-        assert ks.count(TokenKind.INDENT) == ks.count(TokenKind.DEDENT) == 2
+        assert ks.count(TokenKind.INDENT) == ks.count(TokenKind.DEDENT) == 1
 
 
 def test_layout_blank_and_comment_lines_are_transparent():

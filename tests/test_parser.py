@@ -314,6 +314,19 @@ def test_recovery_reports_errors_in_later_classes_too():
     assert "E-PAR-011" in [d.code for d in res.diagnostics]
 
 
+def test_inconsistent_dedent_is_the_only_error_reported():
+    # The line at the odd column stays in the class body, so the parser
+    # reads y = 2 as the next member and adds no error of its own.
+    res = parse("class A\n    x = 1\n  y = 2\nend\n", "d.soda")
+    assert [(d.code, tuple(d.span)) for d in res.diagnostics] == [
+        ("E-LEX-004", ("d.soda", 3, 3, 3, 3))
+    ]
+    res = parse("class A\n    x = 1\n  y = 2\n  z = 3\nend\n", "d.soda")
+    assert [(d.code, d.span.line_start) for d in res.diagnostics] == [
+        ("E-LEX-004", 3), ("E-LEX-004", 4)
+    ]
+
+
 def test_parse_expression_entry_point():
     toks = tokenize("Pair_ (1) (2)").tokens
     expr, _ = parse_expression(toks)
