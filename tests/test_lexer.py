@@ -111,8 +111,8 @@ def test_inconsistent_dedent_is_reported_and_recovers():
 
 
 def test_inconsistent_dedent_keeps_indents_and_dedents_balanced():
-    # The odd line stays in the level it leaves only in part; the recovery
-    # used to open a level there without an indent, leaving a dedent too many.
+    # The odd line stays in the level it leaves only in part, so every
+    # dedent closes a level that an indent opened.
     for source in ("    a\n  b", "class A\n    x = 1\n  y = 2\nz = 3\n", "    case \n  x : Int = "):
         ks = kinds(source)
         assert "E-LEX-004" in codes(source)
