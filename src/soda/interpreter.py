@@ -402,8 +402,8 @@ class Interpreter:
         ``names``; one loop over explicit stacks, so any depth resolves."""
         binders: dict = {}  # how many open scopes bind each name
         # Each open lambda body or case result, inside a sentinel, as (the
-        # slot of each local name it binds or uses, the slots in the scope
-        # outside of the outer locals it uses, the number of names it binds).
+        # slot of each name it binds or uses, the slots that the outer
+        # locals it uses have in the enclosing scope, how many names it binds).
         scopes: list = [({}, [], 0)]
         done: list = []  # the resolved nodes of finished sub-trees
         todo: list = [(_VISIT, root)]
