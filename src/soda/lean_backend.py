@@ -29,7 +29,6 @@ from .syntax import (
     PREC_LOW,
     PREC_OR,
     AbstractBlock,
-    AppliedType,
     ClassDecl,
     ConstructorPattern,
     Definition,
@@ -37,17 +36,12 @@ from .syntax import (
     DirectiveBlock,
     Expr,
     ExprPrinter,
-    FunctionType,
     Lambda,
-    LiteralPattern,
     Match,
-    Pattern,
     Program,
     SelfRef,
     TypeExpr,
     error,
-    format_pattern,
-    int_to_text,
     join_blocks,
     peel_call_chain,
     walk,
@@ -93,15 +87,6 @@ def check_lean_supported(program: Program) -> list[Diagnostic]:
 
 
 # ============================================================
-# types
-# ============================================================
-
-
-def translate_type_to_lean(t: TypeExpr) -> str:
-    return _LEAN.type_(t)
-
-
-# ============================================================
 # expressions
 # ============================================================
 
@@ -111,24 +96,15 @@ class _LeanPrinter(ExprPrinter):
     not_word = "!"
     arrow = "->"
 
+    # Type arguments and sub-patterns go by juxtaposition, so compound ones
+    # and negative literals take parentheses.
     def type_args(self, args: tuple[TypeExpr, ...]) -> str:
-        # Arguments go by juxtaposition, so compound ones need parentheses.
-        parts = []
-        for a in args:
-            text = self.type_(a)
-            parts.append(f" ({text})" if isinstance(a, (AppliedType, FunctionType)) else f" {text}")
-        return "".join(parts)
+        return "".join(f" {self.expr(a, PREC_ATOM)}" for a in args)
 
-    def pattern(self, p: Pattern, nested: bool = False) -> str:
-        # Sub-patterns go by juxtaposition, so a nested constructor pattern
-        # or negative literal needs parentheses.
-        if isinstance(p, ConstructorPattern) and p.sub_patterns:
-            text = p.name + "".join(f" {self.pattern(s, nested=True)}" for s in p.sub_patterns)
-        elif isinstance(p, LiteralPattern) and type(p.value) is int and p.value < 0:
-            text = int_to_text(p.value)
-        else:
-            return format_pattern(p)
-        return f"({text})" if nested else text
+    def constructor_pattern(self, p: ConstructorPattern) -> tuple[str, int]:
+        if not p.sub_patterns:
+            return p.name, PREC_ATOM
+        return p.name + "".join(f" {self.expr(s, PREC_ATOM)}" for s in p.sub_patterns), PREC_APP
 
     def call(self, e: Expr) -> tuple[str, int]:
         # Type arguments are erased; inference recovers them.
@@ -145,7 +121,7 @@ class _LeanPrinter(ExprPrinter):
         return " ".join(parts), PREC_APP
 
     def lambda_(self, e: Lambda) -> tuple[str, int]:
-        param = f"({e.param} : {self.type_(e.param_type)})" if e.param_type else e.param
+        param = f"({e.param} : {self.expr(e.param_type)})" if e.param_type else e.param
         return f"fun {param} => {self.expr(e.body)}", PREC_LOW
 
     def match(self, e: Match) -> tuple[str, int]:
@@ -155,7 +131,7 @@ class _LeanPrinter(ExprPrinter):
     def match_arms(self, e: Match) -> list[str]:
         arms = []
         for c in e.cases:
-            arms.append(f"| {self.pattern(c.pattern)} => {self.expr(c.result, PREC_OR)}")
+            arms.append(f"| {self.expr(c.pattern)} => {self.expr(c.result, PREC_OR)}")
         return arms
 
 
@@ -198,7 +174,7 @@ def _render_class(cls: ClassDecl) -> list[str]:
         lines.append(head + " where")
         lines.append(f"  {cls.name}_ ::")
         for fname, ftype in fields:
-            lines.append(f"  {fname} : {translate_type_to_lean(ftype)}")
+            lines.append(f"  {fname} : {_LEAN.expr(ftype)}")
         lines.append("  deriving DecidableEq")
         lines.append("")
     lines.append(f"namespace {cls.name}")

@@ -35,10 +35,8 @@ from .syntax import (
     Identifier,
     Lambda,
     Match,
-    Pattern,
     SourceSpan,
     TypeParam,
-    format_pattern,
     join_blocks,
     peel_call_chain,
 )
@@ -65,7 +63,7 @@ def translate_type_to_scala(t) -> str:
         if t.bound_kind == "supertype":
             return f"{t.name} >: {translate_type_to_scala(t.bound)}"
         return t.name
-    return _SCALA_TYPES.type_(t)
+    return _SCALA_TYPES.expr(t)
 
 
 # ============================================================
@@ -83,12 +81,11 @@ class _ScalaPrinter(ExprPrinter):
         self.constructors = constructors
 
     def type_args(self, args) -> str:
-        return f" [{', '.join(map(self.type_, args))}]"
+        return f" [{', '.join(map(self.expr, args))}]"
 
-    def pattern(self, p: Pattern) -> str:
-        if isinstance(p, ConstructorPattern):
-            return f"{p.name} ({', '.join(self.pattern(s) for s in p.sub_patterns)})"
-        return format_pattern(p)
+    def constructor_pattern(self, p: ConstructorPattern) -> tuple[str, int]:
+        # Fields go in one list, which a constructor without fields keeps.
+        return f"{p.name} ({', '.join(map(self.expr, p.sub_patterns))})", PREC_APP
 
     def call(self, e: Expr) -> tuple[str, int]:
         head, steps = peel_call_chain(e)
@@ -109,7 +106,7 @@ class _ScalaPrinter(ExprPrinter):
         return out + "".join(f" ({a})" for a in args), PREC_APP
 
     def lambda_(self, e: Lambda) -> tuple[str, int]:
-        param = f"({e.param} : {self.type_(e.param_type)})" if e.param_type else f"({e.param})"
+        param = f"({e.param} : {self.expr(e.param_type)})" if e.param_type else f"({e.param})"
         return f"{param} => {self.expr(e.body)}", PREC_LOW
 
     def match(self, e: Match) -> tuple[str, int]:
@@ -119,7 +116,7 @@ class _ScalaPrinter(ExprPrinter):
     def match_cases(self, e: Match) -> list[str]:
         cases = []
         for c in e.cases:
-            cases.append(f"case {self.pattern(c.pattern)} => {self.expr(c.result)}")
+            cases.append(f"case {self.expr(c.pattern)} => {self.expr(c.result)}")
         return cases
 
     def match_block(self, e: Match, indent: str) -> list[str]:

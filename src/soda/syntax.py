@@ -1,5 +1,6 @@
 """Soda abstract syntax: spans, tokens, expression and declaration trees,
-diagnostics, the shared traversal, the expression printer and pretty-printer.
+diagnostics, the shared traversal, the one printer of expressions, types and
+patterns, and the pretty-printer.
 
 Every node is a frozen dataclass, immutable after construction; spans and
 tokens, which the lexer builds for every token, are named tuples. Source spans
@@ -702,22 +703,6 @@ def escape_string(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def format_type(t: TypeExpr) -> str:
-    return _SODA_PRINTER.type_(t)
-
-
-def format_pattern(p: Pattern) -> str:
-    if isinstance(p, WildcardPattern):
-        return "_"
-    if isinstance(p, VarBindPattern):
-        return p.name
-    if isinstance(p, LiteralPattern):
-        return _SODA_PRINTER.literal(p)[0]
-    if isinstance(p, ConstructorPattern):
-        return p.name + "".join(f" ({format_pattern(s)})" for s in p.sub_patterns)
-    raise TypeError(f"not a Pattern: {p!r}")
-
-
 _PRINT_METHODS = {
     IntLiteral: "literal",
     BoolLiteral: "literal",
@@ -732,14 +717,22 @@ _PRINT_METHODS = {
     Lambda: "lambda_",
     If: "if_",
     Match: "match",
+    NamedType: "named_type",
+    AppliedType: "applied_type",
+    FunctionType: "function_type",
+    WildcardPattern: "wildcard_pattern",
+    VarBindPattern: "var_bind_pattern",
+    LiteralPattern: "literal",
+    ConstructorPattern: "constructor_pattern",
 }
 
 
 class ExprPrinter:
-    """Single-line expression printer. Each node prints bare together with
-    its precedence, and ``expr`` parenthesizes it exactly where the context
-    binds tighter. This class writes Soda; the Scala and Lean backends
-    subclass it and override what their language writes differently."""
+    """Single-line printer of expressions, types and patterns. Each node
+    prints bare together with its precedence, and ``expr`` parenthesizes it
+    exactly where the context binds tighter. This class writes Soda; the
+    Scala and Lean backends subclass it and override what their language
+    writes differently."""
 
     #: Spelling of each binary operator.
     binary_ops = {op: op for op in BINARY_PRECEDENCE}
@@ -752,39 +745,42 @@ class ExprPrinter:
         # Each printer class dispatches on the node type to its own methods.
         cls._bare = {t: getattr(cls, name) for t, name in _PRINT_METHODS.items()}
 
-    def expr(self, e: Expr, context: int = PREC_LOW) -> str:
+    def expr(self, e: Union[Expr, TypeExpr, Pattern], context: int = PREC_LOW) -> str:
         try:
             method = self._bare[type(e)]
         except KeyError:
-            raise TypeError(f"not an Expr: {e!r}") from None
+            raise TypeError(f"not a syntax node: {e!r}") from None
         text, prec = method(self, e)
         return f"({text})" if prec < context else text
 
-    def type_(self, t: TypeExpr) -> str:
-        if isinstance(t, NamedType):
-            return self.type_renames.get(t.name, t.name)
-        if isinstance(t, AppliedType):
-            base = self.type_(t.base)
-            if isinstance(t.base, FunctionType):
-                base = f"({base})"
-            return base + self.type_args(t.args)
-        if isinstance(t, FunctionType):
-            dom = self.type_(t.domain)
-            if isinstance(t.domain, FunctionType):
-                dom = f"({dom})"
-            return f"{dom} {self.arrow} {self.type_(t.codomain)}"
-        raise TypeError(f"not a TypeExpr: {t!r}")
+    def named_type(self, t: NamedType) -> tuple[str, int]:
+        return self.type_renames.get(t.name, t.name), PREC_ATOM
+
+    def applied_type(self, t: AppliedType) -> tuple[str, int]:
+        return self.expr(t.base, PREC_APP) + self.type_args(t.args), PREC_APP
+
+    def function_type(self, t: FunctionType) -> tuple[str, int]:
+        # Arrows associate to the right: only a domain takes parentheses.
+        return f"{self.expr(t.domain, PREC_APP)} {self.arrow} {self.expr(t.codomain)}", PREC_LOW
 
     def type_args(self, args: tuple[TypeExpr, ...]) -> str:
-        return "".join(f" [{self.type_(a)}]" for a in args)
+        return "".join(f" [{self.expr(a)}]" for a in args)
 
-    def pattern(self, p: Pattern) -> str:
-        return format_pattern(p)
+    def wildcard_pattern(self, p: WildcardPattern) -> tuple[str, int]:
+        return "_", PREC_ATOM
+
+    def var_bind_pattern(self, p: VarBindPattern) -> tuple[str, int]:
+        return p.name, PREC_ATOM
+
+    def constructor_pattern(self, p: ConstructorPattern) -> tuple[str, int]:
+        if not p.sub_patterns:
+            return p.name, PREC_ATOM
+        return p.name + "".join(f" ({self.expr(s)})" for s in p.sub_patterns), PREC_APP
 
     def signature(self, d: Definition) -> str:
         """Parameter groups and result type that follow a definition's name."""
-        params = "".join(f" ({name} : {self.type_(t)})" for name, t in d.params)
-        return params + (f" : {self.type_(d.result_type)}" if d.result_type is not None else "")
+        params = "".join(f" ({name} : {self.expr(t)})" for name, t in d.params)
+        return params + (f" : {self.expr(d.result_type)}" if d.result_type is not None else "")
 
     def literal(self, e: Union[IntLiteral, BoolLiteral, StringLiteral, LiteralPattern]) -> tuple[str, int]:
         v = e.value
@@ -811,7 +807,7 @@ class ExprPrinter:
             elif step[0] == "named":
                 parts.append(f"({step[1]} := {self.expr(step[2])})")
             else:
-                parts.append(f"[{self.type_(step[1])}]")
+                parts.append(f"[{self.expr(step[1])}]")
         return " ".join(parts), PREC_APP
 
     def unary_not(self, e: UnaryNot) -> tuple[str, int]:
@@ -843,7 +839,7 @@ class ExprPrinter:
         return "(" * opens + " ".join(parts), prec
 
     def lambda_(self, e: Lambda) -> tuple[str, int]:
-        param = f"({e.param} : {self.type_(e.param_type)})" if e.param_type else e.param
+        param = f"({e.param} : {self.expr(e.param_type)})" if e.param_type else e.param
         return f"lambda {param} --> {self.expr(e.body)}", PREC_LOW
 
     def if_(self, e: If) -> tuple[str, int]:
@@ -856,7 +852,7 @@ class ExprPrinter:
         # lambda/if/match tail there would swallow the next case arm.
         parts = [f"match {self.expr(e.scrutinee, PREC_OR)}"]
         for c in e.cases:
-            parts.append(f"case {self.pattern(c.pattern)} ==> {self.expr(c.result, PREC_OR)}")
+            parts.append(f"case {self.expr(c.pattern)} ==> {self.expr(c.result, PREC_OR)}")
         return " ".join(parts), PREC_LOW
 
 
@@ -864,9 +860,10 @@ ExprPrinter.__init_subclass__()  # the base class's own dispatch table
 _SODA_PRINTER = ExprPrinter()
 
 
-def format_expr(e: Expr, context: int = PREC_LOW) -> str:
-    """Render one expression on a single line, parenthesizing exactly where
-    the rendered text would otherwise reparse differently."""
+def format_expr(e: Union[Expr, TypeExpr, Pattern], context: int = PREC_LOW) -> str:
+    """Render one expression, type or pattern on a single line,
+    parenthesizing exactly where the text would otherwise reparse
+    differently."""
     return _SODA_PRINTER.expr(e, context)
 
 
@@ -885,9 +882,9 @@ def _format_definition(d: Definition, indent: str) -> list[str]:
 
 def _format_type_param(tp: TypeParam) -> str:
     if tp.bound_kind == "subtype":
-        return f"[{tp.name} subtype {format_type(tp.bound)}]"
+        return f"[{tp.name} subtype {format_expr(tp.bound)}]"
     if tp.bound_kind == "supertype":
-        return f"[{tp.name} supertype {format_type(tp.bound)}]"
+        return f"[{tp.name} supertype {format_expr(tp.bound)}]"
     return f"[{tp.name} : Type]"
 
 
@@ -906,7 +903,7 @@ def _format_class(c: ClassDecl) -> list[str]:
     for tp in c.type_params:
         head += f" {_format_type_param(tp)}"
     if c.extends_list:
-        head += " extends " + " ".join(format_type(t) for t in c.extends_list)
+        head += " extends " + " ".join(format_expr(t) for t in c.extends_list)
     lines.append(head)
     lines.append("")
     for member in c.members:
