@@ -58,11 +58,8 @@ class ScalaRendering:
 def translate_type_to_scala(t) -> str:
     """Render a type expression or a class type parameter."""
     if isinstance(t, TypeParam):
-        if t.bound_kind == "subtype":
-            return f"{t.name} <: {translate_type_to_scala(t.bound)}"
-        if t.bound_kind == "supertype":
-            return f"{t.name} >: {translate_type_to_scala(t.bound)}"
-        return t.name
+        bound = {"subtype": " <: ", "supertype": " >: "}.get(t.bound_kind)
+        return t.name + bound + translate_type_to_scala(t.bound) if bound else t.name
     return _SCALA_TYPES.expr(t)
 
 

@@ -881,11 +881,9 @@ def _format_definition(d: Definition, indent: str) -> list[str]:
 
 
 def _format_type_param(tp: TypeParam) -> str:
-    if tp.bound_kind == "subtype":
-        return f"[{tp.name} subtype {format_expr(tp.bound)}]"
-    if tp.bound_kind == "supertype":
-        return f"[{tp.name} supertype {format_expr(tp.bound)}]"
-    return f"[{tp.name} : Type]"
+    if tp.bound_kind == "none":
+        return f"[{tp.name} : Type]"
+    return f"[{tp.name} {tp.bound_kind} {format_expr(tp.bound)}]"
 
 
 def _format_directive(block: DirectiveBlock, indent: str) -> list[str]:
