@@ -90,6 +90,9 @@ class StringV:
 class SeqV:
     items: tuple
 
+    def __eq__(self, other):
+        return _equal(self, other)
+
 
 @dataclass(eq=False, slots=True)
 class ClosureV:
@@ -124,24 +127,7 @@ class ObjectV:
     fields: dict
 
     def __eq__(self, other):
-        # Objects nest as deep as evaluation goes, so the fields are
-        # compared from a work list rather than by recursion.
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if type(a) is ObjectV or type(b) is ObjectV:
-                if (
-                    type(a) is not type(b)
-                    or a.class_name != b.class_name
-                    or a.fields.keys() != b.fields.keys()
-                ):
-                    return False
-                pairs.extend((v, b.fields[k]) for k, v in a.fields.items())
-            elif a != b:
-                return False
-        return True
+        return _equal(self, other)
 
     def __hash__(self):
         return hash((self.class_name, tuple(sorted(self.fields))))
@@ -165,6 +151,30 @@ EvalOutcome = Union[Value, RuntimeFault]
 
 TRUE_V = BoolV(True)
 FALSE_V = BoolV(False)
+
+
+def _equal(a, b) -> bool:
+    # Objects and sequences nest as deep as evaluation goes, so their parts
+    # are compared from a work list rather than by recursion.
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if a is b:
+            continue
+        t = type(a)
+        if t is not type(b):
+            return False
+        if t is ObjectV:
+            if a.class_name != b.class_name or a.fields.keys() != b.fields.keys():
+                return False
+            pairs.extend((v, b.fields[k]) for k, v in a.fields.items())
+        elif t is SeqV:
+            if len(a.items) != len(b.items):
+                return False
+            pairs.extend(zip(a.items, b.items))
+        elif a != b:
+            return False
+    return True
 
 
 # ============================================================
@@ -192,17 +202,29 @@ def builtin_fold(sequence, initial, operation):
 
 
 def from_python(x) -> Value:
-    if isinstance(x, (IntV, BoolV, StringV, SeqV, ClosureV, BuiltinV, ConstructorV, ObjectV)):
-        return x
-    if isinstance(x, bool):
-        return TRUE_V if x else FALSE_V
-    if isinstance(x, int):
-        return IntV(x)
-    if isinstance(x, str):
-        return StringV(x)
-    if isinstance(x, (list, tuple)):
-        return SeqV(tuple(from_python(i) for i in x))
-    raise TypeError(f"no Soda value for {type(x).__name__}")
+    """The Soda value of a Python bool, int or str, of lists or tuples of
+    them nested to any depth, or of a Soda value itself."""
+    # A sequence comes off the work list twice: to push its items, then to gather them.
+    done, todo = [], [(x, False)]
+    while todo:
+        x, gather = todo.pop()
+        if gather:
+            first = len(done) - len(x)
+            done[first:] = [SeqV(tuple(done[first:]))]
+        elif isinstance(x, (list, tuple)):
+            todo.append((x, True))
+            todo.extend((item, False) for item in reversed(x))
+        elif isinstance(x, (IntV, BoolV, StringV, SeqV, ClosureV, BuiltinV, ConstructorV, ObjectV)):
+            done.append(x)
+        elif isinstance(x, bool):
+            done.append(TRUE_V if x else FALSE_V)
+        elif isinstance(x, int):
+            done.append(IntV(x))
+        elif isinstance(x, str):
+            done.append(StringV(x))
+        else:
+            raise TypeError(f"no Soda value for {type(x).__name__}")
+    return done[0]
 
 
 def render_value(v: EvalOutcome) -> str:

@@ -148,6 +148,30 @@ def test_run_recurses_as_deep_as_the_budget_allows(tmp_path):
     assert proc.returncode == 1 and "fault[recursion_limit]" in proc.stderr
 
 
+def test_run_entry_converts_and_compares_lists_nested_5000_deep():
+    # Both the Python-to-Soda conversion of the arguments and Soda's == on
+    # sequences go through work lists, not recursion.
+    run_code(
+        """
+        from soda import Interpreter, analyze, parse, render_value
+
+        def nested(depth, leaf):
+            v = [leaf]
+            for _ in range(depth):
+                v = [v, 2]
+            return v
+
+        source = "class A\\n\\n  id (a : Int) : Int = a\\n\\n  eq (a : Int) (b : Int) : Bool = a == b\\n\\nend\\n"
+        it = Interpreter(analyze(parse(source).program))
+        text = render_value(it.run_entry("A", "id", (nested(5000, 1),)))
+        assert text == "[" * 5001 + "1]" + ", 2]" * 5000
+        assert render_value(it.run_entry("A", "eq", (nested(5000, 1), nested(5000, 1)))) == "true"
+        assert render_value(it.run_entry("A", "eq", (nested(5000, 1), nested(5000, 0)))) == "false"
+        assert render_value(it.run_entry("A", "eq", (nested(5000, 1), nested(4999, 1)))) == "false"
+        """
+    )
+
+
 def test_run_entry_evaluates_a_constant_that_is_a_flat_chain_of_5000_terms():
     run_code(
         """
