@@ -59,7 +59,7 @@ def translate_type_to_scala(t) -> str:
     """Render a type expression or a class type parameter."""
     if isinstance(t, TypeParam):
         bound = {"subtype": " <: ", "supertype": " >: "}.get(t.bound_kind)
-        return t.name + bound + translate_type_to_scala(t.bound) if bound else t.name
+        return t.name + bound + _SCALA_TYPES.expr(t.bound) if bound else t.name
     return _SCALA_TYPES.expr(t)
 
 
