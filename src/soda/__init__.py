@@ -2,48 +2,62 @@
 structural analysis, translation to Scala and Lean, and a reference
 interpreter for the purely functional core."""
 
-from .analyzer import (
-    AnalyzedProgram,
-    ConstructorSignature,
-    analyze,
-    check_single_definition,
-    filter_directives,
-    resolve_named_arguments,
-    synthesize_constructors,
-    verify_tailrec,
-)
-from .interpreter import (
-    DEFAULT_MAX_RECURSION,
-    Interpreter,
-    RuntimeFault,
-    builtin_fold,
-    builtin_range,
-    render_value,
-)
-from .lean_backend import (
-    LeanRendering,
-    check_lean_supported,
-    translate_match_to_lean,
-    translate_to_lean,
-)
-from .lexer import LexResult, tokenize
-from .parser import ParseResult, parse, parse_expression
-from .scala_backend import (
-    ScalaRendering,
-    translate_definition_to_scala,
-    translate_to_scala,
-    translate_type_to_scala,
-)
-from .syntax import (
-    DIAGNOSTIC_CODES,
-    Diagnostic,
-    Program,
-    SourceSpan,
-    Token,
-    TokenKind,
-    format_expr,
-    pretty_print,
-)
+#: The module that defines each public name. Names load on first use
+#: (PEP 562), so ``import soda`` loads no stage, and a command that never
+#: runs the interpreter or a backend never loads it.
+_MODULE_OF = {
+    "AnalyzedProgram": "analyzer",
+    "ConstructorSignature": "analyzer",
+    "analyze": "analyzer",
+    "check_single_definition": "analyzer",
+    "filter_directives": "analyzer",
+    "resolve_named_arguments": "analyzer",
+    "synthesize_constructors": "analyzer",
+    "verify_tailrec": "analyzer",
+    "Interpreter": "interpreter",
+    "RuntimeFault": "interpreter",
+    "builtin_fold": "interpreter",
+    "builtin_range": "interpreter",
+    "render_value": "interpreter",
+    "LeanRendering": "lean_backend",
+    "check_lean_supported": "lean_backend",
+    "translate_match_to_lean": "lean_backend",
+    "translate_to_lean": "lean_backend",
+    "LexResult": "lexer",
+    "tokenize": "lexer",
+    "ParseResult": "parser",
+    "parse": "parser",
+    "parse_expression": "parser",
+    "ScalaRendering": "scala_backend",
+    "translate_definition_to_scala": "scala_backend",
+    "translate_to_scala": "scala_backend",
+    "translate_type_to_scala": "scala_backend",
+    "DEFAULT_MAX_RECURSION": "syntax",
+    "DIAGNOSTIC_CODES": "syntax",
+    "Diagnostic": "syntax",
+    "Program": "syntax",
+    "SourceSpan": "syntax",
+    "Token": "syntax",
+    "TokenKind": "syntax",
+    "format_expr": "syntax",
+    "pretty_print": "syntax",
+}
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MODULE_OF))
+
 
 __version__ = "0.1.0"
 

@@ -17,20 +17,22 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .analyzer import AnalyzedProgram, analyze
-from .interpreter import (
-    DEFAULT_MAX_RECURSION,
-    Interpreter,
-    RuntimeFault,
-    render_value,
-)
-from .lean_backend import translate_to_lean
 from .parser import parse
-from .scala_backend import translate_to_scala
-from .syntax import Diagnostic, has_errors, int_from_text, pretty_print
+from .syntax import (
+    DEFAULT_MAX_RECURSION,
+    Diagnostic,
+    has_errors,
+    int_from_text,
+    pretty_print,
+)
+
+# The analyzer, the backends and the interpreter are imported where a
+# command runs them: loading one costs start-up time, which a command that
+# does not run it would pay for nothing.
+if TYPE_CHECKING:
+    from .analyzer import AnalyzedProgram
 
 
 def _emit(diagnostics: list[Diagnostic]) -> None:
@@ -48,6 +50,8 @@ def _load(path: str) -> Optional[str]:
 
 
 def _write_atomic(path: str, text: str) -> bool:
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".soda-", suffix=".tmp")
@@ -67,6 +71,8 @@ def _write_atomic(path: str, text: str) -> bool:
 def _analyze_file(path: str) -> Optional[AnalyzedProgram]:
     """Parse and analyze one file, reporting everything found. None when
     any stage produced errors."""
+    from .analyzer import analyze
+
     source = _load(path)
     if source is None:
         return None
@@ -97,10 +103,14 @@ def _default_output(path: str, extension: str) -> str:
     return stem + extension
 
 
-def _cmd_translate(args, translate, extension: str) -> int:
+def _cmd_translate(args, target: str) -> int:
     if args.output and len(args.files) != 1:
         print("-o requires exactly one input file", file=sys.stderr)
         return 2
+    if target == "scala":
+        from .scala_backend import translate_to_scala as translate
+    else:
+        from .lean_backend import translate_to_lean as translate
     status = 0
     for path in args.files:
         analyzed = _analyze_file(path)
@@ -113,7 +123,7 @@ def _cmd_translate(args, translate, extension: str) -> int:
         if rendering.text is None or has_errors(diagnostics):
             status = 1
             continue
-        out_path = args.output or _default_output(path, extension)
+        out_path = args.output or _default_output(path, "." + target)
         if not _write_atomic(out_path, rendering.text):
             status = 1
     return status
@@ -149,6 +159,8 @@ def _recursion_budget(args) -> Optional[int]:
 
 
 def _cmd_run(args) -> int:
+    from .interpreter import Interpreter, RuntimeFault, render_value
+
     max_recursion = _recursion_budget(args)
     if max_recursion is None:
         return 2
@@ -205,16 +217,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("files", nargs="+", metavar="FILE")
     p_check.set_defaults(fn=_cmd_check)
 
-    for name, translate, extension in (
-        ("scala", translate_to_scala, ".scala"),
-        ("lean", translate_to_lean, ".lean"),
-    ):
+    for name in ("scala", "lean"):
         p = sub.add_parser(name, help=f"translate to {name.capitalize()}")
         p.add_argument("files", nargs="+", metavar="FILE")
         p.add_argument("-o", "--output", help="output path (single input only)")
-        p.set_defaults(
-            fn=lambda a, t=translate, e=extension: _cmd_translate(a, t, e)
-        )
+        p.set_defaults(fn=lambda a, t=name: _cmd_translate(a, t))
 
     p_run = sub.add_parser("run", help="evaluate an entry point")
     p_run.add_argument("file", metavar="FILE")

@@ -30,6 +30,7 @@ from typing import Optional, Union
 
 from .analyzer import AnalyzedProgram, ConstructorSignature
 from .syntax import (
+    DEFAULT_MAX_RECURSION,
     Apply,
     BinaryOp,
     BoolLiteral,
@@ -56,8 +57,6 @@ from .syntax import (
     pattern_nodes,
     synthetic_span,
 )
-
-DEFAULT_MAX_RECURSION = 10_000
 
 FAULT_DIVISION_BY_ZERO = "division_by_zero"
 FAULT_NO_MATCHING_CASE = "no_matching_case"

@@ -2,18 +2,25 @@
 diagnostics, the shared traversal, the one printer of expressions, types and
 patterns, and the pretty-printer.
 
-Every node is a frozen dataclass, immutable after construction; spans and
-tokens, which the lexer builds for every token, are named tuples. Source spans
-are excluded from equality (``compare=False``), so ``==`` on two trees is
-structural equality: same shape, same names, same literals, regardless of
-where the nodes came from. That is the equality the parse/print round-trip
-tests rely on.
+Every node is an instance of a tree class (see ``tree_class``): immutable
+after construction, with dataclass fields; spans and tokens, which the lexer
+builds for every token, are named tuples. Source spans are excluded from
+equality (``compare=False``), so ``==`` on two trees is structural equality:
+same shape, same names, same literals, regardless of where the nodes came
+from, at any depth. That is the equality the parse/print round-trip tests
+rely on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from typing import NamedTuple, Optional, Union
+
+
+#: Recursion budget of ``Interpreter`` and ``soda run`` when none is given.
+#: It lives here so that the command line can show it without loading the
+#: interpreter.
+DEFAULT_MAX_RECURSION = 10_000
 
 
 # ============================================================
@@ -148,6 +155,110 @@ def int_to_text(value: int) -> str:
 
 
 # ============================================================
+# TREE CLASSES
+#
+# Diagnostics, types, patterns, expressions and declarations are declared
+# with ``@tree_class``. Their annotated fields are dataclass fields, so
+# ``dataclasses.fields``, ``replace`` and ``is_dataclass`` work on every node,
+# but no class gets generated methods of its own: ``TreeNode`` supplies
+# equality, hashing, ``repr`` and immutability from each class's field lists,
+# and ``_compile_initialisers`` builds every ``__init__`` from one source.
+# Generating and compiling the methods class by class cost about 1 ms per
+# class at import, which every command paid.
+# ============================================================
+
+
+class TreeNode:
+    """Base of the tree classes. A node is immutable. Two nodes are equal
+    when they are of one class and their compared fields are equal (spans
+    are declared ``compare=False``), and equal nodes hash equal. ``repr``
+    gives the text a dataclass would."""
+
+    #: The fields ``repr`` shows; ``tree_class`` sets it on each class.
+    _shown: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        # From a work list, so that trees of any depth compare. Two nodes of
+        # one class push the compared fields that differ in identity, two
+        # tuples their items; anything else compares with ``==``, as it
+        # would inside a tuple.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            names = _COMPARED.get(a.__class__)
+            if names is not None and b.__class__ is a.__class__:
+                for n in names:
+                    x, y = getattr(a, n), getattr(b, n)
+                    if x is not y:
+                        todo.append((x, y))
+            elif isinstance(a, tuple) and isinstance(b, tuple):
+                if len(a) != len(b):
+                    return False
+                todo.extend(zip(a, b))
+            elif not a == b:
+                return False
+        return True
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, n) for n in _COMPARED[self.__class__]]))
+
+    def __repr__(self):
+        shown = ", ".join([f"{n}={getattr(self, n)!r}" for n in self._shown])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+#: Each tree class, in declaration order, with the fields that equality and
+#: hashing use.
+_COMPARED: dict[type, tuple[str, ...]] = {}
+
+
+def tree_class(cls: type) -> type:
+    """Declare ``cls``, a subclass of ``TreeNode``, a tree class: register
+    its annotated fields as dataclass fields, without generated methods.
+    Its ``__init__`` comes from ``_compile_initialisers``. Give the class a
+    docstring: ``dataclass`` would otherwise write one from the signature
+    the class has before its ``__init__`` exists."""
+    dataclass(init=False, repr=False, eq=False)(cls)
+    _COMPARED[cls] = tuple(f.name for f in fields(cls) if f.compare)
+    cls._shown = tuple(f.name for f in fields(cls) if f.repr)
+    return cls
+
+
+def _compile_initialisers() -> None:
+    """Give each tree class the ``__init__`` a dataclass would have, all
+    compiled by one ``exec``. Each stores its arguments past the frozen
+    ``__setattr__`` with ``object.__setattr__``, as a frozen dataclass
+    does. Storing into ``self.__dict__`` is faster, but it makes the
+    instance keep a dict object: 64 bytes more per node on CPython 3.11."""
+    source, namespace = [], {"object_setattr": object.__setattr__}
+    for cls in _COMPARED:
+        params, stores = ["self"], []
+        for f in fields(cls):
+            param = f.name
+            if f.default is not MISSING:
+                namespace[f"{cls.__name__}_{f.name}"] = f.default
+                param += f"={cls.__name__}_{f.name}"
+            params.append(param)
+            stores.append(f"    object_setattr(self, {f.name!r}, {f.name})\n")
+        source.append(f"def {cls.__name__}({', '.join(params)}):\n")
+        source.extend(stores)
+    exec("".join(source), namespace)
+    for cls in _COMPARED:
+        init = namespace[cls.__name__]
+        init.__name__ = "__init__"
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+
+
+# ============================================================
 # DIAGNOSTICS
 # ============================================================
 
@@ -176,8 +287,8 @@ DIAGNOSTIC_CODES = {
 }
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+@tree_class
+class Diagnostic(TreeNode):
     """Error or warning with a stable code from DIAGNOSTIC_CODES."""
 
     severity: str  # "error" | "warning"
@@ -210,18 +321,20 @@ def has_errors(diagnostics) -> bool:
 # ============================================================
 
 
-class TypeExpr:
+class TypeExpr(TreeNode):
     """Base for type expressions. Types are syntax only: the toolchain does
     structural checks and leaves type checking to the target language."""
 
 
-@dataclass(frozen=True)
+@tree_class
 class NamedType(TypeExpr):
+    """A type named by an identifier, such as ``Int`` or a type parameter."""
+
     name: str
     span: SourceSpan = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@tree_class
 class AppliedType(TypeExpr):
     """Type application, e.g. ``Pair [Int] [Bool]``. At least one argument."""
 
@@ -230,7 +343,7 @@ class AppliedType(TypeExpr):
     span: SourceSpan = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@tree_class
 class FunctionType(TypeExpr):
     """Arrow type ``A --> B``; right-associative in concrete syntax."""
 
@@ -244,22 +357,26 @@ class FunctionType(TypeExpr):
 # ============================================================
 
 
-class Pattern:
+class Pattern(TreeNode):
     """Base for match-case patterns."""
 
 
-@dataclass(frozen=True)
+@tree_class
 class WildcardPattern(Pattern):
+    """The pattern ``_``: matches anything and binds nothing."""
+
     span: SourceSpan = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@tree_class
 class VarBindPattern(Pattern):
+    """A name that matches anything and binds it."""
+
     name: str
     span: SourceSpan = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@tree_class
 class LiteralPattern(Pattern):
     """Integer, boolean, or string literal pattern."""
 
@@ -267,7 +384,7 @@ class LiteralPattern(Pattern):
     span: SourceSpan = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@tree_class
 class ConstructorPattern(Pattern):
     """Constructor applied to sub-patterns, binding construction variables.
 
@@ -284,12 +401,12 @@ class ConstructorPattern(Pattern):
 # ============================================================
 
 
-class Expr:
+class Expr(TreeNode):
     """Base for expressions. All variants carry a span; every tree is
     immutable and safe to share across threads."""
 
 
-@dataclass(frozen=True)
+@tree_class
 class IntLiteral(Expr):
     """Arbitrary-precision integer literal."""
 
@@ -297,13 +414,15 @@ class IntLiteral(Expr):
     span: SourceSpan = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@tree_class
 class BoolLiteral(Expr):
+    """``true`` or ``false``."""
+
     value: bool
     span: SourceSpan = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@tree_class
 class StringLiteral(Expr):
     """Decoded string contents (no surrounding quotes)."""
 
@@ -311,20 +430,22 @@ class StringLiteral(Expr):
     span: SourceSpan = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@tree_class
 class Identifier(Expr):
+    """A name: a parameter, a local, a definition or a constructor."""
+
     name: str
     span: SourceSpan = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@tree_class
 class SelfRef(Expr):
     """The ``this`` reference to the innermost enclosing class instance."""
 
     span: SourceSpan = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@tree_class
 class Apply(Expr):
     """One-argument application; multi-argument calls are nested Apply."""
 
@@ -333,7 +454,7 @@ class Apply(Expr):
     span: SourceSpan = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@tree_class
 class NamedApply(Expr):
     """Application with a named argument, ``f (x := e)``."""
 
@@ -343,7 +464,7 @@ class NamedApply(Expr):
     span: SourceSpan = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@tree_class
 class TypeApply(Expr):
     """Type-argument application, ``Pair_ [Int]``."""
 
@@ -352,7 +473,7 @@ class TypeApply(Expr):
     span: SourceSpan = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@tree_class
 class Lambda(Expr):
     """Single-parameter lambda; multi-parameter lambdas are nested."""
 
@@ -362,7 +483,7 @@ class Lambda(Expr):
     span: SourceSpan = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@tree_class
 class If(Expr):
     """Total conditional: both branches are mandatory."""
 
@@ -372,14 +493,16 @@ class If(Expr):
     span: SourceSpan = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@tree_class
 class MatchCase(Expr):
+    """One ``case pattern ==> result`` of a ``match``."""
+
     pattern: Pattern
     result: Expr
     span: SourceSpan = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@tree_class
 class Match(Expr):
     """Pattern match with at least one case; first matching case wins."""
 
@@ -388,7 +511,7 @@ class Match(Expr):
     span: SourceSpan = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@tree_class
 class BinaryOp(Expr):
     """Binary operator from the arithmetic/logic/comparison set.
     ``and``/``or`` evaluate lazily left-to-right."""
@@ -399,8 +522,10 @@ class BinaryOp(Expr):
     span: SourceSpan = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@tree_class
 class UnaryNot(Expr):
+    """Logical negation, ``not operand``."""
+
     operand: Expr
     span: SourceSpan = field(compare=False, repr=False)
 
@@ -550,8 +675,8 @@ def scoped_walk(e: Expr, bound: frozenset):
 # ============================================================
 
 
-@dataclass(frozen=True)
-class Definition:
+@tree_class
+class Definition(TreeNode):
     """Constant or function definition, or a body-less declaration inside an
     abstract block.
 
@@ -570,8 +695,8 @@ class Definition:
     span: SourceSpan = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
-class TypeParam:
+@tree_class
+class TypeParam(TreeNode):
     """Class type parameter: plain ``[A : Type]`` or bounded
     ``[A subtype B]`` / ``[A supertype B]``."""
 
@@ -581,8 +706,8 @@ class TypeParam:
     span: SourceSpan = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
-class DirectiveBlock:
+@tree_class
+class DirectiveBlock(TreeNode):
     """Verbatim code block considered only when translating to its target.
 
     raw_lines are stored dedented: the minimum leading whitespace over the
@@ -595,8 +720,8 @@ class DirectiveBlock:
     span: SourceSpan = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
-class AbstractBlock:
+@tree_class
+class AbstractBlock(TreeNode):
     """Block of body-less declarations; their order fixes the default
     constructor's parameter order."""
 
@@ -607,8 +732,8 @@ class AbstractBlock:
 ClassMember = Union[Definition, AbstractBlock, DirectiveBlock]
 
 
-@dataclass(frozen=True)
-class ClassDecl:
+@tree_class
+class ClassDecl(TreeNode):
     """Class declaration: type parameters, extends list, and members kept in
     source order (so directive blocks can be spliced where they appeared).
 
@@ -645,8 +770,8 @@ class ClassDecl:
 ProgramItem = Union[ClassDecl, DirectiveBlock]
 
 
-@dataclass(frozen=True)
-class Program:
+@tree_class
+class Program(TreeNode):
     """A source file: optional package, imports, then classes and top-level
     directive blocks in source order. Class names are unique per program."""
 
@@ -662,6 +787,10 @@ class Program:
     @property
     def top_directives(self) -> tuple[DirectiveBlock, ...]:
         return tuple(i for i in self.items if isinstance(i, DirectiveBlock))
+
+
+# Every tree class is declared above: one declared below would get no __init__.
+_compile_initialisers()
 
 
 # ============================================================

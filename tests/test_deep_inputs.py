@@ -200,6 +200,31 @@ def test_evaluate_takes_20000_nested_nots():
     )
 
 
+def test_trees_20000_nots_deep_compare():
+    # Tree == works from a work list; a recursive one gave out near 400
+    # levels. Spans never count.
+    run_code(
+        """
+        from soda.syntax import Identifier, IntLiteral, UnaryNot, SourceSpan, synthetic_span
+
+        def chain(leaf, depth=20_000, span=synthetic_span()):
+            expr = leaf
+            for _ in range(depth):
+                expr = UnaryNot(expr, span)
+            return expr
+
+        x = chain(Identifier("x", synthetic_span()))
+        moved = SourceSpan("b.soda", 2, 3, 4, 5)
+        assert x == chain(Identifier("x", moved), span=moved)
+        assert not x != chain(Identifier("x", moved))
+        assert x != chain(Identifier("y", synthetic_span()))
+        assert x != chain(IntLiteral(1, synthetic_span()))
+        assert x != chain(Identifier("x", synthetic_span()), 19_999)
+        assert not x == chain(Identifier("y", synthetic_span()))
+        """
+    )
+
+
 def test_evaluate_takes_20000_nested_ifs_and_lambdas():
     # Each level applies a lambda that shadows y, so each y must resolve to
     # the innermost one; a closure keeps only the locals its body uses.
