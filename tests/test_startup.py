@@ -27,6 +27,7 @@ PROBE = textwrap.dedent(
     import json, os, runpy, sys
 
     sys.argv = ["soda", *sys.argv[1:]]
+    status = None
     try:
         runpy.run_module("soda", run_name="__main__", alter_sys=True)
     except SystemExit as ex:
