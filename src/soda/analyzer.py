@@ -310,16 +310,17 @@ def verify_tailrec(defn: Definition) -> list[Diagnostic]:
     name = defn.name
     # A parameter, lambda parameter or pattern variable named like the
     # definition shadows it.
-    shadowed = frozenset(p for p, _ in defn.params if p == name)
-    for node, tail, bound in scoped_walk(defn.body, shadowed):
-        if tail or type(node) not in CALL_KINDS:
+    bound = {p: 1 for p, _ in defn.params}
+    link = None  # the function of the last call visited: a link of its chain
+    for node, tail in scoped_walk(defn.body, bound):
+        if type(node) not in CALL_KINDS:
             continue
-        head = node.function
-        while type(head) in CALL_KINDS:
-            head = head.function
-        if type(head) is Identifier and head.name == name and name not in bound:
-            message = f"'{name}' calls itself outside tail position"
-            diagnostics.append(error("E-SEM-010", message, node.span))
+        if not tail and node is not link and not bound.get(name):
+            head = peel_call_chain(node)[0]
+            if type(head) is Identifier and head.name == name:
+                message = f"'{name}' calls itself outside tail position"
+                diagnostics.append(error("E-SEM-010", message, node.span))
+        link = node.function
     return diagnostics
 
 
@@ -345,18 +346,18 @@ def _check_identifiers(
             diagnostics.append(warning("W-SEM-001", message, span))
 
     # Names visible throughout a class are collected once per class; the
-    # walk carries only the names bound locally (parameters, lambda
-    # parameters, pattern variables), so it stays linear in the class size.
+    # walk's table counts only the names bound locally (parameters, lambda
+    # parameters, pattern variables).
     for cls in program.classes:
         class_names = global_names | {d.name for d in _member_declarations(cls)}
         for d in cls.definitions:
             if d.body is None:
                 continue
-            params = frozenset(p for p, _ in d.params)
-            for node, _, local in scoped_walk(d.body, params):
+            bound = {p: 1 for p, _ in d.params}
+            for node, _ in scoped_walk(d.body, bound):
                 t = type(node)
                 if t is Identifier:
-                    if node.name not in local and node.name not in class_names:
+                    if not bound.get(node.name) and node.name not in class_names:
                         report(node.name, node.span)
                 elif t is MatchCase:
                     for p in pattern_nodes(node.pattern):

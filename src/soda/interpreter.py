@@ -42,6 +42,7 @@ from .syntax import (
     Lambda,
     LiteralPattern,
     Match,
+    MatchCase,
     NamedApply,
     Pattern,
     SelfRef,
@@ -51,10 +52,11 @@ from .syntax import (
     UnaryNot,
     VarBindPattern,
     WildcardPattern,
+    binder_names,
     children,
     escape_string,
     int_to_text,
-    pattern_nodes,
+    scoped_walk,
     synthetic_span,
 )
 
@@ -331,24 +333,9 @@ _FOLD = 13  # (_FOLD, op, items, index, span, depth): the accumulator so far
 _ARG = 14  # (_ARG, argument, span, depth): a function to apply to argument
 _CONST = 15  # (_CONST, cell): a constant's value, kept in its cell
 
-_LITERAL_TYPE = {bool: BoolV, int: IntV, str: StringV}  # of a literal pattern's value
-_VISIT, _BIND, _UNBIND, _BUILD = range(4)  # the resolve pass's steps
+_LITERAL_TYPE = {bool: BoolV, int: IntV, str: StringV}  # of a literal's value
 #: The kind of node built from the resolved children of each expression.
-_BUILT = {Apply: _CALL, BinaryOp: _BINARY, If: _IF, Match: _MATCH, UnaryNot: _NOT,
-          TypeApply: _TYPED, Lambda: _LAMBDA}
-
-
-def _scopes(e: Expr) -> list:
-    """``(names, child)`` for each child of ``e`` in ``children`` order:
-    the locals ``e`` binds around a lambda body or a case result, else None."""
-    if type(e) is Lambda:
-        return [((e.param,), e.body)]
-    if type(e) is not Match:
-        return [(None, kid) for kid in children(e)]
-    return [(None, e.scrutinee)] + [
-        (tuple(p.name for p in pattern_nodes(c.pattern) if type(p) is VarBindPattern), c.result)
-        for c in e.cases
-    ]
+_BUILT = {Apply: _CALL, If: _IF, UnaryNot: _NOT, TypeApply: _TYPED}
 
 
 class Interpreter:
@@ -420,78 +407,80 @@ class Interpreter:
 
     def _resolve(self, root: Expr, names: dict) -> tuple:
         """The resolved node of ``root`` in a class whose names denote
-        ``names``; one loop over explicit stacks, so any depth resolves."""
-        binders: dict = {}  # how many open scopes bind each name
+        ``names``; one loop over ``scoped_walk``, so any depth resolves."""
+        bound: dict = {}  # the walk's count of the open binders of each name
         # Each open lambda body or case result, inside a sentinel, as (the
         # slot of each name it binds or uses, the slots that the outer
         # locals it uses have in the enclosing scope, how many names it binds).
         scopes: list = [({}, [], 0)]
         done: list = []  # the resolved nodes of finished sub-trees
-        todo: list = [(_VISIT, root)]
-        while todo:
-            step, x = todo.pop()
-            if step == _BIND:
-                scopes.append(({name: i for i, name in enumerate(x)}, [], len(x)))
-                for name in x:
-                    binders[name] = binders.get(name, 0) + 1
-            elif step == _UNBIND:
-                for name in x:
-                    binders[name] -= 1
-                done[-1] = (done[-1], tuple(scopes.pop()[1]))
-            elif step == _BUILD:  # x's resolved children are last in done
-                first = len(done) - len(children(x))
+        # The nodes whose children are not all resolved, each with where they
+        # start in done and the previous ``end``, the length of done once
+        # the innermost such node has all its children there.
+        waiting: list = []
+        end = -1
+        inert = 0  # open named-argument calls: they fault, so their parts use no local
+        for x, _ in scoped_walk(root, bound):
+            t = type(x)
+            count = len(children(x))
+            if count:
+                if t is Lambda:
+                    scopes.append(({x.param: 0}, [], 1))
+                elif t is MatchCase:
+                    binds = binder_names(x)
+                    scopes.append(({name: i for i, name in enumerate(binds)}, [], len(binds)))
+                inert += t is NamedApply
+                waiting.append((x, len(done), end))
+                end = len(done) + count
+                continue
+            if t is IntLiteral or t is BoolLiteral or t is StringLiteral:
+                done.append((_VALUE, x.span, _LITERAL_TYPE[type(x.value)](x.value)))
+            elif t is Identifier or t is SelfRef:
+                name = "this" if t is SelfRef else x.name
+                if bound.get(name) and not inert:
+                    # The innermost scope that has the name passes it in to
+                    # each scope inside it.
+                    i = len(scopes) - 1
+                    while name not in scopes[i][0]:
+                        i -= 1
+                    slot = scopes[i][0][name]
+                    for has, uses, own in scopes[i + 1:]:
+                        uses.append(slot)
+                        slot = has[name] = own + len(uses) - 1
+                    entry = (_LOCAL, slot)
+                else:
+                    entry = names.get(name) or self._globals.get(name)
+                if entry:
+                    done.append((entry[0], x.span, entry[1]))
+                else:
+                    message = f"'{name}' is not bound" + (" here" if t is SelfRef else "")
+                    fault = RuntimeFault(FAULT_UNKNOWN_IDENTIFIER, message, x.span)
+                    done.append((_FAULT, x.span, fault))
+            else:
+                span = getattr(x, "span", synthetic_span())
+                fault = RuntimeFault(FAULT_NOT_APPLICABLE, f"cannot evaluate {t.__name__}", span)
+                done.append((_FAULT, span, fault))
+            # Build each waiting node whose children are all resolved now.
+            while len(done) == end:
+                x, first, end = waiting.pop()
                 kids = done[first:]
                 del done[first:]
                 t = type(x)
                 if t is Match:
-                    cases = tuple((case.pattern, *kid) for case, kid in zip(x.cases, kids[1:]))
-                    done.append((_MATCH, x.span, kids[0], cases))
+                    done.append((_MATCH, x.span, kids[0], tuple(kids[1:])))
+                elif t is MatchCase:
+                    done.append((x.pattern, kids[0], tuple(scopes.pop()[1])))
                 elif t is Lambda:
-                    done.append((_LAMBDA, x.span, *kids[0]))
+                    done.append((_LAMBDA, x.span, kids[0], tuple(scopes.pop()[1])))
                 elif t is BinaryOp:
                     done.append((_BINARY, x.span, *kids, x.op))
+                elif t is NamedApply:
+                    inert -= 1
+                    message = f"named argument '{x.param_name}' could not be resolved to a declared"
+                    fault = RuntimeFault(FAULT_NOT_APPLICABLE, message + " parameter", x.span)
+                    done.append((_FAULT, x.span, fault))
                 else:
                     done.append((_BUILT[t], x.span, *kids))
-            else:
-                t = type(x)
-                if t in _BUILT:
-                    todo.append((_BUILD, x))
-                    for bound, kid in reversed(_scopes(x)):
-                        if bound is None:
-                            todo.append((_VISIT, kid))
-                        else:
-                            todo += ((_UNBIND, bound), (_VISIT, kid), (_BIND, bound))
-                    continue
-                if t is IntLiteral or t is BoolLiteral or t is StringLiteral:
-                    done.append((_VALUE, x.span, from_python(x.value)))
-                    continue
-                if t is Identifier or t is SelfRef:
-                    name = "this" if t is SelfRef else x.name
-                    if binders.get(name):
-                        # The innermost scope that has the name passes it
-                        # in to each scope inside it.
-                        i = len(scopes) - 1
-                        while name not in scopes[i][0]:
-                            i -= 1
-                        slot = scopes[i][0][name]
-                        for has, uses, own in scopes[i + 1:]:
-                            uses.append(slot)
-                            slot = has[name] = own + len(uses) - 1
-                        entry = (_LOCAL, slot)
-                    else:
-                        entry = names.get(name) or self._globals.get(name)
-                    if entry:
-                        done.append((entry[0], x.span, entry[1]))
-                        continue
-                    kind, message = FAULT_UNKNOWN_IDENTIFIER, f"'{name}' is not bound"
-                    message += " here" if t is SelfRef else ""
-                elif t is NamedApply:
-                    kind, message = FAULT_NOT_APPLICABLE, f"named argument '{x.param_name}'"
-                    message += " could not be resolved to a declared parameter"
-                else:
-                    kind, message = FAULT_NOT_APPLICABLE, f"cannot evaluate {t.__name__}"
-                span = getattr(x, "span", synthetic_span())
-                done.append((_FAULT, span, RuntimeFault(kind, message, span)))
         return done.pop()
 
     # ---------- evaluation machine ----------

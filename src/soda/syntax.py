@@ -627,47 +627,54 @@ def pattern_nodes(p: Pattern):
             stack.extend(reversed(p.sub_patterns))
 
 
-def scoped_walk(e: Expr, bound: frozenset):
-    """``(node, tail, bound)`` for every node under ``e`` in preorder, without
-    recursion. ``tail`` says whether the node is in tail position, counting
-    ``e`` as one; ``bound`` is the given ``bound`` plus the names that the
-    lambdas and match cases around the node bind.
+def binder_names(e: Expr) -> tuple[str, ...]:
+    """The names ``e`` binds around its one child: a lambda's parameter, or
+    a match case's pattern variables in preorder, the order matching binds
+    them in, so that of two binders of one name the later wins; else ()."""
+    t = type(e)
+    if t is Lambda:
+        return (e.param,)
+    if t is MatchCase:
+        return tuple(p.name for p in pattern_nodes(e.pattern) if type(p) is VarBindPattern)
+    return ()
 
-    A call chain is visited as one node, followed by its head and then its
-    argument expressions, none of them in tail position; the inner call
-    nodes of the chain are not visited."""
-    stack = [(e, True, bound)]
+
+def scoped_walk(e: Expr, bound: dict):
+    """``(node, tail)`` for every node under ``e`` in preorder, without
+    recursion. ``tail`` says whether the node is in tail position, counting
+    ``e`` as one; neither the function nor the argument of a call is, so
+    every link of a call chain is visited, outermost first.
+
+    ``bound`` is the table of open binders, ``{name: count}``, and the walk
+    keeps it up to date: while a node is yielded, ``bound.get(name)`` is
+    non-zero exactly when the caller's entries or the lambdas and match
+    cases around the node bind ``name``. At the end every count is back to
+    where it started."""
+    stack = [(e, True)]
     while stack:
-        item = stack.pop()
+        node, tail = item = stack.pop()
+        if tail is None:  # the end of the scope of the names in ``node``
+            for name in node:
+                bound[name] -= 1
+            continue
         yield item
-        node = item[0]
         t = type(node)
         get = _CHILDREN.get(t)
         if get is None:
             continue
-        _, tail, bound = item
-        if t in CALL_KINDS:
-            # Push the arguments last to first, then the head.
-            while t in CALL_KINDS:
-                if t is not TypeApply:
-                    stack.append((node.argument, False, bound))
-                node = node.function
-                t = type(node)
-            stack.append((node, False, bound))
-            continue
+        if t is Lambda or t is MatchCase:  # open the scope of its one child
+            names = binder_names(node)
+            for name in names:
+                bound[name] = bound.get(name, 0) + 1
+            stack.append((names, None))
         kids = get(node)
-        if t is Lambda:
-            bound = bound | {node.param}
-        elif t is MatchCase:
-            names = {p.name for p in pattern_nodes(node.pattern) if type(p) is VarBindPattern}
-            bound = bound | names
-        first_tail = _FIRST_TAIL_CHILD.get(t) if tail else None
-        if first_tail is None:
-            for kid in reversed(kids):
-                stack.append((kid, False, bound))
-        else:
+        if tail and t in _FIRST_TAIL_CHILD:
+            first = _FIRST_TAIL_CHILD[t]
             for i in range(len(kids) - 1, -1, -1):
-                stack.append((kids[i], i >= first_tail, bound))
+                stack.append((kids[i], i >= first))
+        else:
+            for kid in reversed(kids):
+                stack.append((kid, False))
 
 
 # ============================================================

@@ -264,6 +264,16 @@ def test_known_names_do_not_warn():
     assert analyzed.diagnostics == []
 
 
+def test_a_pattern_variable_is_bound_only_in_its_own_case_result():
+    line = "  f (k : Int) : Int = match A_ (k) case A_ (own) ==> own case _ ==> own"
+    analyzed = analyze(program_of(f"class A\n\n  abstract\n    v : Int\n\n{line}\n\nend\n"))
+    assert [(d.code, d.message) for d in analyzed.diagnostics] == [
+        ("W-SEM-001", "'own' is not declared in this file")
+    ]
+    span = analyzed.diagnostics[0].span
+    assert (span.line_start, span.col_start) == (6, line.rindex("own") + 1)
+
+
 # --- directive filtering ---
 
 def test_filter_directives_keeps_only_one_target():

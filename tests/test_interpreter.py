@@ -229,6 +229,17 @@ def test_lambdas_and_cases_see_every_enclosing_local(source, value):
     assert as_int(ev(source)) == value
 
 
+def test_a_pattern_that_binds_a_name_twice_gives_the_later_binder():
+    # Pattern variables bind in preorder, so the second x is the one in scope.
+    it = interp_of("class Pair\n\n  abstract\n    left : Int\n    right : Int\n\nend\n")
+    assert as_int(ev("match Pair_ (1) (2) case Pair_ (x) (x) ==> x", it, "Pair")) == 2
+
+
+def test_a_lambda_parameter_shadows_a_definition_parameter():
+    it = interp_of("class G\n\n  g (x : Int) : Int = (lambda x --> x + 1) (x * 10)\n\nend\n")
+    assert as_int(it.run_entry("G", "g", (3,))) == 31
+
+
 def test_a_closure_keeps_only_the_locals_its_body_uses():
     # a, b and c are in scope where the innermost lambda is made; it uses a only
     closure = ev("(lambda a --> lambda b --> lambda c --> lambda d --> a + d) (1) (2) (3)")

@@ -1,7 +1,8 @@
 """The shared expression traversal in ``soda.syntax``: the children/rebuild
 tables cover every expression type, rebuilding from unchanged children gives
 the same node, ``walk`` visits nodes in preorder, and ``scoped_walk`` gives
-each node's tail position and bound names as a recursive reference does."""
+each node's tail position and, through its table of open binders, the names
+bound around it, as a recursive reference does."""
 
 import dataclasses
 import re
@@ -13,10 +14,8 @@ from soda import syntax
 from soda.syntax import (
     _CHILDREN,
     _REBUILD_ARGS,
-    CALL_KINDS,
     Expr,
     children,
-    peel_call_chain,
     rebuild,
     scoped_walk,
     walk,
@@ -62,16 +61,11 @@ def _reference_binds(p):
 
 
 def _recursive_scoped(e, tail, bound, out):
-    """Preorder (node, tail, bound) by the rules stated one by one: a call
-    chain is followed by its head and then its arguments, none in tail
-    position; the branches of an ``if`` and the results of a ``match`` are in
-    tail position when the node is; lambdas and match cases bind names."""
+    """Preorder (node, tail, bound) by the rules stated one by one: the
+    branches of an ``if`` and the results of a ``match`` are in tail position
+    when the node is, nothing else is (a call's function and argument
+    included); lambdas and match cases bind names."""
     out.append((e, tail, bound))
-    if isinstance(e, CALL_KINDS):
-        head, steps = peel_call_chain(e)
-        for part in [head, *(s[-1] for s in steps if s[0] != "type")]:
-            _recursive_scoped(part, False, bound, out)
-        return out
     if isinstance(e, syntax.Lambda):
         bound = bound | {e.param}
     elif isinstance(e, syntax.MatchCase):
@@ -117,14 +111,38 @@ def test_walk_is_the_recursive_preorder(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_scoped_walk_matches_a_recursive_reference(seed):
+    # The walk keeps one table of open binders; a name counts as bound at a
+    # node when its count there is not zero.
     for c in random_program(seed).classes:
         for d in c.definitions:
             if d.body is None:
                 continue
             params = frozenset(p for p, _ in d.params)
-            got = [(id(n), tail, bound) for n, tail, bound in scoped_walk(d.body, params)]
+            table = {p: 1 for p in params}
+            got = [
+                (id(n), tail, frozenset(name for name, count in table.items() if count))
+                for n, tail in scoped_walk(d.body, table)
+            ]
             want = [(id(n), tail, bound) for n, tail, bound in _recursive_scoped(d.body, True, params, [])]
             assert got == want
+            assert {name: count for name, count in table.items() if count} == {p: 1 for p in params}
+
+
+def test_scoped_walk_counts_a_name_each_binder_binds():
+    span = syntax.synthetic_span()
+    x = syntax.Identifier("x", span)
+    pattern = syntax.ConstructorPattern(
+        "P_", (syntax.VarBindPattern("x", span), syntax.VarBindPattern("x", span)), span
+    )
+    case = syntax.MatchCase(pattern, x, span)
+    body = syntax.Lambda("x", None, syntax.Match(x, (case,), span), span)
+    table = {"x": 1}
+    counts = [(type(n).__name__, table.get("x")) for n, _ in scoped_walk(body, table)]
+    assert counts == [
+        ("Lambda", 1), ("Match", 2), ("Identifier", 2), ("MatchCase", 2), ("Identifier", 4)
+    ]
+    assert table == {"x": 1}
+    assert syntax.binder_names(case) == ("x", "x")
 
 
 def test_rebuild_replaces_children_in_order():
