@@ -202,11 +202,45 @@ class TreeNode:
         return True
 
     def __hash__(self):
-        return hash(tuple([getattr(self, n) for n in _COMPARED[self.__class__]]))
+        # The hash of the tree's preorder from a work list: each node's class,
+        # each tuple's length, and the leaves, which ``==`` compares as they
+        # are. So equal trees hash equal, at any depth.
+        flat, todo = [], [self]
+        while todo:
+            x = todo.pop()
+            names = _COMPARED.get(x.__class__)
+            if names is not None:
+                flat.append(x.__class__)
+                todo += [getattr(x, n) for n in names]
+            elif isinstance(x, tuple):
+                flat.append(len(x))
+                todo += x
+            else:
+                flat.append(x)
+        return hash(tuple(flat))
 
     def __repr__(self):
-        shown = ", ".join([f"{n}={getattr(self, n)!r}" for n in self._shown])
-        return f"{self.__class__.__qualname__}({shown})"
+        # From a work list of nodes and plain tuples still to print and text
+        # to emit, so that trees of any depth print.
+        parts, todo = [], [self]
+        while todo:
+            x = todo.pop()
+            if type(x) is str:
+                parts.append(x)
+                continue
+            if type(x) is tuple:
+                parts.append("(")
+                todo.append(",)" if len(x) == 1 else ")")
+                items = [("", v) for v in x]
+            else:
+                parts.append(f"{x.__class__.__qualname__}(")
+                todo.append(")")
+                items = [(f"{n}=", getattr(x, n)) for n in x._shown]
+            for i in range(len(items) - 1, -1, -1):
+                label, v = items[i]
+                todo.append(v if isinstance(v, TreeNode) or type(v) is tuple else repr(v))
+                todo.append(", " + label if i else label)
+        return "".join(parts)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -225,6 +225,79 @@ def test_trees_20000_nots_deep_compare():
     )
 
 
+def test_trees_20000_nots_deep_hash_and_print():
+    # Tree hash and repr work from work lists as well; recursive ones gave
+    # out before 2000 levels. Equal trees hash equal whatever their spans.
+    run_code(
+        """
+        from soda.syntax import Identifier, UnaryNot, SourceSpan, synthetic_span
+
+        def chain(leaf, span=synthetic_span()):
+            expr = leaf
+            for _ in range(20_000):
+                expr = UnaryNot(expr, span)
+            return expr
+
+        x = chain(Identifier("x", synthetic_span()))
+        moved = SourceSpan("b.soda", 2, 3, 4, 5)
+        assert hash(x) == hash(chain(Identifier("x", moved), span=moved))
+        assert repr(x) == "UnaryNot(operand=" * 20_000 + "Identifier(name='x')" + ")" * 20_000
+        """
+    )
+
+
+def test_analyze_is_linear_in_the_binders_of_a_wide_definition():
+    # One definition with n parameters whose body is an n-case match: each
+    # case binds nothing, but every case result reads a parameter. Building
+    # a set of bound names per binder made this quadratic (a ratio near 19).
+    run_code(
+        """
+        import gc, time
+        from soda import analyze, parse
+
+        def wide(n):
+            params = "".join(f" (p{i} : Int)" for i in range(n))
+            cases = " ".join(f"case {i} ==> p{i}" for i in range(n))
+            return parse(f"class W\\n\\n  f{params} : Int = match p0 {cases}\\n\\nend\\n").program
+
+        def best_of_3(program):
+            times = []
+            for _ in range(3):
+                gc.collect()
+                start = time.process_time()
+                assert analyze(program).diagnostics == []
+                times.append(time.process_time() - start)
+            return min(times)
+
+        small, large = best_of_3(wide(1000)), best_of_3(wide(4000))
+        assert large < 8 * small, (small, large)
+        """
+    )
+
+
+def test_analyze_takes_20000_applied_lambdas_with_distinct_names():
+    # Each level binds a new name, so the table of open binders grows to
+    # 20001 names; one set of bound names per level would hold 2 * 10^8.
+    run_code(
+        """
+        from soda import analyze
+        from soda.syntax import (Apply, BinaryOp, ClassDecl, Definition, Identifier,
+                                 IntLiteral, Lambda, NamedType, Program, synthetic_span)
+
+        span = synthetic_span()
+        expr = BinaryOp("+", Identifier("a", span), Identifier("z", span), span)
+        for k in range(20_000):
+            expr = Apply(Lambda(f"y{k}", None, expr, span), IntLiteral(k, span), span)
+        f = Definition("f", (("a", NamedType("Int", span)),), None, expr, True, span=span)
+        program = Program(None, (), (ClassDecl("A", (), (), (f,), span=span),), span)
+        diagnostics = analyze(program).diagnostics
+        assert [(d.code, d.message) for d in diagnostics] == [
+            ("W-SEM-001", "'z' is not declared in this file")
+        ]
+        """
+    )
+
+
 def test_evaluate_takes_20000_nested_ifs_and_lambdas():
     # Each level applies a lambda that shadows y, so each y must resolve to
     # the innermost one; a closure keeps only the locals its body uses.
