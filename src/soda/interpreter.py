@@ -424,9 +424,7 @@ class Interpreter:
             t = type(x)
             count = len(children(x))
             if count:
-                if t is Lambda:
-                    scopes.append(({x.param: 0}, [], 1))
-                elif t is MatchCase:
+                if t is Lambda or t is MatchCase:
                     binds = binder_names(x)
                     scopes.append(({name: i for i, name in enumerate(binds)}, [], len(binds)))
                 inert += t is NamedApply
