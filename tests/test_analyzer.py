@@ -225,6 +225,11 @@ def test_shadowed_name_is_not_the_recursive_function():
     assert verify_tailrec(d) == []
 
 
+def test_a_parameter_named_like_the_definition_shadows_it():
+    prog = program_of("class T\n\n  @tailrec\n  f (f : Int) : Int = 1 + f (f)\n\nend\n")
+    assert verify_tailrec(prog.classes[0].definitions[0]) == []
+
+
 def test_unannotated_definitions_are_not_checked_by_the_pipeline():
     # verify_tailrec itself checks whatever it is handed; analyze only
     # applies it to annotated definitions

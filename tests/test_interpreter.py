@@ -245,6 +245,8 @@ def test_a_closure_keeps_only_the_locals_its_body_uses():
     closure = ev("(lambda a --> lambda b --> lambda c --> lambda d --> a + d) (1) (2) (3)")
     assert closure.env == (IntV(1),)
     assert ev("(lambda a --> lambda b --> lambda c --> lambda d --> d) (1) (2) (3)").env == ()
+    # a named-argument call left unresolved only faults, so it uses no local
+    assert ev("(lambda a --> lambda b --> lambda c --> lambda d --> d (k := a)) (1) (2) (3)").env == ()
 
 
 def test_member_definitions_and_partial_application():
