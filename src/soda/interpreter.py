@@ -8,15 +8,17 @@ recursion budget) comes back as a ``RuntimeFault`` value.
 
 Each body is first resolved, once, into nodes that give each local as a
 slot number and hold what every other name denotes, so evaluation looks no
-name up. The evaluator is one loop over those nodes and a list of frames:
-each evaluation that waits for a value (an operand, the function or
-argument of an application, an ``if`` condition, a ``match`` scrutinee, a
-``fold`` step) is a frame on that list, not a Python call, so no program
-deepens the host stack. Tail positions (the branches of an ``if``, the
-result of a ``match`` case, and the body of a function applied in tail
-position) replace the current expression instead of pushing a frame, so
-annotated tail loops run in constant evaluation depth. Every other
-evaluation goes one level deeper; the peak depth is recorded, which is what
+name up. A definition with n parameters takes n arguments at once, and
+fewer give a partial application. The evaluator is one loop over the nodes
+and a list of frames: each evaluation that waits for a value (an operand,
+the function or argument of an application, an ``if`` condition, a
+``match`` scrutinee, a ``fold`` step) is a frame on that list, not a Python
+call, so no program deepens the host stack; locals and literals are read
+in place. Tail positions (the branches of an ``if``, the result of a
+``match`` case, and the body of a function applied in tail position)
+replace the current expression instead of pushing a frame, so annotated
+tail loops run in constant evaluation depth. Every other evaluation goes
+one level deeper, frame or not; the peak depth is recorded, which is what
 the constant-stack tests measure, and going deeper than the recursion budget
 gives a ``recursion_limit`` fault. Values of any depth print and compare
 without recursion as well.
@@ -48,7 +50,6 @@ from .syntax import (
     SelfRef,
     SourceSpan,
     StringLiteral,
-    TypeApply,
     UnaryNot,
     VarBindPattern,
     WildcardPattern,
@@ -97,11 +98,14 @@ class SeqV:
 
 @dataclass(eq=False, slots=True)
 class ClosureV:
-    """Function value: a resolved body and the tuple of locals it captured.
-    Compares by identity, since that tuple can reach the closure itself."""
+    """Function value: a resolved body, the locals it captured (a partial
+    application's arguments, latest first) and how many more arguments it
+    takes. Compares by identity, since the locals can reach the closure itself."""
 
     body: tuple
     env: tuple
+    arity: int = 1
+    span: Optional[SourceSpan] = None  # a definition's: where a partial application goes deeper
 
 
 @dataclass(eq=False, slots=True)
@@ -272,30 +276,29 @@ def render_value(v: EvalOutcome) -> str:
 # interpreter
 # ============================================================
 
-#: What each operator on two integers computes, other than 'and', 'or' and
-#: '=='. Division truncates toward zero.
+#: What each operator but 'and' and 'or' computes on two integers; '/' truncates toward zero.
 _ON_INTEGERS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
     "/": lambda a, b: a // b if (a < 0) == (b < 0) else -(-a // b),
-    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq,
 }
 
 
 def _binary(node: tuple, left: Value, right: Value) -> EvalOutcome:
     """The value of a binary operator node given its operands' values."""
     op, span = node[4], node[1]
+    if type(left) is IntV and type(right) is IntV and (on_integers := _ON_INTEGERS.get(op)):
+        if op == "/" and right.value == 0:
+            return RuntimeFault(FAULT_DIVISION_BY_ZERO, "division by zero", span)
+        result = on_integers(left.value, right.value)
+        return IntV(result) if type(result) is int else TRUE_V if result else FALSE_V
     if op == "and" or op == "or":
-        if type(right) is not BoolV:
+        if type(left) is not BoolV or type(right) is not BoolV:
             return RuntimeFault(FAULT_NOT_APPLICABLE, f"'{op}' requires boolean operands", span)
         return right
     if op == "==":
         # structural for data, identity for functions and constructors
         return TRUE_V if left == right else FALSE_V
-    if type(left) is IntV and type(right) is IntV and op in _ON_INTEGERS:
-        if op == "/" and right.value == 0:
-            return RuntimeFault(FAULT_DIVISION_BY_ZERO, "division by zero", span)
-        result = _ON_INTEGERS[op](left.value, right.value)
-        return IntV(result) if type(result) is int else TRUE_V if result else FALSE_V
     if op == "+" and type(left) is StringV and type(right) is StringV:
         # concatenation, as in the translated programs
         return StringV(left.value + right.value)
@@ -304,38 +307,68 @@ def _binary(node: tuple, left: Value, right: Value) -> EvalOutcome:
     return RuntimeFault(FAULT_NOT_APPLICABLE, f"unknown operator '{op}'", span)
 
 
+def _operate(node: tuple, env: tuple) -> EvalOutcome:
+    """The value of a leaf, or of a binary operator on two leaves, with the locals ``env``."""
+    if node[0] <= _VALUE:
+        return env[node[2]] if node[0] == _LOCAL else node[2]
+    left, right, op = node[2], node[3], node[4]
+    left = env[left[2]] if left[0] == _LOCAL else left[2]
+    if (op == "and" or op == "or") and type(left) is BoolV and left.value == (op == "or"):
+        return left  # decided without the right operand
+    return _binary(node, left, env[right[2]] if right[0] == _LOCAL else right[2])
+
+
+def _whole(chain: tuple, fn: ClosureV) -> tuple:
+    """The node that passes ``fn`` the arguments of ``chain``, its whole call chain."""
+    links = [chain]
+    while len(links) < fn.arity:
+        links.append(links[-1][2])
+    args = [link[3] for link in reversed(links)]
+    leafy = all(a[0] <= _VALUE or a[0] == _LEAF_OP and a[3][0] <= _VALUE for a in args)
+    reach = fn.arity + (leafy and args[0][0] == _LEAF_OP)  # the head, or arg 0's operands
+    return (_WHOLE, *chain[1:], fn, tuple(args), leafy, reach)
+
+
 # The resolve pass turns each expression into nested tuples (kind, span,
 # ...), the span being that of the expression. A local is its slot in the
-# tuple of locals of the innermost lambda body or case result (SICP §5.5.6's
-# lexical addresses, with a single frame): first the names it binds, then
-# the outer locals it uses, copied in when the closure is made or the case
-# chosen. Anything else a name can denote is known before evaluation and
-# held in the node.
+# tuple of locals of the innermost definition body, lambda body or case
+# result (SICP §5.5.6's lexical addresses, with a single frame): first the
+# names it binds, then the outer locals it uses, copied in when the closure
+# is made or the case chosen. A definition binds its parameters, the last
+# one at slot 0. Anything else a name can denote is known before evaluation
+# and held in the node.
 _LOCAL = 0  # (_LOCAL, span, slot)
 _VALUE = 1  # (_VALUE, span, value): a literal, builtin, constructor, function or 'this'
 _CONSTANT = 2  # (_CONSTANT, span, [body, value once evaluated, else None])
 _LAMBDA = 3  # (_LAMBDA, span, body, slots of the outer locals the body uses)
 _TYPED = 4  # (_TYPED, span, function): types are erased at runtime
 _FAULT = 5  # (_FAULT, span, fault): the fault to give when evaluated
+# A _CALL, _BINARY or _IF node (kind + _SLOW), the last item saying how many
+# levels below it the frame path goes. Within the budget, it reads the leaves
+# (_LOCAL and _VALUE nodes) in place and raises the peak as deep, else takes
+# the frame path. _WHOLE passes a class definition all its arguments.
+_WHOLE = 6  # (_WHOLE, span, function, argument, definition, arguments, all leafy, reach)
+_LEAF_OP = 7  # a _BINARY node whose left operand is a leaf
+_LEAF_IF = 8  # an _IF node whose cond is a binary operator on leaves
 # Nodes that first evaluate the sub-expression at index 2. Each kind is also
 # that of the frame which waits for its value: (kind, node, locals, depth).
-_CALL = 6  # (_CALL, span, function, argument)
-_BINARY = 7  # (_BINARY, span, left, right, op)
-_IF = 8  # (_IF, span, cond, then, else)
-_MATCH = 9  # (_MATCH, span, scrutinee, ((pattern, result, slots of outer locals), ...))
-_NOT = 10  # (_NOT, span, operand)
+_CALL = 9  # (_CALL, span, function, argument)
+_BINARY = 10  # (_BINARY, span, left, right, op, 1)
+_IF = 11  # (_IF, span, cond, then, else, 2)
+_SLOW = _CALL - _WHOLE
+_MATCH = 12  # (_MATCH, span, scrutinee, ((pattern, result, slots of outer locals), ...))
+_NOT = 13  # (_NOT, span, operand)
 
 # The other frames, with what the waiting evaluation needs once its value
 # arrives; ``depth`` is the waiting evaluation's depth.
-_RIGHT = 11  # (_RIGHT, _BINARY node, left value): the right operand
-_APPLY = 12  # (_APPLY, function, span, depth, depth of a closure's body): the argument
-_FOLD = 13  # (_FOLD, op, items, index, span, depth): the accumulator so far
-_ARG = 14  # (_ARG, argument, span, depth): a function to apply to argument
-_CONST = 15  # (_CONST, cell): a constant's value, kept in its cell
+_RIGHT = 14  # (_RIGHT, binary operator node, left value): the right operand
+_APPLY = 15  # (_APPLY, function, span, depth, depth of a closure's body): the argument
+_FOLD = 16  # (_FOLD, op, items, index, span, depth): the accumulator so far
+_ARG = 17  # (_ARG, argument, span, depth): a function to apply to argument
+_CONST = 18  # (_CONST, cell): a constant's value, kept in its cell
+_ARGS = 19  # (_ARGS, _WHOLE node, locals, depth, the arguments' values so far, latest first)
 
 _LITERAL_TYPE = {bool: BoolV, int: IntV, str: StringV}  # of a literal's value
-#: The kind of node built from the resolved children of each expression.
-_BUILT = {Apply: _CALL, If: _IF, UnaryNot: _NOT, TypeApply: _TYPED}
 
 
 class Interpreter:
@@ -344,7 +377,8 @@ class Interpreter:
     Every definition body is resolved once, here, and ``evaluate`` resolves
     the expression it is given. A name is the innermost local of that name,
     else the class's definition (or 'this'), else a constructor or builtin.
-    Multi-parameter definitions are curried closures. A constant is
+    A call chain or ``run_entry`` that passes a definition all its arguments
+    enters the body once, with all of them as its locals. A constant is
     evaluated on its first lookup and then kept, like the ``lazy val`` the
     Scala backend emits.
     """
@@ -365,7 +399,8 @@ class Interpreter:
             names = self._classes[cls.name] = {}
             for d in cls.definitions:
                 if d.body is not None:
-                    target = ClosureV(None, ()) if d.params else [None, None]
+                    span = d.span or synthetic_span()
+                    target = ClosureV(None, (), len(d.params), span) if d.params else [None, None]
                     names[d.name] = (_VALUE if d.params else _CONSTANT, target)
                     bodies.append((d, target, names))
             # 'this' is bound only in a class whose constructor takes no fields
@@ -373,13 +408,10 @@ class Interpreter:
             if type(instance) is ObjectV:
                 names["this"] = (_VALUE, instance)
         for d, target, names in bodies:
-            expr: Expr = d.body
-            for pname, ptype in reversed(d.params):
-                expr = Lambda(pname, ptype, expr, d.span or synthetic_span())
             if d.params:
-                target.body = self._resolve(expr, names)[2]
+                target.body = self._resolve(d.body, names, [p for p, _ in reversed(d.params)])
             else:
-                target[0] = self._resolve(expr, names)
+                target[0] = self._resolve(d.body, names)
 
     # ---------- public API ----------
 
@@ -401,18 +433,24 @@ class Interpreter:
             message = f"class '{class_name}' has no definition '{def_name}'"
             return RuntimeFault(FAULT_UNKNOWN_IDENTIFIER, message, synthetic_span())
         values = [from_python(a) for a in args]
+        if type(entry[1]) is ClosureV and entry[1].arity == len(values) and self.max_recursion > 0:
+            return self._run(entry[1].body, tuple(reversed(values)), (), 1)  # as a whole call would
         return self._run((entry[0], synthetic_span(), entry[1]), (), values)
 
     # ---------- resolve pass ----------
 
-    def _resolve(self, root: Expr, names: dict) -> tuple:
+    def _resolve(self, root: Expr, names: dict, params=()) -> tuple:
         """The resolved node of ``root`` in a class whose names denote
-        ``names``; one loop over ``scoped_walk``, so any depth resolves."""
-        bound: dict = {}  # the walk's count of the open binders of each name
-        # Each open lambda body or case result, inside a sentinel, as (the
-        # slot of each name it binds or uses, the slots that the outer
+        ``names``, with the locals ``params`` at slots 0, 1, ...; one loop
+        over ``scoped_walk``, so any depth resolves."""
+        bound = dict.fromkeys(params, 1)  # the walk's count of the open binders of each name
+        # The parameters' scope, then each open lambda body or case result, as
+        # (the slot of each name it binds or uses, the slots that the outer
         # locals it uses have in the enclosing scope, how many names it binds).
-        scopes: list = [({}, [], 0)]
+        scopes: list = [({name: i for i, name in enumerate(params)}, [], len(params))]
+        # (definition, count, link) by the id of the outermost link of each
+        # chain that passes a class definition fewer arguments than it takes.
+        links: dict = {}
         done: list = []  # the resolved nodes of finished sub-trees
         # The nodes whose children are not all resolved, each with where they
         # start in done and the previous ``end``, the length of done once
@@ -471,24 +509,38 @@ class Interpreter:
                 elif t is Lambda:
                     done.append((_LAMBDA, x.span, kids[0], tuple(scopes.pop()[1])))
                 elif t is BinaryOp:
-                    done.append((_BINARY, x.span, *kids, x.op))
+                    # the left operand in place, unless 'and' or 'or' must test it first
+                    leaf = kids[0][0] <= _VALUE and (kids[1][0] <= _VALUE or x.op not in ("and", "or"))
+                    done.append((_LEAF_OP if leaf else _BINARY, x.span, *kids, x.op, 1))
+                elif t is If:
+                    leaves = kids[0][0] == _LEAF_OP and kids[0][3][0] <= _VALUE
+                    done.append((_LEAF_IF if leaves else _IF, x.span, *kids, 2))
+                elif t is Apply:
+                    node = (_CALL, x.span, *kids)
+                    fn, count, _ = links.pop(id(kids[0]), (kids[0][2], 0, None))
+                    if type(fn) is ClosureV:  # the chain's head is a class definition
+                        if count + 1 < fn.arity:
+                            links[id(node)] = (fn, count + 1, node)
+                        else:
+                            node = _whole(node, fn)
+                    done.append(node)
                 elif t is NamedApply:
                     inert -= 1
                     message = f"named argument '{x.param_name}' could not be resolved to a declared"
                     fault = RuntimeFault(FAULT_NOT_APPLICABLE, message + " parameter", x.span)
                     done.append((_FAULT, x.span, fault))
                 else:
-                    done.append((_BUILT[t], x.span, *kids))
+                    done.append((_NOT if t is UnaryNot else _TYPED, x.span, *kids))
         return done.pop()
 
     # ---------- evaluation machine ----------
 
-    def _run(self, expr: tuple, env: tuple, args) -> EvalOutcome:
-        """Evaluate the resolved node ``expr`` with the locals ``env``, then apply
-        the value to each of ``args`` in turn. The first fault ends the run."""
+    def _run(self, expr: tuple, env: tuple, args, depth: int = 0) -> EvalOutcome:
+        """Evaluate the resolved node ``expr`` with the locals ``env`` at ``depth``,
+        then apply the value to each of ``args`` in turn. The first fault ends the run."""
         limit = self.max_recursion
         frames: list = [(_ARG, a, synthetic_span(), 0) for a in reversed(args)]
-        depth = peak = 0
+        peak = 0
         try:
             while True:
                 # Evaluate expr at depth, to a value or to a frame and a sub-expression.
@@ -504,16 +556,48 @@ class Interpreter:
                     value = expr[2]
                 elif kind >= _CALL:
                     frames.append((kind, expr, env, depth))
-                    expr = expr[2]
-                    depth += 1
+                    expr, depth = expr[2], depth + 1
                     continue
+                elif kind >= _WHOLE:
+                    reach = depth + expr[-1]
+                    if reach > limit:  # the frame path
+                        frames.append((kind + _SLOW, expr, env, depth))
+                        expr, depth = expr[2], depth + 1
+                        continue
+                    if reach > peak:
+                        peak = reach
+                    if kind == _WHOLE:
+                        if not expr[6]:  # the arguments, through the frames
+                            frames.append((_ARGS, expr, env, depth, ()))
+                            expr, depth = expr[5][0], depth + len(expr[5])
+                            continue
+                        values = ()
+                        for a in expr[5]:
+                            value = _operate(a, env)
+                            if type(value) is RuntimeFault:
+                                return value
+                            values = (value,) + values
+                        env, expr = values, expr[4].body
+                        continue
+                    operand = expr if kind == _LEAF_OP and expr[3][0] <= _VALUE else expr[2]
+                    value = _operate(operand, env)
+                    if type(value) is RuntimeFault:
+                        return value
+                    if kind == _LEAF_IF:
+                        if type(value) is BoolV:
+                            expr = expr[3] if value.value else expr[4]
+                            continue
+                        frames.append((_IF, expr, env, depth))  # which gives the fault
+                    elif operand is not expr:  # the left operand's value, waiting for the right one
+                        frames.append((_RIGHT, expr, value))
+                        expr, depth = expr[3], depth + 1
+                        continue
                 elif kind == _CONSTANT:
                     cell = expr[2]
                     value = cell[1]
                     if value is None:  # first evaluation, one level down
                         frames.append((_CONST, cell))
-                        expr, env = cell[0], ()
-                        depth += 1
+                        expr, env, depth = cell[0], (), depth + 1
                         continue
                 elif kind == _LAMBDA:
                     value = ClosureV(expr[2], tuple([env[i] for i in expr[3]]))
@@ -527,14 +611,18 @@ class Interpreter:
                 while frames:
                     frame = frames.pop()
                     kind = frame[0]
-                    if kind == _APPLY:
+                    if kind == _RIGHT:
+                        value = _binary(frame[1], frame[2], value)
+                        if type(value) is RuntimeFault:
+                            return value
+                    elif kind == _APPLY:
                         _, fn, span, depth, body_depth = frame
                         if type(fn) is ClosureV:
-                            env = (value,) + fn.env
-                            expr = fn.body
-                            depth = body_depth
+                            env, depth, expr = (value,) + fn.env, body_depth, fn.body
+                            if fn.arity > 1:  # a partial application, made as deep as the body runs
+                                expr = (_VALUE, fn.span, ClosureV(expr, env, fn.arity - 1, fn.span))
                             break
-                        if type(fn) is ConstructorV:
+                        elif type(fn) is ConstructorV:
                             collected, sig = fn.collected + (value,), fn.signature
                             if len(collected) < len(sig.fields):
                                 value = ConstructorV(sig, collected)
@@ -559,11 +647,35 @@ class Interpreter:
                         else:
                             message = f"value {render_value(fn)} cannot be applied to an argument"
                             return RuntimeFault(FAULT_NOT_APPLICABLE, message, span)
+                    elif kind == _FOLD:
+                        # value is the accumulator: feed it the next item, if any
+                        _, op, items, i, span, depth = frame
+                        if i < len(items):
+                            frames.append((_FOLD, op, items, i + 1, span, depth))
+                            if (depth < limit and type(op) is ClosureV and op.arity == 1
+                                    and op.body[0] == _LAMBDA):
+                                # a curried lambda: both arguments at once, with no closure between
+                                if depth >= peak:
+                                    peak = depth + 1
+                                outer, inner = (value,) + op.env, op.body
+                                env = (items[i], *[outer[j] for j in inner[3]])
+                                expr, depth = inner[2], depth + 1
+                                break
+                            frames.append((_ARG, items[i], span, depth))
+                            frames.append((_APPLY, op, span, depth, depth + 1))
+                    elif kind == _ARGS:
+                        _, e, env, depth, values = frame
+                        values = (value,) + values
+                        if len(values) < len(e[5]):  # the next argument, one level less deep
+                            frames.append((_ARGS, e, env, depth, values))
+                            expr, depth = e[5][len(values)], depth + len(e[5]) - len(values)
+                        else:
+                            env, expr = values, e[4].body
+                        break
                     elif kind == _CALL:
                         _, e, env, depth = frame
                         frames.append((_APPLY, value, e[1], depth, depth))
-                        expr = e[3]
-                        depth += 1
+                        expr, depth = e[3], depth + 1
                         break
                     elif kind == _BINARY:
                         _, e, env, depth = frame
@@ -575,13 +687,8 @@ class Interpreter:
                             if value.value == (op == "or"):
                                 continue  # decided without the right operand
                         frames.append((_RIGHT, e, value))
-                        expr = e[3]
-                        depth += 1
+                        expr, depth = e[3], depth + 1
                         break
-                    elif kind == _RIGHT:
-                        value = _binary(frame[1], frame[2], value)
-                        if type(value) is RuntimeFault:
-                            return value
                     elif kind == _IF:
                         _, e, env, depth = frame
                         if type(value) is not BoolV:
@@ -607,13 +714,6 @@ class Interpreter:
                             message = "'not' requires a boolean operand"
                             return RuntimeFault(FAULT_NOT_APPLICABLE, message, frame[1][1])
                         value = FALSE_V if value.value else TRUE_V
-                    elif kind == _FOLD:
-                        # value is the accumulator: feed it the next item, if any
-                        _, op, items, i, span, depth = frame
-                        if i < len(items):
-                            frames.append((_FOLD, op, items, i + 1, span, depth))
-                            frames.append((_ARG, items[i], span, depth))
-                            frames.append((_APPLY, op, span, depth, depth + 1))
                     else:  # _ARG
                         _, arg, span, depth = frame
                         frames.append((_APPLY, value, span, depth, depth + 1))

@@ -336,3 +336,63 @@ def test_evaluate_takes_20000_applied_lambdas_around_an_outer_local():
         assert it.evaluate(expr).value == 7 and it.last_peak_depth == 1
         """
     )
+
+
+def test_interpreter_is_linear_in_the_parameters_of_a_wide_definition():
+    # One definition with n parameters whose body is an n-case match, built
+    # and run with all n arguments. Wrapping the body in n one-parameter
+    # lambdas, each capturing the parameters before it, made this quadratic.
+    run_code(
+        """
+        import gc, time
+        from soda import Interpreter, analyze, parse
+
+        def wide(n):
+            params = "".join(f" (p{i} : Int)" for i in range(n))
+            cases = " ".join(f"case {i} ==> p{i}" for i in range(n))
+            return analyze(parse(f"class W\\n\\n  f{params} : Int = match p0 {cases}\\n\\nend\\n").program)
+
+        def best_of_3(analyzed, n):
+            times = []
+            for _ in range(3):
+                gc.collect()
+                start = time.process_time()
+                assert Interpreter(analyzed).run_entry("W", "f", [n - 1] * n).value == n - 1
+                times.append(time.process_time() - start)
+            return min(times)
+
+        small, large = best_of_3(wide(1000), 1000), best_of_3(wide(4000), 4000)
+        assert large < 8 * small, (small, large)
+        """
+    )
+
+
+def test_resolving_a_whole_call_is_linear_in_its_arguments():
+    # A call chain that passes a definition all n arguments becomes one node;
+    # finding the chain's arguments anew at each link would be quadratic.
+    run_code(
+        """
+        import gc, time
+        from soda import Interpreter, analyze, parse
+
+        def chain(n):
+            params = "".join(f" (p{i} : Int)" for i in range(n))
+            args = " ".join(f"({i})" for i in range(n))
+            source = f"class C\\n\\n  g{params} : Int = p{n - 1}\\n\\n  h : Int = g {args}\\n\\nend\\n"
+            return analyze(parse(source).program)
+
+        def best_of_3(analyzed):
+            times = []
+            for _ in range(3):
+                gc.collect()
+                start = time.process_time()
+                Interpreter(analyzed)
+                times.append(time.process_time() - start)
+            return min(times)
+
+        small, large = chain(1000), chain(4000)
+        assert Interpreter(large).run_entry("C", "h").value == 3999
+        small, large = best_of_3(small), best_of_3(large)
+        assert large < 8 * small, (small, large)
+        """
+    )
