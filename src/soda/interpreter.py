@@ -409,7 +409,7 @@ class Interpreter:
                 names["this"] = (_VALUE, instance)
         for d, target, names in bodies:
             if d.params:
-                target.body = self._resolve(d.body, names, [p for p, _ in reversed(d.params)])
+                target.body = self._resolve(d.body, names, [p for p, _ in d.params])
             else:
                 target[0] = self._resolve(d.body, names)
 
@@ -441,13 +441,13 @@ class Interpreter:
 
     def _resolve(self, root: Expr, names: dict, params=()) -> tuple:
         """The resolved node of ``root`` in a class whose names denote
-        ``names``, with the locals ``params`` at slots 0, 1, ...; one loop
-        over ``scoped_walk``, so any depth resolves."""
+        ``names``, with the parameters ``params`` as locals, the last at
+        slot 0; one loop over ``scoped_walk``, so any depth resolves."""
         bound = dict.fromkeys(params, 1)  # the walk's count of the open binders of each name
         # The parameters' scope, then each open lambda body or case result, as
         # (the slot of each name it binds or uses, the slots that the outer
         # locals it uses have in the enclosing scope, how many names it binds).
-        scopes: list = [({name: i for i, name in enumerate(params)}, [], len(params))]
+        scopes: list = [({p: len(params) - 1 - i for i, p in enumerate(params)}, [], len(params))]
         # (definition, count, link) by the id of the outermost link of each
         # chain that passes a class definition fewer arguments than it takes.
         links: dict = {}

@@ -114,6 +114,13 @@ def test_the_first_fault_comes_from_the_leftmost_faulting_argument():
     assert isinstance(out, RuntimeFault) and out.span.line_start == row + 1
 
 
+def test_of_two_parameters_with_one_name_the_later_is_in_scope():
+    source = "class D\n\n  f (x : Int) (x : Int) : Int = x\n\n  g : Int = f (1) (2)\n\nend\n"
+    it = Interpreter(analyzed_of(source))
+    assert render_value(it.run_entry("D", "f", (1, 2))) == "2"
+    assert render_value(it.run_entry("D", "g")) == "2"
+
+
 def _spec_calls():
     return [("Spec", rule, tuple(args)) for rule, args, _ in gen.eval_cases(1)[0]]
 
