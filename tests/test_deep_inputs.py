@@ -352,16 +352,16 @@ def test_interpreter_is_linear_in_the_parameters_of_a_wide_definition():
             cases = " ".join(f"case {i} ==> p{i}" for i in range(n))
             return analyze(parse(f"class W\\n\\n  f{params} : Int = match p0 {cases}\\n\\nend\\n").program)
 
-        def best_of_3(analyzed, n):
-            times = []
-            for _ in range(3):
-                gc.collect()
-                start = time.process_time()
-                assert Interpreter(analyzed).run_entry("W", "f", [n - 1] * n).value == n - 1
-                times.append(time.process_time() - start)
-            return min(times)
+        def seconds(analyzed, n):
+            gc.collect()
+            start = time.process_time()
+            assert Interpreter(analyzed).run_entry("W", "f", [n - 1] * n).value == n - 1
+            return time.process_time() - start
 
-        small, large = best_of_3(wide(1000), 1000), best_of_3(wide(4000), 4000)
+        # Interleaved, so that a change in the machine's speed meets both sizes.
+        programs = {1000: wide(1000), 4000: wide(4000)}
+        rounds = [[seconds(a, n) for n, a in programs.items()] for _ in range(5)]
+        small, large = (min(times) for times in zip(*rounds))
         assert large < 8 * small, (small, large)
         """
     )
@@ -381,18 +381,17 @@ def test_resolving_a_whole_call_is_linear_in_its_arguments():
             source = f"class C\\n\\n  g{params} : Int = p{n - 1}\\n\\n  h : Int = g {args}\\n\\nend\\n"
             return analyze(parse(source).program)
 
-        def best_of_3(analyzed):
-            times = []
-            for _ in range(3):
-                gc.collect()
-                start = time.process_time()
-                Interpreter(analyzed)
-                times.append(time.process_time() - start)
-            return min(times)
+        def seconds(analyzed):
+            gc.collect()
+            start = time.process_time()
+            Interpreter(analyzed)
+            return time.process_time() - start
 
-        small, large = chain(1000), chain(4000)
-        assert Interpreter(large).run_entry("C", "h").value == 3999
-        small, large = best_of_3(small), best_of_3(large)
+        programs = [chain(1000), chain(4000)]
+        assert Interpreter(programs[1]).run_entry("C", "h").value == 3999
+        # Interleaved, so that a change in the machine's speed meets both sizes.
+        rounds = [[seconds(a) for a in programs] for _ in range(5)]
+        small, large = (min(times) for times in zip(*rounds))
         assert large < 8 * small, (small, large)
         """
     )
