@@ -50,6 +50,7 @@ from .syntax import (
     SelfRef,
     SourceSpan,
     StringLiteral,
+    TypeApply,
     UnaryNot,
     VarBindPattern,
     WildcardPattern,
@@ -276,7 +277,8 @@ def render_value(v: EvalOutcome) -> str:
 # interpreter
 # ============================================================
 
-#: What each operator but 'and' and 'or' computes on two integers; '/' truncates toward zero.
+#: What each operator on two integers computes, other than 'and' and 'or'.
+#: Division truncates toward zero.
 _ON_INTEGERS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
     "/": lambda a, b: a // b if (a < 0) == (b < 0) else -(-a // b),
@@ -319,14 +321,16 @@ def _operate(node: tuple, env: tuple) -> EvalOutcome:
 
 
 def _whole(chain: tuple, fn: ClosureV) -> tuple:
-    """The node that passes ``fn`` the arguments of ``chain``, its whole call chain."""
+    """The node that passes ``fn`` the arguments of ``chain``, its whole call
+    chain, when each is a leaf or a binary operator on leaves, else ``chain``."""
     links = [chain]
     while len(links) < fn.arity:
         links.append(links[-1][2])
     args = [link[3] for link in reversed(links)]
-    leafy = all(a[0] <= _VALUE or a[0] == _LEAF_OP and a[3][0] <= _VALUE for a in args)
-    reach = fn.arity + (leafy and args[0][0] == _LEAF_OP)  # the head, or arg 0's operands
-    return (_WHOLE, *chain[1:], fn, tuple(args), leafy, reach)
+    if not all(a[0] <= _VALUE or a[0] == _LEAF_OP and a[3][0] <= _VALUE for a in args):
+        return chain
+    reach = fn.arity + (args[0][0] == _LEAF_OP)  # the head, or arg 0's operands
+    return (_WHOLE, *chain[1:], fn, tuple(args), reach)
 
 
 # The resolve pass turns each expression into nested tuples (kind, span,
@@ -347,7 +351,7 @@ _FAULT = 5  # (_FAULT, span, fault): the fault to give when evaluated
 # levels below it the frame path goes. Within the budget, it reads the leaves
 # (_LOCAL and _VALUE nodes) in place and raises the peak as deep, else takes
 # the frame path. _WHOLE passes a class definition all its arguments.
-_WHOLE = 6  # (_WHOLE, span, function, argument, definition, arguments, all leafy, reach)
+_WHOLE = 6  # (_WHOLE, span, function, argument, definition, arguments, reach)
 _LEAF_OP = 7  # a _BINARY node whose left operand is a leaf
 _LEAF_IF = 8  # an _IF node whose cond is a binary operator on leaves
 # Nodes that first evaluate the sub-expression at index 2. Each kind is also
@@ -366,9 +370,10 @@ _APPLY = 15  # (_APPLY, function, span, depth, depth of a closure's body): the a
 _FOLD = 16  # (_FOLD, op, items, index, span, depth): the accumulator so far
 _ARG = 17  # (_ARG, argument, span, depth): a function to apply to argument
 _CONST = 18  # (_CONST, cell): a constant's value, kept in its cell
-_ARGS = 19  # (_ARGS, _WHOLE node, locals, depth, the arguments' values so far, latest first)
 
 _LITERAL_TYPE = {bool: BoolV, int: IntV, str: StringV}  # of a literal's value
+#: The kind of node built from the resolved children of each other expression.
+_BUILT = {UnaryNot: _NOT, TypeApply: _TYPED}
 
 
 class Interpreter:
@@ -377,8 +382,10 @@ class Interpreter:
     Every definition body is resolved once, here, and ``evaluate`` resolves
     the expression it is given. A name is the innermost local of that name,
     else the class's definition (or 'this'), else a constructor or builtin.
-    A call chain or ``run_entry`` that passes a definition all its arguments
-    enters the body once, with all of them as its locals. A constant is
+    A ``run_entry``, or a call chain whose arguments are locals, literals or
+    operators on two of them, that passes a definition all its arguments
+    enters the body once, with all of them as its locals; other chains pass
+    them one at a time, through partial applications. A constant is
     evaluated on its first lookup and then kept, like the ``lazy val`` the
     Scala backend emits.
     """
@@ -530,7 +537,7 @@ class Interpreter:
                     fault = RuntimeFault(FAULT_NOT_APPLICABLE, message + " parameter", x.span)
                     done.append((_FAULT, x.span, fault))
                 else:
-                    done.append((_NOT if t is UnaryNot else _TYPED, x.span, *kids))
+                    done.append((_BUILT[t], x.span, *kids))
         return done.pop()
 
     # ---------- evaluation machine ----------
@@ -556,21 +563,19 @@ class Interpreter:
                     value = expr[2]
                 elif kind >= _CALL:
                     frames.append((kind, expr, env, depth))
-                    expr, depth = expr[2], depth + 1
+                    expr = expr[2]
+                    depth += 1
                     continue
                 elif kind >= _WHOLE:
                     reach = depth + expr[-1]
                     if reach > limit:  # the frame path
                         frames.append((kind + _SLOW, expr, env, depth))
-                        expr, depth = expr[2], depth + 1
+                        expr = expr[2]
+                        depth += 1
                         continue
                     if reach > peak:
                         peak = reach
                     if kind == _WHOLE:
-                        if not expr[6]:  # the arguments, through the frames
-                            frames.append((_ARGS, expr, env, depth, ()))
-                            expr, depth = expr[5][0], depth + len(expr[5])
-                            continue
                         values = ()
                         for a in expr[5]:
                             value = _operate(a, env)
@@ -590,14 +595,16 @@ class Interpreter:
                         frames.append((_IF, expr, env, depth))  # which gives the fault
                     elif operand is not expr:  # the left operand's value, waiting for the right one
                         frames.append((_RIGHT, expr, value))
-                        expr, depth = expr[3], depth + 1
+                        expr = expr[3]
+                        depth += 1
                         continue
                 elif kind == _CONSTANT:
                     cell = expr[2]
                     value = cell[1]
                     if value is None:  # first evaluation, one level down
                         frames.append((_CONST, cell))
-                        expr, env, depth = cell[0], (), depth + 1
+                        expr, env = cell[0], ()
+                        depth += 1
                         continue
                 elif kind == _LAMBDA:
                     value = ClosureV(expr[2], tuple([env[i] for i in expr[3]]))
@@ -618,11 +625,13 @@ class Interpreter:
                     elif kind == _APPLY:
                         _, fn, span, depth, body_depth = frame
                         if type(fn) is ClosureV:
-                            env, depth, expr = (value,) + fn.env, body_depth, fn.body
+                            env = (value,) + fn.env
+                            expr = fn.body
+                            depth = body_depth
                             if fn.arity > 1:  # a partial application, made as deep as the body runs
                                 expr = (_VALUE, fn.span, ClosureV(expr, env, fn.arity - 1, fn.span))
                             break
-                        elif type(fn) is ConstructorV:
+                        if type(fn) is ConstructorV:
                             collected, sig = fn.collected + (value,), fn.signature
                             if len(collected) < len(sig.fields):
                                 value = ConstructorV(sig, collected)
@@ -655,27 +664,17 @@ class Interpreter:
                             if (depth < limit and type(op) is ClosureV and op.arity == 1
                                     and op.body[0] == _LAMBDA):
                                 # a curried lambda: both arguments at once, with no closure between
-                                if depth >= peak:
-                                    peak = depth + 1
                                 outer, inner = (value,) + op.env, op.body
                                 env = (items[i], *[outer[j] for j in inner[3]])
                                 expr, depth = inner[2], depth + 1
                                 break
                             frames.append((_ARG, items[i], span, depth))
                             frames.append((_APPLY, op, span, depth, depth + 1))
-                    elif kind == _ARGS:
-                        _, e, env, depth, values = frame
-                        values = (value,) + values
-                        if len(values) < len(e[5]):  # the next argument, one level less deep
-                            frames.append((_ARGS, e, env, depth, values))
-                            expr, depth = e[5][len(values)], depth + len(e[5]) - len(values)
-                        else:
-                            env, expr = values, e[4].body
-                        break
                     elif kind == _CALL:
                         _, e, env, depth = frame
                         frames.append((_APPLY, value, e[1], depth, depth))
-                        expr, depth = e[3], depth + 1
+                        expr = e[3]
+                        depth += 1
                         break
                     elif kind == _BINARY:
                         _, e, env, depth = frame
@@ -687,7 +686,8 @@ class Interpreter:
                             if value.value == (op == "or"):
                                 continue  # decided without the right operand
                         frames.append((_RIGHT, e, value))
-                        expr, depth = e[3], depth + 1
+                        expr = e[3]
+                        depth += 1
                         break
                     elif kind == _IF:
                         _, e, env, depth = frame
