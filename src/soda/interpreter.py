@@ -6,6 +6,13 @@ at the language level: anything that goes wrong (division by zero, a match
 with no applicable case, an unbound name, a misapplied value, exhausting the
 recursion budget) comes back as a ``RuntimeFault`` value.
 
+An ``Int`` is a Python ``int``, a ``Bool`` a ``bool`` and a ``String`` a
+``str``, unwrapped, so arithmetic makes no object beyond its result. Since a
+``bool`` is also an ``int`` in Python, every test of a value's kind compares
+its type exactly, and ``==`` compares the kinds before the values, so
+``true == 1`` is false. Sequences, objects, closures, builtins and partly
+applied constructors are the value classes below.
+
 Each body is first resolved, once, into nodes that give each local as a
 slot number and hold what every other name denotes, so evaluation looks no
 name up. A definition with n parameters takes n arguments at once, and
@@ -75,21 +82,6 @@ FAULT_RECURSION_LIMIT = "recursion_limit"
 
 
 @dataclass(frozen=True, slots=True)
-class IntV:
-    value: int
-
-
-@dataclass(frozen=True, slots=True)
-class BoolV:
-    value: bool
-
-
-@dataclass(frozen=True, slots=True)
-class StringV:
-    value: str
-
-
-@dataclass(frozen=True, slots=True)
 class SeqV:
     items: tuple
 
@@ -152,11 +144,8 @@ class RuntimeFault:
         return f"{s.file}:{s.line_start}:{s.col_start}: fault[{self.kind}]: {self.message}"
 
 
-Value = Union[IntV, BoolV, StringV, SeqV, ClosureV, BuiltinV, ConstructorV, ObjectV]
+Value = Union[int, bool, str, SeqV, ClosureV, BuiltinV, ConstructorV, ObjectV]
 EvalOutcome = Union[Value, RuntimeFault]
-
-TRUE_V = BoolV(True)
-FALSE_V = BoolV(False)
 
 
 def _equal(a, b) -> bool:
@@ -208,8 +197,8 @@ def builtin_fold(sequence, initial, operation):
 
 
 def from_python(x) -> Value:
-    """The Soda value of a Python bool, int or str, of lists or tuples of
-    them nested to any depth, or of a Soda value itself."""
+    """The Soda value of a Python bool, int or str (itself), of lists or
+    tuples of them nested to any depth, or of a Soda value (itself)."""
     # A sequence comes off the work list twice: to push its items, then to gather them.
     done, todo = [], [(x, False)]
     while todo:
@@ -220,17 +209,23 @@ def from_python(x) -> Value:
         elif isinstance(x, (list, tuple)):
             todo.append((x, True))
             todo.extend((item, False) for item in reversed(x))
-        elif isinstance(x, (IntV, BoolV, StringV, SeqV, ClosureV, BuiltinV, ConstructorV, ObjectV)):
+        elif isinstance(x, (bool, SeqV, ClosureV, BuiltinV, ConstructorV, ObjectV)):
             done.append(x)
-        elif isinstance(x, bool):
-            done.append(TRUE_V if x else FALSE_V)
         elif isinstance(x, int):
-            done.append(IntV(x))
+            done.append(int(x))  # exactly an int, also for a subclass such as an IntEnum
         elif isinstance(x, str):
-            done.append(StringV(x))
+            done.append(str(x))
         else:
             raise TypeError(f"no Soda value for {type(x).__name__}")
     return done[0]
+
+
+class _Text(str):
+    """Text that ``render_value`` emits between values, told apart from a
+    Soda string, which is a plain ``str``."""
+
+
+_CLOSE_SEQ, _COMMA, _OPEN_FIELD, _CLOSE_FIELD = map(_Text, ("]", ", ", " (", ")"))
 
 
 def render_value(v: EvalOutcome) -> str:
@@ -241,24 +236,24 @@ def render_value(v: EvalOutcome) -> str:
     while todo:
         v = todo.pop()
         t = type(v)
-        if t is str:
+        if t is _Text:
             parts.append(v)
-        elif t is IntV:
-            parts.append(int_to_text(v.value))
-        elif t is BoolV:
-            parts.append("true" if v.value else "false")
-        elif t is StringV:
-            parts.append(f'"{escape_string(v.value)}"')
+        elif t is int:
+            parts.append(int_to_text(v))
+        elif t is bool:
+            parts.append("true" if v else "false")
+        elif t is str:
+            parts.append(f'"{escape_string(v)}"')
         elif t is SeqV:
-            todo.append("]")
+            todo.append(_CLOSE_SEQ)
             for i in reversed(range(len(v.items))):
                 todo.append(v.items[i])
                 if i:
-                    todo.append(", ")
-            todo.append("[")
+                    todo.append(_COMMA)
+            parts.append("[")
         elif t is ObjectV:
             for f in reversed(tuple(v.fields.values())):
-                todo += (")", f, " (")
+                todo += (_CLOSE_FIELD, f, _OPEN_FIELD)
             parts.append(v.class_name + "_")
         elif t is ClosureV:
             parts.append("<function>")
@@ -289,22 +284,22 @@ _ON_INTEGERS = {
 def _binary(node: tuple, left: Value, right: Value) -> EvalOutcome:
     """The value of a binary operator node given its operands' values."""
     op, span = node[4], node[1]
-    if type(left) is IntV and type(right) is IntV and (on_integers := _ON_INTEGERS.get(op)):
-        if op == "/" and right.value == 0:
+    if type(left) is int and type(right) is int and (on_integers := _ON_INTEGERS.get(op)):
+        if op == "/" and right == 0:
             return RuntimeFault(FAULT_DIVISION_BY_ZERO, "division by zero", span)
-        result = on_integers(left.value, right.value)
-        return IntV(result) if type(result) is int else TRUE_V if result else FALSE_V
+        return on_integers(left, right)
     if op == "and" or op == "or":
-        if type(left) is not BoolV or type(right) is not BoolV:
+        if type(left) is not bool or type(right) is not bool:
             return RuntimeFault(FAULT_NOT_APPLICABLE, f"'{op}' requires boolean operands", span)
         return right
     if op == "==":
-        # structural for data, identity for functions and constructors
-        return TRUE_V if left == right else FALSE_V
-    if op == "+" and type(left) is StringV and type(right) is StringV:
+        # structural for data, identity for functions and constructors; values
+        # of two kinds, such as true and 1, are never equal
+        return _equal(left, right)
+    if op == "+" and type(left) is str and type(right) is str:
         # concatenation, as in the translated programs
-        return StringV(left.value + right.value)
-    if type(left) is not IntV or type(right) is not IntV:
+        return left + right
+    if type(left) is not int or type(right) is not int:
         return RuntimeFault(FAULT_NOT_APPLICABLE, f"'{op}' requires integer operands", span)
     return RuntimeFault(FAULT_NOT_APPLICABLE, f"unknown operator '{op}'", span)
 
@@ -315,7 +310,7 @@ def _operate(node: tuple, env: tuple) -> EvalOutcome:
         return env[node[2]] if node[0] == _LOCAL else node[2]
     left, right, op = node[2], node[3], node[4]
     left = env[left[2]] if left[0] == _LOCAL else left[2]
-    if (op == "and" or op == "or") and type(left) is BoolV and left.value == (op == "or"):
+    if (op == "and" or op == "or") and type(left) is bool and left == (op == "or"):
         return left  # decided without the right operand
     return _binary(node, left, env[right[2]] if right[0] == _LOCAL else right[2])
 
@@ -371,7 +366,6 @@ _FOLD = 16  # (_FOLD, op, items, index, span, depth): the accumulator so far
 _ARG = 17  # (_ARG, argument, span, depth): a function to apply to argument
 _CONST = 18  # (_CONST, cell): a constant's value, kept in its cell
 
-_LITERAL_TYPE = {bool: BoolV, int: IntV, str: StringV}  # of a literal's value
 #: The kind of node built from the resolved children of each other expression.
 _BUILT = {UnaryNot: _NOT, TypeApply: _TYPED}
 
@@ -477,7 +471,7 @@ class Interpreter:
                 end = len(done) + count
                 continue
             if t is IntLiteral or t is BoolLiteral or t is StringLiteral:
-                done.append((_VALUE, x.span, _LITERAL_TYPE[type(x.value)](x.value)))
+                done.append((_VALUE, x.span, x.value))
             elif t is Identifier or t is SelfRef:
                 name = "this" if t is SelfRef else x.name
                 if bound.get(name) and not inert:
@@ -589,8 +583,8 @@ class Interpreter:
                     if type(value) is RuntimeFault:
                         return value
                     if kind == _LEAF_IF:
-                        if type(value) is BoolV:
-                            expr = expr[3] if value.value else expr[4]
+                        if type(value) is bool:
+                            expr = expr[3] if value else expr[4]
                             continue
                         frames.append((_IF, expr, env, depth))  # which gives the fault
                     elif operand is not expr:  # the left operand's value, waiting for the right one
@@ -639,10 +633,10 @@ class Interpreter:
                                 fields = {name: v for (name, _), v in zip(sig.fields, collected)}
                                 value = ObjectV(sig.class_name, fields)
                         elif type(fn) is BuiltinV and fn.name == "range":
-                            if type(value) is not IntV:
+                            if type(value) is not int:
                                 message = "range requires an integer"
                                 return RuntimeFault(FAULT_NOT_APPLICABLE, message, span)
-                            value = SeqV(tuple(IntV(i) for i in builtin_range(value.value)))
+                            value = SeqV(tuple(range(value)))
                         elif type(fn) is BuiltinV:  # fold
                             collected = fn.collected + (value,)
                             if len(collected) < 3:
@@ -680,10 +674,10 @@ class Interpreter:
                         _, e, env, depth = frame
                         op = e[4]
                         if op == "and" or op == "or":
-                            if type(value) is not BoolV:
+                            if type(value) is not bool:
                                 message = f"'{op}' requires boolean operands"
                                 return RuntimeFault(FAULT_NOT_APPLICABLE, message, e[1])
-                            if value.value == (op == "or"):
+                            if value == (op == "or"):
                                 continue  # decided without the right operand
                         frames.append((_RIGHT, e, value))
                         expr = e[3]
@@ -691,10 +685,10 @@ class Interpreter:
                         break
                     elif kind == _IF:
                         _, e, env, depth = frame
-                        if type(value) is not BoolV:
+                        if type(value) is not bool:
                             message = "'if' condition is not a boolean"
                             return RuntimeFault(FAULT_NOT_APPLICABLE, message, e[2][1])
-                        expr = e[3] if value.value else e[4]
+                        expr = e[3] if value else e[4]
                         break
                     elif kind == _CONST:
                         frame[1][1] = value
@@ -710,10 +704,10 @@ class Interpreter:
                         env = tuple(bindings + [env[i] for i in uses])
                         break
                     elif kind == _NOT:
-                        if type(value) is not BoolV:
+                        if type(value) is not bool:
                             message = "'not' requires a boolean operand"
                             return RuntimeFault(FAULT_NOT_APPLICABLE, message, frame[1][1])
-                        value = FALSE_V if value.value else TRUE_V
+                        value = not value
                     else:  # _ARG
                         _, arg, span, depth = frame
                         frames.append((_APPLY, value, span, depth, depth + 1))
@@ -738,7 +732,7 @@ class Interpreter:
                 bindings.append(value)
             elif t is LiteralPattern:
                 want = pattern.value
-                if type(value) is not _LITERAL_TYPE[type(want)] or value.value != want:
+                if type(value) is not type(want) or value != want:
                     return None
             elif t is ConstructorPattern:
                 sig = self.constructors.get(pattern.name)

@@ -20,7 +20,7 @@ from soda import (
     render_value,
     tokenize,
 )
-from soda.interpreter import BoolV, IntV, ObjectV, SeqV, StringV
+from soda.interpreter import ObjectV, SeqV
 
 
 def interp_of(source, max_recursion=DEFAULT_MAX_RECURSION):
@@ -42,8 +42,14 @@ def ev(expr_source, interp=None, cls="P"):
 
 
 def as_int(v):
-    assert isinstance(v, IntV), v
-    return v.value
+    # type-exact: a bool is also an int in Python, and true is not 1 in Soda
+    assert type(v) is int, v
+    return v
+
+
+def as_str(v):
+    assert type(v) is str, v
+    return v
 
 
 # --- arithmetic ---
@@ -78,7 +84,7 @@ def test_division_by_zero_faults():
 
 
 def test_plus_concatenates_two_strings():
-    assert ev('"ab" + "cd"') == StringV("abcd")
+    assert as_str(ev('"ab" + "cd"')) == "abcd"
     # mixing a string with an integer is still a fault
     assert isinstance(ev('"ab" + 1'), RuntimeFault)
 
@@ -86,40 +92,40 @@ def test_plus_concatenates_two_strings():
 # --- comparison and equality ---
 
 def test_comparisons():
-    assert ev("1 < 2") == BoolV(True)
-    assert ev("2 <= 2") == BoolV(True)
-    assert ev("3 > 4") == BoolV(False)
-    assert ev("4 >= 5") == BoolV(False)
+    assert ev("1 < 2") is True
+    assert ev("2 <= 2") is True
+    assert ev("3 > 4") is False
+    assert ev("4 >= 5") is False
 
 
 def test_equality_is_structural():
-    assert ev("P_ (1) (2) == P_ (1) (2)") == BoolV(True)
-    assert ev("P_ (1) (2) == P_ (1) (3)") == BoolV(False)
-    assert ev('"a" == "a"') == BoolV(True)
-    assert ev("range (3) == range (3)") == BoolV(True)
+    assert ev("P_ (1) (2) == P_ (1) (2)") is True
+    assert ev("P_ (1) (2) == P_ (1) (3)") is False
+    assert ev('"a" == "a"') is True
+    assert ev("range (3) == range (3)") is True
     # functions compare by identity: a definition equals itself, two
     # separately written lambdas never equal each other
     it = interp_of("class F\n\n  inc (n : Int) : Int = n + 1\n\nend\n")
-    assert ev("inc == inc", it, "F") == BoolV(True)
-    assert ev("(lambda x --> x) == (lambda x --> x)") == BoolV(False)
+    assert ev("inc == inc", it, "F") is True
+    assert ev("(lambda x --> x) == (lambda x --> x)") is False
 
 
 def test_equality_across_types_is_false():
-    assert ev("1 == true") == BoolV(False)
-    assert ev('0 == ""') == BoolV(False)
-    assert ev("false == 0") == BoolV(False)
+    assert ev("1 == true") is False
+    assert ev('0 == ""') is False
+    assert ev("false == 0") is False
 
 
 # --- laziness ---
 
 def test_and_or_short_circuit():
-    assert ev("false and (1 / 0 == 0)") == BoolV(False)
-    assert ev("true or (1 / 0 == 0)") == BoolV(True)
+    assert ev("false and (1 / 0 == 0)") is False
+    assert ev("true or (1 / 0 == 0)") is True
 
 
 def test_and_or_evaluate_right_when_needed():
-    assert ev("true and (4 / 2 == 2)") == BoolV(True)
-    assert ev("false or false") == BoolV(False)
+    assert ev("true and (4 / 2 == 2)") is True
+    assert ev("false or false") is False
 
 
 def test_and_requires_booleans():
@@ -139,7 +145,7 @@ def test_if_condition_must_be_boolean():
 
 
 def test_not():
-    assert ev("not false") == BoolV(True)
+    assert ev("not false") is True
     assert isinstance(ev("not 3"), RuntimeFault)
 
 
@@ -149,7 +155,7 @@ def test_constructor_builds_an_object():
     v = ev("P_ (1) (2)")
     assert isinstance(v, ObjectV)
     assert v.class_name == "P"
-    assert v.fields == {"fst": IntV(1), "snd": IntV(2)}
+    assert {name: as_int(f) for name, f in v.fields.items()} == {"fst": 1, "snd": 2}
     assert render_value(v) == "P_ (1) (2)"
 
 
@@ -243,7 +249,7 @@ def test_a_lambda_parameter_shadows_a_definition_parameter():
 def test_a_closure_keeps_only_the_locals_its_body_uses():
     # a, b and c are in scope where the innermost lambda is made; it uses a only
     closure = ev("(lambda a --> lambda b --> lambda c --> lambda d --> a + d) (1) (2) (3)")
-    assert closure.env == (IntV(1),)
+    assert [as_int(v) for v in closure.env] == [1]
     assert ev("(lambda a --> lambda b --> lambda c --> lambda d --> d) (1) (2) (3)").env == ()
     # a named-argument call left unresolved only faults, so it uses no local
     assert ev("(lambda a --> lambda b --> lambda c --> lambda d --> d (k := a)) (1) (2) (3)").env == ()
@@ -271,7 +277,7 @@ def test_run_entry_converts_python_arguments():
         " if flag then s else \"no\"\n\nend\n"
     )
     out = it.run_entry("M", "pick", (True, "yes"))
-    assert out == StringV("yes")
+    assert as_str(out) == "yes"
 
 
 def test_this_is_the_canonical_instance_of_a_fieldless_class():
@@ -296,7 +302,8 @@ def test_evaluate_names_an_unknown_class():
 # --- builtins ---
 
 def test_range_enumerates_from_zero():
-    assert ev("range (4)") == SeqV((IntV(0), IntV(1), IntV(2), IntV(3)))
+    out = ev("range (4)")
+    assert [as_int(v) for v in out.items] == [0, 1, 2, 3]
 
 
 def test_range_clamps_non_positive_counts():
