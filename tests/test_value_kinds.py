@@ -5,6 +5,8 @@ interpreter let a boolean stand for the integer 1 or 0, or the other way
 round: in ``==``, in literal patterns, in the operators that need one kind,
 and in how values print."""
 
+import enum
+
 import pytest
 
 from soda import Interpreter, RuntimeFault, analyze, parse, parse_expression, render_value, tokenize
@@ -40,6 +42,10 @@ class K
       case 1 ==> "int"
       case true ==> "bool"
       case _ ==> "other"
+
+  twice (x : Int) : Int = x * 2
+
+  shout (s : String) : String = s + "!"
 
 end
 """
@@ -148,3 +154,15 @@ def test_strings_that_look_like_separators_print_as_strings_inside_an_object():
 def test_each_kind_prints_as_its_literal():
     assert [render_value(from_python(x)) for x in (1, True, False, "1", 0)] == ["1", "true", "false", '"1"', "0"]
     assert render_value(from_python([1, True, "true"])) == '[1, true, "true"]'
+
+
+def test_python_subclasses_of_int_and_str_compute_as_plain_values():
+    class Level(enum.IntEnum):
+        HIGH = 3
+
+    class Name(str):
+        pass
+
+    assert [type(v) for v in (from_python(Level.HIGH), from_python(Name("x")))] == [int, str]
+    assert render_value(INTERP.run_entry("K", "twice", (Level.HIGH,))) == "6"
+    assert render_value(INTERP.run_entry("K", "shout", (Name("hi"),))) == '"hi!"'
