@@ -11,11 +11,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from soda import analyze, parse, translate_to_lean, translate_to_scala
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(ROOT / "src"))
 
-DEFAULT_INPUTS = sorted(
-    (Path(__file__).parent.parent / "tests" / "goldens").glob("*.soda")
-)
+from soda import analyze, parse, translate_to_lean, translate_to_scala  # noqa: E402
+
+DEFAULT_INPUTS = sorted((ROOT / "tests" / "goldens").glob("*.soda"))
 
 
 def show(title: str, body: str) -> None:

@@ -130,14 +130,16 @@ def _cmd_translate(args, target: str) -> int:
 
 
 def _parse_run_argument(text: str):
+    """``true`` and ``false`` are Bools, a Soda integer literal (a run of
+    decimal digits, at any length) with an optional ``-`` is an Int, and
+    any other text is a String."""
     if text == "true":
         return True
     if text == "false":
         return False
-    try:
-        return int_from_text(text)
-    except ValueError:
-        return text
+    digits = text[1:] if text[:1] == "-" else text
+    # ``isdecimal`` admits exactly the lexer's ``\d``: Unicode category Nd.
+    return int_from_text(text) if digits.isdecimal() else text
 
 
 def _recursion_budget(args) -> Optional[int]:

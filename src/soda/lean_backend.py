@@ -28,7 +28,6 @@ from .syntax import (
     PREC_ATOM,
     PREC_LOW,
     PREC_OR,
-    AbstractBlock,
     ClassDecl,
     ConstructorPattern,
     Definition,
@@ -42,7 +41,6 @@ from .syntax import (
     SelfRef,
     TypeExpr,
     error,
-    join_blocks,
     peel_call_chain,
     walk,
 )
@@ -87,7 +85,7 @@ def check_lean_supported(program: Program) -> list[Diagnostic]:
 
 
 # ============================================================
-# expressions
+# the printer: expressions, then declarations
 # ============================================================
 
 
@@ -134,64 +132,47 @@ class _LeanPrinter(ExprPrinter):
             arms.append(f"| {self.expr(c.pattern)} => {self.expr(c.result, PREC_OR)}")
         return arms
 
+    # ---------- declarations ----------
+
+    comment = "--"
+    writes_tailrec = False
+    defines = ":="
+
+    def keyword(self, d: Definition) -> str:
+        return "def "
+
+    def match_block(self, e: Match, indent: str) -> list[str]:
+        lines = [f"match {self.expr(e.scrutinee, PREC_OR)} with", *self.match_arms(e)]
+        return [indent + line for line in lines]
+
+    # A target splices its directive blocks verbatim, without their header.
+    directive = ExprPrinter.spliced
+
+    def class_(self, cls: ClassDecl) -> list[str]:
+        # The constructor's class, if it has fields, then a namespace holding
+        # the concrete definitions.
+        lines = self.comments(cls, "")
+        fields = constructor_fields(cls)
+        if fields:
+            params = "".join(f" ({tp.name} : Type)" for tp in cls.type_params)
+            lines += [f"class {cls.name}{params} where", f"  {cls.name}_ ::"]
+            lines += [f"  {name} : {self.expr(ftype)}" for name, ftype in fields]
+            lines += ["  deriving DecidableEq", ""]
+        lines.append(f"namespace {cls.name}")
+        for member in cls.members:
+            if isinstance(member, DirectiveBlock):
+                lines += ["", *self.directive(member, "")]
+            elif isinstance(member, Definition) and member.body is not None:
+                lines += ["", *self.definition(member, "")]
+        return lines + ["", f"end {cls.name}"]
+
 
 _LEAN = _LeanPrinter()
 
 
 def translate_match_to_lean(e: Match, indent: str = "") -> str:
     """Block form of a match, one line per case."""
-    lines = [f"match {_LEAN.expr(e.scrutinee, PREC_OR)} with", *_LEAN.match_arms(e)]
-    return "\n".join(indent + line for line in lines)
-
-
-# ============================================================
-# declarations
-# ============================================================
-
-
-def _render_definition(d: Definition) -> list[str]:
-    lines: list[str] = []
-    for c in d.leading_comments:
-        lines.append(f"--{c}")
-    head = f"def {d.name}{_LEAN.signature(d)}"
-    if isinstance(d.body, Match):
-        lines.append(head + " :=")
-        lines.append(translate_match_to_lean(d.body, "  "))
-        return lines
-    lines.append(f"{head} := {_LEAN.expr(d.body)}")
-    return lines
-
-
-def _render_class(cls: ClassDecl) -> list[str]:
-    lines: list[str] = []
-    for c in cls.leading_comments:
-        lines.append(f"--{c}")
-    fields = constructor_fields(cls)
-    if fields:
-        head = f"class {cls.name}"
-        for tp in cls.type_params:
-            head += f" ({tp.name} : Type)"
-        lines.append(head + " where")
-        lines.append(f"  {cls.name}_ ::")
-        for fname, ftype in fields:
-            lines.append(f"  {fname} : {_LEAN.expr(ftype)}")
-        lines.append("  deriving DecidableEq")
-        lines.append("")
-    lines.append(f"namespace {cls.name}")
-    chunks: list[list[str]] = []
-    for member in cls.members:
-        if isinstance(member, AbstractBlock):
-            continue
-        if isinstance(member, DirectiveBlock):
-            chunks.append(list(member.raw_lines))
-        elif member.body is not None:
-            chunks.append(_render_definition(member))
-    for chunk in chunks:
-        lines.append("")
-        lines.extend(chunk)
-    lines.append("")
-    lines.append(f"end {cls.name}")
-    return lines
+    return "\n".join(_LEAN.match_block(e, indent))
 
 
 # ============================================================
@@ -206,12 +187,4 @@ def translate_to_lean(analyzed: AnalyzedProgram) -> LeanRendering:
     if diagnostics:
         return LeanRendering(None, diagnostics)
     program = filter_directives(analyzed.program, "lean")
-    chunks: list[list[str]] = []
-    for item in program.items:
-        if isinstance(item, ClassDecl):
-            chunks.append(_render_class(item))
-        else:
-            chunks.append(list(item.raw_lines))
-    lines = join_blocks(chunks)
-    text = "\n".join(lines) + "\n" if lines else ""
-    return LeanRendering(text, diagnostics)
+    return LeanRendering(_LEAN.program(program)[0], diagnostics)

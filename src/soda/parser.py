@@ -255,6 +255,12 @@ class Parser:
                 return
             self.advance()
 
+    def _skip_offending(self) -> None:
+        """Skip the token an error was just reported at, unless it ends a
+        line, a block or the input, which the enclosing construct needs."""
+        if self.cur().kind not in (TokenKind.NEWLINE, TokenKind.DEDENT, TokenKind.END_OF_INPUT):
+            self.advance()
+
     def take_pending_comments(self) -> tuple[str, ...]:
         out = tuple(self.pending_comments)
         self.pending_comments = []
@@ -356,8 +362,7 @@ class Parser:
             self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
             return inner
         self.err("E-PAR-001", f"expected an expression, found {self._describe(t)}")
-        if t.kind not in (TokenKind.NEWLINE, TokenKind.DEDENT, TokenKind.END_OF_INPUT):
-            self.advance()
+        self._skip_offending()
         return _error_expr(t.span)
 
     def _parse_lambda(self) -> Expr:
@@ -368,12 +373,7 @@ class Parser:
             if self.at(TokenKind.IDENTIFIER):
                 params.append((self.advance().text, None))
             elif self.at(TokenKind.OPEN_PAREN):
-                self.advance()
-                name_tok = self.expect_kind(TokenKind.IDENTIFIER, "a parameter name")
-                self.expect_op(":")
-                ty = self.parse_type()
-                self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
-                params.append((name_tok.text if name_tok else "<error>", ty))
+                params.append(self._parse_typed_param())
             else:
                 break
         if not params:
@@ -385,6 +385,15 @@ class Parser:
         for name, ty in reversed(params):
             expr = Lambda(name, ty, expr, kw.span.cover(body.span))
         return expr
+
+    def _parse_typed_param(self) -> tuple[str, TypeExpr]:
+        """A ``(name : Type)`` group, from its opening parenthesis."""
+        self.advance()
+        name_tok = self.expect_kind(TokenKind.IDENTIFIER, "a parameter name")
+        self.expect_op(":")
+        ty = self.parse_type()
+        self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
+        return (name_tok.text if name_tok else "<error>", ty)
 
     def _parse_if(self) -> Expr:
         kw = self.advance()
@@ -475,8 +484,7 @@ class Parser:
             "E-PAR-012",
             f"expected a pattern (constructor, literal, variable, or '_'), found {self._describe(t)}",
         )
-        if t.kind not in (TokenKind.NEWLINE, TokenKind.DEDENT, TokenKind.END_OF_INPUT):
-            self.advance()
+        self._skip_offending()
         return WildcardPattern(t.span)
 
     # ---------- types ----------
@@ -516,8 +524,7 @@ class Parser:
             self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
             return inner
         self.err("E-PAR-001", f"expected a type, found {self._describe(t)}")
-        if t.kind not in (TokenKind.NEWLINE, TokenKind.DEDENT, TokenKind.END_OF_INPUT):
-            self.advance()
+        self._skip_offending()
         return NamedType("<error>", t.span)
 
     # ---------- declarations ----------
@@ -536,12 +543,7 @@ class Parser:
             self._expr_tick()
             if not self.at(TokenKind.OPEN_PAREN):
                 break
-            self.advance()
-            pname_tok = self.expect_kind(TokenKind.IDENTIFIER, "a parameter name")
-            self.expect_op(":")
-            ptype = self.parse_type()
-            self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
-            params.append((pname_tok.text if pname_tok else "<error>", ptype))
+            params.append(self._parse_typed_param())
         result_type: Optional[TypeExpr] = None
         self._expr_tick()
         if self.at_op(":"):

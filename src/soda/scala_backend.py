@@ -37,7 +37,6 @@ from .syntax import (
     Match,
     SourceSpan,
     TypeParam,
-    join_blocks,
     peel_call_chain,
 )
 
@@ -57,14 +56,11 @@ class ScalaRendering:
 
 def translate_type_to_scala(t) -> str:
     """Render a type expression or a class type parameter."""
-    if isinstance(t, TypeParam):
-        bound = {"subtype": " <: ", "supertype": " >: "}.get(t.bound_kind)
-        return t.name + bound + _SCALA_TYPES.expr(t.bound) if bound else t.name
-    return _SCALA_TYPES.expr(t)
+    return _SCALA_TYPES.type_param(t) if isinstance(t, TypeParam) else _SCALA_TYPES.expr(t)
 
 
 # ============================================================
-# expressions
+# the printer: expressions, then declarations
 # ============================================================
 
 
@@ -117,10 +113,57 @@ class _ScalaPrinter(ExprPrinter):
         return cases
 
     def match_block(self, e: Match, indent: str) -> list[str]:
-        """Multi-line match used when a match is a definition's whole body."""
         lines = [f"{indent}{self.expr(e.scrutinee, PREC_APP)} match {{"]
         lines.extend(f"{indent}  {case}" for case in self.match_cases(e))
         lines.append(f"{indent}}}")
+        return lines
+
+    def keyword(self, d: Definition) -> str:
+        # Constants become ``lazy val``, functions and declarations ``def``.
+        return "def " if d.body is None or d.params else "lazy val "
+
+    # A target splices its directive blocks verbatim, without their header.
+    directive = ExprPrinter.spliced
+
+    def import_chunks(self, imports: tuple[str, ...]) -> list[list[str]]:
+        return [[f"import {name}"] for name in imports]
+
+    def type_param(self, tp: TypeParam) -> str:
+        bound = {"subtype": " <: ", "supertype": " >: "}.get(tp.bound_kind)
+        return tp.name + bound + self.expr(tp.bound) if bound else tp.name
+
+    def class_(self, cls: ClassDecl) -> list[str]:
+        # A trait with the members, then a case class for the default constructor.
+        params = ", ".join(map(self.type_param, cls.type_params))
+        declared = f" [{params}]" if params else ""
+        head = f"trait {cls.name}{declared}"
+        if cls.extends_list:
+            head += " extends " + " with ".join(map(self.expr, cls.extends_list))
+        chunks = []
+        for member in cls.members:
+            if isinstance(member, AbstractBlock):
+                if member.members:
+                    decls = [self.definition(decl, "  ") for decl in member.members]
+                    chunks.append([line for lines in decls for line in lines])
+            elif isinstance(member, DirectiveBlock):
+                chunks.append(self.directive(member, "  "))
+            else:
+                chunks.append(self.definition(member, "  "))
+        lines = self.comments(cls, "")
+        if chunks:
+            # One blank line between chunks: ``body`` has one before each.
+            body = [line for chunk in chunks for line in ("", *chunk)]
+            lines += [head + " {", *body[1:], "}"]
+        else:
+            lines.append(head)
+        lines.append("")
+        sig = self.constructors.get(cls.name + "_")
+        if sig is not None:
+            fields = ", ".join(f"{name} : {self.expr(ftype)}" for name, ftype in sig.fields)
+            # The bounds are repeated, or extending the trait fails its checks.
+            names = ", ".join(tp.name for tp in cls.type_params)
+            applied = f"{cls.name} [{names}]" if names else cls.name
+            lines.append(f"case class {cls.name}_{declared} ({fields}) extends {applied}")
         return lines
 
 
@@ -128,7 +171,7 @@ _SCALA_TYPES = _ScalaPrinter({})
 
 
 # ============================================================
-# declarations
+# declarations and whole programs
 # ============================================================
 
 
@@ -139,111 +182,12 @@ def translate_definition_to_scala(
 ) -> list[str]:
     """Render one member definition (or abstract declaration) as Scala
     lines. Constants become ``lazy val``, functions become ``def``."""
-    printer = _ScalaPrinter(constructors or {})
-    lines: list[str] = []
-    for c in d.leading_comments:
-        lines.append(f"{indent}//{c}")
-    if d.is_tailrec_annotated:
-        lines.append(f"{indent}@tailrec")
-    keyword = "def" if d.body is None or d.params else "lazy val"
-    head = f"{keyword} {d.name}{printer.signature(d)}"
-    if d.body is None:
-        lines.append(indent + head)
-        return lines
-    if isinstance(d.body, Match):
-        lines.append(f"{indent}{head} =")
-        lines.extend(printer.match_block(d.body, indent + "  "))
-        return lines
-    lines.append(f"{indent}{head} = {printer.expr(d.body)}")
-    return lines
-
-
-def _render_directive(block: DirectiveBlock, indent: str) -> list[str]:
-    return [(indent + raw) if raw else "" for raw in block.raw_lines]
-
-
-def _render_class(
-    cls: ClassDecl, constructors: dict[str, ConstructorSignature]
-) -> list[str]:
-    lines: list[str] = []
-    for c in cls.leading_comments:
-        lines.append(f"//{c}")
-    head = f"trait {cls.name}"
-    if cls.type_params:
-        head += " [" + ", ".join(translate_type_to_scala(tp) for tp in cls.type_params) + "]"
-    if cls.extends_list:
-        rendered = [translate_type_to_scala(t) for t in cls.extends_list]
-        head += " extends " + " with ".join(rendered)
-    body_chunks: list[list[str]] = []
-    for member in cls.members:
-        if isinstance(member, AbstractBlock):
-            chunk = []
-            for decl in member.members:
-                chunk.extend(translate_definition_to_scala(decl, constructors, "  "))
-            if chunk:
-                body_chunks.append(chunk)
-        elif isinstance(member, DirectiveBlock):
-            body_chunks.append(_render_directive(member, "  "))
-        else:
-            body_chunks.append(translate_definition_to_scala(member, constructors, "  "))
-    if body_chunks:
-        lines.append(head + " {")
-        lines.extend(join_blocks(body_chunks))
-        lines.append("}")
-    else:
-        lines.append(head)
-    lines.append("")
-    lines.extend(_render_constructor(cls, constructors))
-    return lines
-
-
-def _render_constructor(
-    cls: ClassDecl, constructors: dict[str, ConstructorSignature]
-) -> list[str]:
-    sig = constructors.get(cls.name + "_")
-    if sig is None:
-        return []
-    fields = ", ".join(
-        f"{name} : {translate_type_to_scala(ftype)}" for name, ftype in sig.fields
-    )
-    params = ""
-    applied = cls.name
-    if cls.type_params:
-        # bounds must be repeated or extending the trait fails its checks
-        declared = ", ".join(
-            translate_type_to_scala(tp) for tp in cls.type_params
-        )
-        names = ", ".join(tp.name for tp in cls.type_params)
-        params = f" [{declared}]"
-        applied += f" [{names}]"
-    return [f"case class {cls.name}_{params} ({fields}) extends {applied}"]
-
-
-# ============================================================
-# whole programs
-# ============================================================
+    return _ScalaPrinter(constructors or {}).definition(d, indent)
 
 
 def translate_to_scala(analyzed: AnalyzedProgram) -> ScalaRendering:
     """Render the whole program. Directive blocks for other targets are
     dropped; ``scala`` directives appear verbatim at their source position."""
     program = filter_directives(analyzed.program, "scala")
-    chunks: list[tuple[list[str], SourceSpan]] = []
-    if program.package_name:
-        chunks.append(([f"package {program.package_name}"], program.span))
-    for imp in program.imports:
-        chunks.append(([f"import {imp}"], program.span))
-    for item in program.items:
-        if isinstance(item, ClassDecl):
-            chunks.append((_render_class(item, analyzed.constructors), item.span))
-        else:
-            chunks.append((_render_directive(item, ""), item.span))
-    lines: list[str] = []
-    source_map: dict[int, SourceSpan] = {}
-    for i, (chunk, span) in enumerate(chunks):
-        if i:
-            lines.append("")
-        source_map[len(lines) + 1] = span
-        lines.extend(chunk)
-    text = "\n".join(lines) + "\n" if lines else ""
+    text, source_map = _ScalaPrinter(analyzed.constructors).program(program)
     return ScalaRendering(text, source_map)

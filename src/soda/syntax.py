@@ -1,6 +1,7 @@
 """Soda abstract syntax: spans, tokens, expression and declaration trees,
-diagnostics, the shared traversal, the one printer of expressions, types and
-patterns, and the pretty-printer.
+diagnostics, the shared traversal, and the one printer of expressions,
+types, patterns and declarations, which the pretty-printer and both
+backends share.
 
 Every node is an instance of a tree class (see ``tree_class``): immutable
 after construction, with dataclass fields; spans and tokens, which the lexer
@@ -898,11 +899,13 @@ _PRINT_METHODS = {
 
 
 class ExprPrinter:
-    """Single-line printer of expressions, types and patterns. Each node
-    prints bare together with its precedence, and ``expr`` parenthesizes it
-    exactly where the context binds tighter. This class writes Soda; the
-    Scala and Lean backends subclass it and override what their language
-    writes differently."""
+    """The one printer of expressions, types, patterns and declarations.
+    Each expression, type or pattern prints bare on one line together with
+    its precedence, and ``expr`` parenthesizes it exactly where the context
+    binds tighter. Definitions, directive blocks and classes print as lists
+    of lines, and ``program`` joins a whole file. This class writes Soda;
+    the Scala and Lean backends subclass it and override what their
+    language writes differently."""
 
     #: Spelling of each binary operator.
     binary_ops = {op: op for op in BINARY_PRECEDENCE}
@@ -1025,6 +1028,90 @@ class ExprPrinter:
             parts.append(f"case {self.expr(c.pattern)} ==> {self.expr(c.result, PREC_OR)}")
         return " ".join(parts), PREC_LOW
 
+    # ---------- declarations: lists of lines ----------
+
+    comment = "//"
+    writes_tailrec = True
+    defines = "="
+
+    def comments(self, node: Union[Definition, ClassDecl], indent: str) -> list[str]:
+        return [f"{indent}{self.comment}{c}" for c in node.leading_comments]
+
+    def keyword(self, d: Definition) -> str:
+        """What goes before a definition's name."""
+        return ""
+
+    def match_block(self, e: Match, indent: str) -> Optional[list[str]]:
+        """The lines of a ``match`` that is a definition's whole body, at
+        ``indent`` below the definition's head; None, as in Soda, puts the
+        body on the head's line."""
+        return None
+
+    def definition(self, d: Definition, indent: str) -> list[str]:
+        lines = self.comments(d, indent)
+        if d.is_tailrec_annotated and self.writes_tailrec:
+            lines.append(f"{indent}@tailrec")
+        head = f"{indent}{self.keyword(d)}{d.name}{self.signature(d)}"
+        if d.body is None:
+            return lines + [head]
+        block = self.match_block(d.body, indent + "  ") if type(d.body) is Match else None
+        if block is None:
+            return lines + [f"{head} {self.defines} {self.expr(d.body)}"]
+        return lines + [f"{head} {self.defines}", *block]
+
+    def spliced(self, block: DirectiveBlock, indent: str) -> list[str]:
+        """The block's raw lines at ``indent``; blank ones stay empty."""
+        return [indent + raw if raw else "" for raw in block.raw_lines]
+
+    def directive(self, block: DirectiveBlock, indent: str) -> list[str]:
+        return [f"{indent}directive {block.target}", *self.spliced(block, indent + "  ")]
+
+    def class_(self, c: ClassDecl) -> list[str]:
+        head = f"class {c.name}"
+        for tp in c.type_params:
+            if tp.bound_kind == "none":
+                head += f" [{tp.name} : Type]"
+            else:
+                head += f" [{tp.name} {tp.bound_kind} {self.expr(tp.bound)}]"
+        if c.extends_list:
+            head += " extends " + " ".join(map(self.expr, c.extends_list))
+        lines = [*self.comments(c, ""), head]
+        for member in c.members:
+            lines.append("")
+            if isinstance(member, AbstractBlock):
+                lines.append("  abstract")
+                for decl in member.members:
+                    lines += self.definition(decl, "    ")
+            elif isinstance(member, DirectiveBlock):
+                lines += self.directive(member, "  ")
+            else:
+                lines += self.definition(member, "  ")
+        return lines + ["", "end"]
+
+    def import_chunks(self, imports: tuple[str, ...]) -> list[list[str]]:
+        """The imports as top-level chunks: one chunk of them all in Soda."""
+        return [[f"import {name}" for name in imports]] if imports else []
+
+    def program(self, p: Program) -> tuple[str, dict[int, SourceSpan]]:
+        """The text of a whole program, and the line (1-based) where each
+        top-level chunk starts, with the span of what the chunk came from.
+        One blank line separates neighbouring chunks."""
+        chunks = [([f"package {p.package_name}"], p.span)] if p.package_name else []
+        chunks += [(imports, p.span) for imports in self.import_chunks(p.imports)]
+        for item in p.items:
+            if isinstance(item, ClassDecl):
+                chunks.append((self.class_(item), item.span))
+            else:
+                chunks.append((self.directive(item, ""), item.span))
+        lines: list[str] = []
+        starts: dict[int, SourceSpan] = {}
+        for i, (chunk, span) in enumerate(chunks):
+            if i:
+                lines.append("")
+            starts[len(lines) + 1] = span
+            lines += chunk
+        return ("\n".join(lines) + "\n" if lines else ""), starts
+
 
 ExprPrinter.__init_subclass__()  # the base class's own dispatch table
 _SODA_PRINTER = ExprPrinter()
@@ -1037,59 +1124,6 @@ def format_expr(e: Union[Expr, TypeExpr, Pattern], context: int = PREC_LOW) -> s
     return _SODA_PRINTER.expr(e, context)
 
 
-def _format_definition(d: Definition, indent: str) -> list[str]:
-    lines = []
-    for c in d.leading_comments:
-        lines.append(f"{indent}//{c}")
-    if d.is_tailrec_annotated:
-        lines.append(f"{indent}@tailrec")
-    head = d.name + _SODA_PRINTER.signature(d)
-    if d.body is not None:
-        head += f" = {format_expr(d.body, PREC_LOW)}"
-    lines.append(indent + head)
-    return lines
-
-
-def _format_type_param(tp: TypeParam) -> str:
-    if tp.bound_kind == "none":
-        return f"[{tp.name} : Type]"
-    return f"[{tp.name} {tp.bound_kind} {format_expr(tp.bound)}]"
-
-
-def _format_directive(block: DirectiveBlock, indent: str) -> list[str]:
-    lines = [f"{indent}directive {block.target}"]
-    for raw in block.raw_lines:
-        lines.append(f"{indent}  {raw}" if raw else "")
-    return lines
-
-
-def _format_class(c: ClassDecl) -> list[str]:
-    lines = []
-    for comment in c.leading_comments:
-        lines.append(f"//{comment}")
-    head = f"class {c.name}"
-    for tp in c.type_params:
-        head += f" {_format_type_param(tp)}"
-    if c.extends_list:
-        head += " extends " + " ".join(format_expr(t) for t in c.extends_list)
-    lines.append(head)
-    lines.append("")
-    for member in c.members:
-        if isinstance(member, AbstractBlock):
-            lines.append("  abstract")
-            for decl in member.members:
-                lines.extend(_format_definition(decl, "    "))
-            lines.append("")
-        elif isinstance(member, DirectiveBlock):
-            lines.extend(_format_directive(member, "  "))
-            lines.append("")
-        else:
-            lines.extend(_format_definition(member, "  "))
-            lines.append("")
-    lines.append("end")
-    return lines
-
-
 def pretty_print(program: Program) -> str:
     """Canonical Soda concrete syntax for a well-formed program.
 
@@ -1097,26 +1131,4 @@ def pretty_print(program: Program) -> str:
     fixpoint after one pass: pretty_print(parse(pretty_print(p))) equals
     pretty_print(p).
     """
-    chunks: list[list[str]] = []
-    if program.package_name:
-        chunks.append([f"package {program.package_name}"])
-    if program.imports:
-        chunks.append([f"import {name}" for name in program.imports])
-    for item in program.items:
-        if isinstance(item, ClassDecl):
-            chunks.append(_format_class(item))
-        else:
-            chunks.append(_format_directive(item, ""))
-    if not chunks:
-        return ""
-    return "\n".join(join_blocks(chunks)) + "\n"
-
-
-def join_blocks(blocks: list[list[str]]) -> list[str]:
-    """The blocks' lines in order, with one blank line between neighbours."""
-    lines: list[str] = []
-    for i, block in enumerate(blocks):
-        if i:
-            lines.append("")
-        lines.extend(block)
-    return lines
+    return _SODA_PRINTER.program(program)[0]

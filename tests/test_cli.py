@@ -135,6 +135,35 @@ def test_run_converts_literal_arguments(tmp_path, capsys):
     assert capsys.readouterr().out == '"yes"\n'
 
 
+ECHO = (
+    "class A\n\n  g (s : String) : String = s\n\n"
+    "  f (x : Int) : Int = x + 1\n\nend\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text", ["1_000", " 7", "+5"], ids=["underscore", "blank", "plus"]
+)
+def test_run_argument_that_is_no_integer_literal_is_a_string(tmp_path, capsys, text):
+    # Python's int() reads all three; a Soda integer literal is digits only.
+    f = tmp_path / "echo.soda"
+    f.write_text(ECHO)
+    assert call("run", f, "A.g", text) == 0
+    assert capsys.readouterr().out == f'"{text}"\n'
+
+
+@pytest.mark.parametrize(
+    "text, printed",
+    [("-12", "-11"), ("1" + "0" * 4999, "1" + "0" * 4998 + "1")],
+    ids=["negative", "5000-digits"],
+)
+def test_run_argument_that_is_an_integer_literal_is_an_int(tmp_path, capsys, text, printed):
+    f = tmp_path / "echo.soda"
+    f.write_text(ECHO)
+    assert call("run", f, "A.f", text) == 0
+    assert capsys.readouterr().out == printed + "\n"
+
+
 def test_run_fault_goes_to_stderr(pair_file, capsys):
     assert call("run", pair_file, "Main.crash") == 1
     cap = capsys.readouterr()

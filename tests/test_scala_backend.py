@@ -2,7 +2,13 @@
 
 from pathlib import Path
 
-from soda import analyze, parse, translate_to_scala, translate_type_to_scala
+from soda import (
+    analyze,
+    parse,
+    translate_definition_to_scala,
+    translate_to_scala,
+    translate_type_to_scala,
+)
 from soda.syntax import (
     AppliedType,
     FunctionType,
@@ -201,3 +207,31 @@ def test_type_rendering_table():
     assert translate_type_to_scala(
         TypeParam("A", "subtype", NamedType("B", S), S)
     ) == "A <: B"
+
+
+SWAP = (
+    "class P\n\n  abstract\n    fst : Int\n    snd : Int\n\n"
+    "  swap (p : P) : P = match p case P_ (a) (b) ==> P_ (b) (a)\n\nend\n"
+)
+
+
+def test_translate_definition_to_scala_gives_the_lines_the_golden_embeds():
+    analyzed = analyze(parse((GOLDENS / "pair_param.soda").read_text(), "p.soda").program)
+    golden = (GOLDENS / "pair_param.scala").read_text()
+    for d in analyzed.program.classes[0].abstract_members:
+        lines = translate_definition_to_scala(d, analyzed.constructors, "  ")
+        assert lines == [f"  def {d.name} : {d.result_type.name}"]
+        assert "\n" + "\n".join(lines) + "\n" in golden
+
+
+def test_translate_definition_to_scala_gives_the_lines_of_a_match_body():
+    analyzed = analyze(parse(SWAP, "t.soda").program)
+    swap = analyzed.program.classes[0].definitions[0]
+    lines = translate_definition_to_scala(swap, analyzed.constructors, "  ")
+    assert lines == [
+        "  def swap (p : P) : P =",
+        "    p match {",
+        "      case P_ (a, b) => P_ (b, a)",
+        "    }",
+    ]
+    assert "\n" + "\n".join(lines) + "\n" in translate_to_scala(analyzed).text
