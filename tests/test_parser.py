@@ -20,6 +20,9 @@ from soda.syntax import (
     TypeApply,
     UnaryNot,
     VarBindPattern,
+    SourceSpan,
+    Token,
+    TokenKind,
     WildcardPattern,
     synthetic_span,
 )
@@ -341,3 +344,63 @@ def test_diagnostic_positions_are_one_based():
     assert err.span.line_start == 3
     assert err.span.col_start >= 1
     assert "pos.soda:3:" in err.render()
+
+
+# --- parse_expression over a caller's token list ---
+
+
+def _other(line, col, end_line, end_col):
+    return SourceSpan("other.soda", line, col, end_line, end_col)
+
+
+def test_parse_expression_keeps_the_spans_of_a_hand_made_token_list():
+    # f (x) + "a…b", placed from line 7 of another file; the string token is
+    # given a span over two lines, which no lexer would produce.
+    toks = [
+        Token(TokenKind.IDENTIFIER, "f", _other(7, 5, 7, 6)),
+        Token(TokenKind.OPEN_PAREN, "(", _other(7, 7, 7, 8)),
+        Token(TokenKind.IDENTIFIER, "x", _other(7, 8, 7, 9)),
+        Token(TokenKind.CLOSE_PAREN, ")", _other(7, 9, 7, 10)),
+        Token(TokenKind.OPERATOR_SYMBOL, "+", _other(7, 11, 7, 12)),
+        Token(TokenKind.STRING_LITERAL, '"ab"', _other(7, 13, 8, 3)),
+        Token(TokenKind.END_OF_INPUT, "", _other(8, 3, 8, 3)),
+    ]
+    expr, next_position = parse_expression(toks)
+    assert expr == BinaryOp(
+        "+", Apply(Identifier("f", S), Identifier("x", S), S), StringLiteral("ab", S), S
+    )
+    assert next_position == 6
+    assert expr.span == _other(7, 5, 8, 3)
+    assert expr.left.span == _other(7, 5, 7, 10)
+    assert expr.left.function.span == _other(7, 5, 7, 6)
+    assert expr.left.argument.span == _other(7, 8, 7, 9)
+    assert expr.right.span == _other(7, 13, 8, 3)
+
+
+def test_parse_expression_from_a_later_position():
+    toks = tokenize("f (1) (2) g\nh = b + c * 2 d").tokens
+    expr, next_position = parse_expression(toks, 2)
+    assert expr == IntLiteral(1, S)
+    assert next_position == 3 and toks[3].kind == TokenKind.CLOSE_PAREN
+    start = [t.text for t in toks].index("b")
+    expr, next_position = parse_expression(toks, start)
+    assert expr == BinaryOp(
+        "+", Identifier("b", S), BinaryOp("*", Identifier("c", S), IntLiteral(2, S), S), S
+    )
+    assert toks[next_position].text == "d"
+    assert expr.span == ("<input>", 2, 5, 2, 14)
+
+
+def test_parse_expression_without_end_of_input():
+    span = _other(1, 1, 1, 2)
+    toks = [
+        Token(TokenKind.IDENTIFIER, "x", span),
+        Token(TokenKind.OPERATOR_SYMBOL, "+", span),
+        Token(TokenKind.INTEGER_LITERAL, "2", span),
+    ]
+    expr, next_position = parse_expression(toks)
+    assert expr == BinaryOp("+", Identifier("x", S), IntLiteral(2, S), S)
+    assert next_position == 3 and len(toks) == 3
+    assert parse_expression(toks[:2]) == (None, 2)
+    assert parse_expression([]) == (None, 0)
+
