@@ -46,7 +46,10 @@ def _load(path: str) -> Optional[str]:
             return fh.read()
     except OSError as ex:
         print(f"{path}: {ex.strerror or ex}", file=sys.stderr)
-        return None
+    except UnicodeDecodeError as ex:
+        print(f"{path}: not valid UTF-8 (byte 0x{ex.object[ex.start]:02x}"
+              f" at offset {ex.start})", file=sys.stderr)
+    return None
 
 
 def _write_atomic(path: str, text: str) -> bool:

@@ -239,6 +239,20 @@ def test_missing_input_file_fails_cleanly(tmp_path, capsys):
     assert "nope.soda" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["check"], ["fmt"], ["run", "A.x"]])
+def test_file_that_is_not_utf8_fails_without_a_traceback(tmp_path, command):
+    f = tmp_path / "bad.soda"
+    f.write_bytes(b"class A\n\n  x = \xff\nend\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "soda", command[0], str(f), *command[1:]],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"{f}: not valid UTF-8 (byte 0xff at offset 15)\n"
+
+
 def test_module_entry_point(pair_file):
     proc = subprocess.run(
         [sys.executable, "-m", "soda", "run", str(pair_file), "Main.demo"],
