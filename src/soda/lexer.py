@@ -10,12 +10,18 @@ Directive blocks are special: after a line whose first token is the
 ``directive`` reserved word, every following line that is blank or indented
 deeper than the directive line is captured verbatim as a ``raw_line`` token.
 Raw lines carry target-language text and are never scanned as Soda.
+
+Tokens go to parallel lists (``LexResult``): kind, text, line and column; a
+token lies on one line and is as wide as its text. ``parse`` reads the lists
+and builds spans only for nodes and diagnostics, as Go's ``token.Pos`` and
+rustc's ``Span`` leave positions to a ``token.File`` or ``SourceMap``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .syntax import (
     Diagnostic,
@@ -59,8 +65,25 @@ _BRACKETS = {
 
 @dataclass
 class LexResult:
-    tokens: list[Token]
-    diagnostics: list[Diagnostic]
+    """Token ``i`` is ``kinds[i]`` with lexeme ``texts[i]``, from column
+    ``cols[i]`` of line ``lines[i]`` of ``file``, ``len(texts[i])`` wide."""
+
+    file: str
+    kinds: list[str] = field(default_factory=list)
+    texts: list[str] = field(default_factory=list)
+    lines: list[int] = field(default_factory=list)
+    cols: list[int] = field(default_factory=list)
+    diagnostics: list[Diagnostic] = field(default_factory=list)
+
+    def span(self, i: int) -> SourceSpan:
+        """Token ``i``'s span; ``tuple.__new__`` skips ``SourceSpan.__new__``."""
+        line, col = self.lines[i], self.cols[i]
+        return tuple.__new__(SourceSpan, (self.file, line, col, line, col + len(self.texts[i])))
+
+    @cached_property
+    def tokens(self) -> list[Token]:
+        """The tokens as ``Token`` values, built when first read."""
+        return [Token(self.kinds[i], self.texts[i], self.span(i)) for i in range(len(self.kinds))]
 
     @property
     def ok(self) -> bool:
@@ -72,19 +95,21 @@ class _Scanner:
     """Mutable cursor over one source text. One instance per tokenize call."""
 
     source: str
-    file: str
-    tokens: list[Token] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    out: LexResult
     indent_stack: list[int] = field(default_factory=lambda: [0])
     bracket_depth: int = 0
     raw_mode: bool = False
     raw_threshold: int = 0
 
     def span(self, line: int, col_start: int, col_end: int) -> SourceSpan:
-        return SourceSpan(self.file, line, col_start, line, col_end)
+        return SourceSpan(self.out.file, line, col_start, line, col_end)
 
-    def emit(self, kind: str, text: str, line: int, col_start: int, col_end: int) -> None:
-        self.tokens.append(Token(kind, text, self.span(line, col_start, col_end)))
+    def emit(self, kind: str, text: str, line: int, col: int) -> None:
+        out = self.out
+        out.kinds.append(kind)
+        out.texts.append(text)
+        out.lines.append(line)
+        out.cols.append(col)
 
     def run(self) -> LexResult:
         lines = self.source.split("\n")
@@ -98,9 +123,9 @@ class _Scanner:
         eof_line = len(lines) + 1
         while len(self.indent_stack) > 1:
             self.indent_stack.pop()
-            self.emit(TokenKind.DEDENT, "", eof_line, 1, 1)
-        self.emit(TokenKind.END_OF_INPUT, "", eof_line, 1, 1)
-        return LexResult(self.tokens, self.diagnostics)
+            self.emit(TokenKind.DEDENT, "", eof_line, 1)
+        self.emit(TokenKind.END_OF_INPUT, "", eof_line, 1)
+        return self.out
 
     # ---------- raw (directive) lines ----------
 
@@ -108,11 +133,11 @@ class _Scanner:
         """Capture one directive-body line; False ends raw mode and hands the
         line back to normal scanning."""
         if line.strip() == "":
-            self.emit(TokenKind.RAW_LINE, "", lineno, 1, 1)
+            self.emit(TokenKind.RAW_LINE, "", lineno, 1)
             return True
         indent = len(line) - len(line.lstrip(" \t"))
         if indent > self.raw_threshold:
-            self.emit(TokenKind.RAW_LINE, line, lineno, 1, len(line) + 1)
+            self.emit(TokenKind.RAW_LINE, line, lineno, 1)
             return True
         self.raw_mode = False
         return False
@@ -124,7 +149,7 @@ class _Scanner:
         tab_reported = False
         while col < len(line) and line[col] in " \t":
             if line[col] == "\t" and not tab_reported:
-                self.diagnostics.append(
+                self.out.diagnostics.append(
                     error("E-LEX-003", "tab character in indentation", self.span(lineno, col + 1, col + 2))
                 )
                 tab_reported = True
@@ -135,19 +160,19 @@ class _Scanner:
         top = self.indent_stack[-1]
         if indent > top:
             self.indent_stack.append(indent)
-            self.emit(TokenKind.INDENT, "", lineno, indent + 1, indent + 1)
+            self.emit(TokenKind.INDENT, "", lineno, indent + 1)
             return
         while indent < self.indent_stack[-1]:
             if indent > self.indent_stack[-2]:
                 message = (f"dedent to column {indent + 1} does not match"
                            " any enclosing indentation level")
                 span = self.span(lineno, indent + 1, indent + 1)
-                self.diagnostics.append(error("E-LEX-004", message, span))
+                self.out.diagnostics.append(error("E-LEX-004", message, span))
                 # Recover by keeping the line in the level it leaves only in
                 # part, so no dedent is emitted without its indent.
                 return
             self.indent_stack.pop()
-            self.emit(TokenKind.DEDENT, "", lineno, indent + 1, indent + 1)
+            self.emit(TokenKind.DEDENT, "", lineno, indent + 1)
 
     def _scan_line(self, line: str, lineno: int) -> None:
         if self.bracket_depth == 0:
@@ -156,29 +181,30 @@ class _Scanner:
             if rest == "":
                 return
             if rest.startswith("//"):
-                self.emit(TokenKind.COMMENT, rest, lineno, indent + 1, len(line) + 1)
+                self.emit(TokenKind.COMMENT, rest, lineno, indent + 1)
                 return
             self._apply_layout(indent, lineno)
             col = indent
         else:
             col = 0
 
-        first_token_index = len(self.tokens)
+        first_token_index = len(self.out.kinds)
         line_opened_at_depth_zero = self.bracket_depth == 0
         self._scan_content(line, lineno, col)
         if self.bracket_depth == 0:
-            self.emit(TokenKind.NEWLINE, "", lineno, len(line) + 1, len(line) + 1)
+            self.emit(TokenKind.NEWLINE, "", lineno, len(line) + 1)
         if (
             line_opened_at_depth_zero
-            and first_token_index < len(self.tokens)
-            and self.tokens[first_token_index].kind == TokenKind.RESERVED_WORD
-            and self.tokens[first_token_index].text == "directive"
+            and first_token_index < len(self.out.kinds)
+            and self.out.kinds[first_token_index] == TokenKind.RESERVED_WORD
+            and self.out.texts[first_token_index] == "directive"
         ):
             self.raw_mode = True
             self.raw_threshold = len(line) - len(line.lstrip(" \t"))
 
     def _scan_content(self, line: str, lineno: int, col: int) -> None:
-        tokens, file, n = self.tokens, self.file, len(line)
+        out, n = self.out, len(line)
+        kinds, texts, lines, cols = out.kinds.append, out.texts.append, out.lines.append, out.cols.append
         while True:
             m = _TOKEN(line, col)
             group = m.lastgroup
@@ -208,12 +234,15 @@ class _Scanner:
                 continue
             else:
                 kind = group
-            tokens.append(Token(kind, text, SourceSpan(file, lineno, start + 1, lineno, col + 1)))
+            kinds(kind)
+            texts(text)
+            lines(lineno)
+            cols(start + 1)
 
     def _illegal(self, line: str, lineno: int, col: int) -> None:
         ch = line[col]
         message = "stray '@'" if ch == "@" else f"illegal character {ch!r}"
-        self.diagnostics.append(error("E-LEX-002", message, self.span(lineno, col + 1, col + 2)))
+        self.out.diagnostics.append(error("E-LEX-002", message, self.span(lineno, col + 1, col + 2)))
 
     def _scan_string(self, line: str, lineno: int, col: int) -> int:
         """Scan a string literal from its opening quote. Only ``\\\"`` and
@@ -224,14 +253,14 @@ class _Scanner:
         while end < n:
             ch = line[end]
             if ch == '"':
-                self.emit(TokenKind.STRING_LITERAL, line[col : end + 1], lineno, col + 1, end + 2)
+                self.emit(TokenKind.STRING_LITERAL, line[col : end + 1], lineno, col + 1)
                 return end + 1
             if ch == "\\":
                 if end + 1 < n and line[end + 1] in ('"', "\\"):
                     end += 2
                     continue
                 bad = line[end : end + 2]
-                self.diagnostics.append(
+                self.out.diagnostics.append(
                     error(
                         "E-LEX-002",
                         f"illegal escape sequence {bad!r} in string literal",
@@ -241,10 +270,10 @@ class _Scanner:
                 end += 2
                 continue
             end += 1
-        self.diagnostics.append(
+        self.out.diagnostics.append(
             error("E-LEX-001", "unterminated string literal", self.span(lineno, col + 1, n + 1))
         )
-        self.emit(TokenKind.STRING_LITERAL, line[col:n], lineno, col + 1, n + 1)
+        self.emit(TokenKind.STRING_LITERAL, line[col:n], lineno, col + 1)
         return n
 
 
@@ -270,7 +299,7 @@ def decode_string_text(text: str) -> str:
 def tokenize(source: str, file: str = "<input>") -> LexResult:
     """Tokenize one Soda source text.
 
-    Always returns a token list ending in ``end_of_input``, with balanced
+    Always returns tokens ending in ``end_of_input``, with balanced
     indent/dedent tokens, even when diagnostics were produced.
     """
-    return _Scanner(source, file).run()
+    return _Scanner(source, LexResult(file)).run()

@@ -1,11 +1,13 @@
-"""Parser for Soda: token stream to abstract syntax.
+"""Parser for Soda: token lists to abstract syntax.
 
-Recursive descent over the lexer's token stream. Expression continuation
-across lines follows the offside rule: at a newline the parser looks past
-the layout tokens, and if the net indentation relative to the line that
-opened the construct stays positive, the newline is consumed and the
-expression continues; otherwise the expression ends at that newline and the
-enclosing declaration consumes the newline plus the dedents it opened.
+Recursive descent that reads the lexer's token kinds and texts by index and
+builds a span only for a node or a diagnostic. Expression continuation
+across lines follows the offside rule: at a newline the parser looks up the
+net indentation of the layout tokens after it (``_newline_runs``), and if,
+relative to the line that opened the construct, it stays positive, the
+newline is consumed and the expression continues; otherwise the expression
+ends at that newline and the enclosing declaration consumes the newline plus
+the dedents it opened.
 
 Error recovery is line- and keyword-based: a failed declaration skips to the
 end of its logical line, a failed top-level item skips to the next
@@ -16,7 +18,7 @@ collected; a parse with any error yields no program.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .lexer import decode_string_text, tokenize
 from .syntax import (
@@ -63,8 +65,9 @@ from .syntax import (
 )
 
 _TOP_KEYWORDS = frozenset({"class", "directive", "package", "import"})
-_LAYOUT_KINDS = (TokenKind.INDENT, TokenKind.DEDENT, TokenKind.COMMENT)
 _BINARY_OP_KINDS = (TokenKind.OPERATOR_SYMBOL, TokenKind.RESERVED_WORD)
+_TICKS = frozenset({TokenKind.NEWLINE, TokenKind.COMMENT})
+_LAYOUT_STEP = {TokenKind.INDENT: 1, TokenKind.DEDENT: -1, TokenKind.COMMENT: 0}
 
 
 @dataclass
@@ -86,12 +89,28 @@ def _error_expr(span: SourceSpan) -> Expr:
     return Identifier("<error>", span)
 
 
+def _newline_runs(kinds: list[str]) -> dict[int, tuple[int, int]]:
+    """For each newline: the index just past the layout tokens after it, and
+    their net indentation (+1 per indent, -1 per dedent)."""
+    runs = {}
+    i = -1
+    for _ in range(kinds.count(TokenKind.NEWLINE)):
+        i = kinds.index(TokenKind.NEWLINE, i + 1)
+        j, net = i + 1, 0
+        while (step := _LAYOUT_STEP.get(kinds[j])) is not None:
+            j, net = j + 1, net + step
+        runs[i] = (j, net)
+    return runs
+
+
 class Parser:
-    def __init__(self, tokens: list[Token], file: str = "<input>"):
-        if not tokens or tokens[-1].kind != TokenKind.END_OF_INPUT:
-            tokens = list(tokens) + [Token(TokenKind.END_OF_INPUT, "", synthetic_span(file))]
-        self.tokens = tokens
-        self.file = file
+    def __init__(self, kinds: list[str], texts: list[str], span: Callable[[int], SourceSpan]):
+        """Token ``i`` has kind ``kinds[i]``, text ``texts[i]`` and span
+        ``span(i)``; the last token is ``end_of_input``."""
+        self.kinds = kinds
+        self.texts = texts
+        self.span = span
+        self.runs = _newline_runs(kinds)
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         # Indentation consumed by the declaration currently being parsed,
@@ -105,117 +124,101 @@ class Parser:
 
     # ---------- token plumbing ----------
 
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
-    def peek(self, offset: int = 1) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
-
-    def advance(self) -> Token:
-        t = self.tokens[self.pos]
-        if t.kind != TokenKind.END_OF_INPUT:
-            self.pos += 1
-        return t
+    def advance(self) -> int:
+        """Step past the current token, if not end of input; return its index."""
+        i = self.pos
+        if self.kinds[i] != TokenKind.END_OF_INPUT:
+            self.pos = i + 1
+        return i
 
     def prev_span(self) -> SourceSpan:
-        return self.tokens[self.pos - 1].span if self.pos > 0 else self.cur().span
+        return self.span(max(self.pos - 1, 0))
 
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        t = self.cur()
-        return t.kind == kind and (text is None or t.text == text)
+    def at(self, kind: str) -> bool:
+        return self.kinds[self.pos] == kind
 
     def at_reserved(self, word: str) -> bool:
-        return self.at(TokenKind.RESERVED_WORD, word)
+        return self.texts[self.pos] == word and self.kinds[self.pos] == TokenKind.RESERVED_WORD
 
     def at_op(self, op: str) -> bool:
-        return self.at(TokenKind.OPERATOR_SYMBOL, op)
+        return self.texts[self.pos] == op and self.kinds[self.pos] == TokenKind.OPERATOR_SYMBOL
 
     def err(self, code: str, message: str, span: Optional[SourceSpan] = None) -> None:
-        self.diagnostics.append(error(code, message, span or self.cur().span))
+        self.diagnostics.append(error(code, message, span or self.span(self.pos)))
 
-    def expect_op(self, op: str) -> Optional[Token]:
+    def expect_op(self, op: str) -> None:
         if self.at_op(op):
-            return self.advance()
-        self.err("E-PAR-001", f"expected '{op}', found {self._describe(self.cur())}")
-        return None
+            self.pos += 1
+        else:
+            self.err("E-PAR-001", f"expected '{op}', found {self._describe()}")
 
-    def expect_kind(self, kind: str, what: str) -> Optional[Token]:
+    def expect_kind(self, kind: str, what: str) -> str:
+        """Consume a token of ``kind`` and return its text, or "<error>"."""
         if self.at(kind):
-            return self.advance()
-        self.err("E-PAR-001", f"expected {what}, found {self._describe(self.cur())}")
-        return None
+            return self.texts[self.advance()]
+        self.err("E-PAR-001", f"expected {what}, found {self._describe()}")
+        return "<error>"
 
-    @staticmethod
-    def _describe(t: Token) -> str:
-        if t.kind == TokenKind.END_OF_INPUT:
+    def _describe(self) -> str:
+        kind = self.kinds[self.pos]
+        if kind == TokenKind.END_OF_INPUT:
             return "end of input"
-        if t.kind == TokenKind.NEWLINE:
+        if kind == TokenKind.NEWLINE:
             return "end of line"
-        if t.kind in (TokenKind.INDENT, TokenKind.DEDENT):
-            return t.kind
-        return f"'{t.text}'"
+        if kind in (TokenKind.INDENT, TokenKind.DEDENT):
+            return kind
+        return f"'{self.texts[self.pos]}'"
 
     # ---------- layout ----------
 
     def _expr_tick(self) -> None:
         """Skip comments, and consume a newline plus its layout tokens when
-        the following line still belongs to the current construct."""
+        the following line still belongs to the current construct. Hot paths
+        call it only at a token in ``_TICKS``, the kinds it acts on."""
         while True:
-            t = self.cur()
-            if t.kind == TokenKind.COMMENT:
+            kind = self.kinds[self.pos]
+            if kind == TokenKind.COMMENT:
                 self.pos += 1
-                continue
-            if t.kind == TokenKind.NEWLINE and self.layout_enabled:
-                j = self.pos + 1
-                net = self.rel_depth
-                while self.tokens[j].kind in _LAYOUT_KINDS:
-                    if self.tokens[j].kind == TokenKind.INDENT:
-                        net += 1
-                    elif self.tokens[j].kind == TokenKind.DEDENT:
-                        net -= 1
-                    j += 1
-                if net <= 0:
+            elif kind == TokenKind.NEWLINE and self.layout_enabled:
+                after, net = self.runs[self.pos]
+                if self.rel_depth + net <= 0:
                     return
-                self.pos += 1
-                while self.tokens[self.pos].kind in _LAYOUT_KINDS:
-                    k = self.tokens[self.pos].kind
-                    if k == TokenKind.INDENT:
-                        self.rel_depth += 1
-                    elif k == TokenKind.DEDENT:
-                        self.rel_depth -= 1
-                    self.pos += 1
-                continue
-            return
+                self.pos = after
+                self.rel_depth += net
+            else:
+                return
+
+    def _skip_newline(self) -> None:
+        if self.kinds[self.pos] == TokenKind.NEWLINE:
+            self.pos += 1
 
     def _end_declaration_line(self) -> None:
         """Consume the newline ending a declaration and balance out any
         indentation its continuation lines opened."""
-        if not self.at(TokenKind.NEWLINE) and not self.cur().kind in (
+        if self.kinds[self.pos] not in (
+            TokenKind.NEWLINE,
             TokenKind.DEDENT,
             TokenKind.END_OF_INPUT,
             TokenKind.COMMENT,
         ):
             self.err(
                 "E-PAR-001",
-                f"unexpected {self._describe(self.cur())} after declaration",
+                f"unexpected {self._describe()} after declaration",
             )
-            while self.cur().kind not in (
+            while self.kinds[self.pos] not in (
                 TokenKind.NEWLINE,
                 TokenKind.DEDENT,
                 TokenKind.END_OF_INPUT,
             ):
                 self.advance()
-        if self.at(TokenKind.NEWLINE):
-            self.advance()
+        self._skip_newline()
         while self.rel_depth > 0:
-            k = self.cur().kind
-            if k == TokenKind.DEDENT:
+            kind = self.kinds[self.pos]
+            if kind == TokenKind.DEDENT:
                 self.advance()
                 self.rel_depth -= 1
-            elif k == TokenKind.COMMENT:
-                self.pending_comments.append(self.cur().text[2:])
-                self.advance()
+            elif kind == TokenKind.COMMENT:
+                self.pending_comments.append(self.texts[self.advance()][2:])
             else:
                 break
 
@@ -224,10 +227,10 @@ class Parser:
             return
         depth = 0
         while not self.at(TokenKind.END_OF_INPUT):
-            k = self.cur().kind
-            if k == TokenKind.INDENT:
+            kind = self.kinds[self.pos]
+            if kind == TokenKind.INDENT:
                 depth += 1
-            elif k == TokenKind.DEDENT:
+            elif kind == TokenKind.DEDENT:
                 depth -= 1
                 if depth == 0:
                     self.advance()
@@ -237,28 +240,26 @@ class Parser:
     def _resync_declaration(self) -> None:
         """After a failed declaration: drop the rest of its logical line."""
         self.advance()
-        while self.cur().kind not in (
+        while self.kinds[self.pos] not in (
             TokenKind.NEWLINE,
             TokenKind.DEDENT,
             TokenKind.END_OF_INPUT,
         ):
             self.advance()
-        if self.at(TokenKind.NEWLINE):
-            self.advance()
+        self._skip_newline()
         self._skip_indented_block()
 
     def _resync_top(self) -> None:
         self.advance()
         while not self.at(TokenKind.END_OF_INPUT):
-            t = self.cur()
-            if t.kind == TokenKind.RESERVED_WORD and t.text in _TOP_KEYWORDS:
+            if self.at(TokenKind.RESERVED_WORD) and self.texts[self.pos] in _TOP_KEYWORDS:
                 return
             self.advance()
 
     def _skip_offending(self) -> None:
         """Skip the token an error was just reported at, unless it ends a
         line, a block or the input, which the enclosing construct needs."""
-        if self.cur().kind not in (TokenKind.NEWLINE, TokenKind.DEDENT, TokenKind.END_OF_INPUT):
+        if self.kinds[self.pos] not in (TokenKind.NEWLINE, TokenKind.DEDENT, TokenKind.END_OF_INPUT):
             self.advance()
 
     def take_pending_comments(self) -> tuple[str, ...]:
@@ -269,7 +270,8 @@ class Parser:
     # ---------- expressions ----------
 
     def parse_expression(self) -> Expr:
-        self._expr_tick()
+        if self.kinds[self.pos] in _TICKS:
+            self._expr_tick()
         if self.at_reserved("lambda"):
             return self._parse_lambda()
         if self.at_reserved("if"):
@@ -284,54 +286,59 @@ class Parser:
         operand takes only operators that bind tighter (left-associative)."""
         left = self._parse_unary()
         while True:
-            self._expr_tick()
-            t = self.cur()
-            prec = BINARY_PRECEDENCE.get(t.text, 0)
-            if prec < min_prec or t.kind not in _BINARY_OP_KINDS:
+            if self.kinds[self.pos] in _TICKS:
+                self._expr_tick()
+            i = self.pos
+            prec = BINARY_PRECEDENCE.get(self.texts[i], 0)
+            if prec < min_prec or self.kinds[i] not in _BINARY_OP_KINDS:
                 return left
-            self.advance()
+            self.pos = i + 1
             right = self._parse_binary(prec + 1)
-            left = BinaryOp(t.text, left, right, left.span.cover(right.span))
+            left = BinaryOp(self.texts[i], left, right, left.span.cover(right.span))
 
     def _parse_unary(self) -> Expr:
-        self._expr_tick()
-        if self.at_reserved("not"):
-            kw = self.advance()
+        if self.kinds[self.pos] in _TICKS:
+            self._expr_tick()
+        i = self.pos
+        if self.texts[i] == "not" and self.kinds[i] == TokenKind.RESERVED_WORD:
+            self.pos = i + 1
             operand = self._parse_unary()
-            return UnaryNot(operand, kw.span.cover(operand.span))
-        if self.at_op("-"):
-            minus = self.advance()
+            return UnaryNot(operand, self.span(i).cover(operand.span))
+        if self.texts[i] == "-" and self.kinds[i] == TokenKind.OPERATOR_SYMBOL:
+            self.pos = i + 1
+            minus = self.span(i)
             self._expr_tick()
             if self.at(TokenKind.INTEGER_LITERAL):
                 lit = self.advance()
-                return IntLiteral(-int_from_text(lit.text), minus.span.cover(lit.span))
+                return IntLiteral(-int_from_text(self.texts[lit]), minus.cover(self.span(lit)))
             operand = self._parse_unary()
             # No dedicated negation node: -e is zero minus e.
-            return BinaryOp("-", IntLiteral(0, minus.span), operand, minus.span.cover(operand.span))
+            return BinaryOp("-", IntLiteral(0, minus), operand, minus.cover(operand.span))
         return self._parse_app()
 
     def _parse_app(self) -> Expr:
         expr = self._parse_primary()
         while True:
-            self._expr_tick()
-            if self.at(TokenKind.OPEN_PAREN):
-                self.advance()
+            if self.kinds[self.pos] in _TICKS:
+                self._expr_tick()
+            kind = self.kinds[self.pos]
+            if kind == TokenKind.OPEN_PAREN:
+                i = self.pos = self.pos + 1
                 if (
-                    self.at(TokenKind.IDENTIFIER)
-                    and self.peek().kind == TokenKind.OPERATOR_SYMBOL
-                    and self.peek().text == ":="
+                    self.kinds[i] == TokenKind.IDENTIFIER
+                    and self.kinds[i + 1] == TokenKind.OPERATOR_SYMBOL
+                    and self.texts[i + 1] == ":="
                 ):
-                    name_tok = self.advance()
-                    self.advance()
+                    self.pos = i + 2
                     arg = self.parse_expression()
                     self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
-                    expr = NamedApply(expr, name_tok.text, arg, expr.span.cover(self.prev_span()))
+                    expr = NamedApply(expr, self.texts[i], arg, expr.span.cover(self.prev_span()))
                 else:
                     arg = self.parse_expression()
                     self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
-                    expr = Apply(expr, arg, expr.span.cover(self.prev_span()))
-            elif self.at(TokenKind.OPEN_BRACKET):
-                self.advance()
+                    expr = Apply(expr, arg, expr.span.cover(self.span(self.pos - 1)))
+            elif kind == TokenKind.OPEN_BRACKET:
+                self.pos += 1
                 ty = self.parse_type()
                 self.expect_kind(TokenKind.CLOSE_BRACKET, "']'")
                 expr = TypeApply(expr, ty, expr.span.cover(self.prev_span()))
@@ -339,39 +346,40 @@ class Parser:
                 return expr
 
     def _parse_primary(self) -> Expr:
-        self._expr_tick()
-        t = self.cur()
-        if t.kind == TokenKind.INTEGER_LITERAL:
-            self.advance()
-            return IntLiteral(int_from_text(t.text), t.span)
-        if t.kind == TokenKind.STRING_LITERAL:
-            self.advance()
-            return StringLiteral(decode_string_text(t.text), t.span)
-        if t.kind == TokenKind.RESERVED_WORD and t.text in ("true", "false"):
-            self.advance()
-            return BoolLiteral(t.text == "true", t.span)
-        if t.kind == TokenKind.RESERVED_WORD and t.text == "this":
-            self.advance()
-            return SelfRef(t.span)
-        if t.kind == TokenKind.IDENTIFIER:
-            self.advance()
-            return Identifier(t.text, t.span)
-        if t.kind == TokenKind.OPEN_PAREN:
-            self.advance()
+        # No _expr_tick: _parse_unary has just called it, at this token.
+        i = self.pos
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == TokenKind.IDENTIFIER:
+            self.pos = i + 1
+            return Identifier(text, self.span(i))
+        if kind == TokenKind.INTEGER_LITERAL:
+            self.pos = i + 1
+            return IntLiteral(int_from_text(text), self.span(i))
+        if kind == TokenKind.STRING_LITERAL:
+            self.pos = i + 1
+            return StringLiteral(decode_string_text(text), self.span(i))
+        if kind == TokenKind.RESERVED_WORD and text in ("true", "false"):
+            self.pos = i + 1
+            return BoolLiteral(text == "true", self.span(i))
+        if kind == TokenKind.RESERVED_WORD and text == "this":
+            self.pos = i + 1
+            return SelfRef(self.span(i))
+        if kind == TokenKind.OPEN_PAREN:
+            self.pos = i + 1
             inner = self.parse_expression()
             self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
             return inner
-        self.err("E-PAR-001", f"expected an expression, found {self._describe(t)}")
+        self.err("E-PAR-001", f"expected an expression, found {self._describe()}")
         self._skip_offending()
-        return _error_expr(t.span)
+        return _error_expr(self.span(i))
 
     def _parse_lambda(self) -> Expr:
-        kw = self.advance()
+        kw = self.span(self.advance())
         params: list[tuple[str, Optional[TypeExpr]]] = []
         while True:
             self._expr_tick()
             if self.at(TokenKind.IDENTIFIER):
-                params.append((self.advance().text, None))
+                params.append((self.texts[self.advance()], None))
             elif self.at(TokenKind.OPEN_PAREN):
                 params.append(self._parse_typed_param())
             else:
@@ -383,26 +391,26 @@ class Parser:
         body = self.parse_expression()
         expr = body
         for name, ty in reversed(params):
-            expr = Lambda(name, ty, expr, kw.span.cover(body.span))
+            expr = Lambda(name, ty, expr, kw.cover(body.span))
         return expr
 
     def _parse_typed_param(self) -> tuple[str, TypeExpr]:
         """A ``(name : Type)`` group, from its opening parenthesis."""
         self.advance()
-        name_tok = self.expect_kind(TokenKind.IDENTIFIER, "a parameter name")
+        name = self.expect_kind(TokenKind.IDENTIFIER, "a parameter name")
         self.expect_op(":")
         ty = self.parse_type()
         self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
-        return (name_tok.text if name_tok else "<error>", ty)
+        return (name, ty)
 
     def _parse_if(self) -> Expr:
-        kw = self.advance()
+        kw = self.span(self.advance())
         cond = self.parse_expression()
         self._expr_tick()
         if self.at_reserved("then"):
             self.advance()
         else:
-            self.err("E-PAR-001", f"expected 'then', found {self._describe(self.cur())}")
+            self.err("E-PAR-001", f"expected 'then', found {self._describe()}")
         then_branch = self.parse_expression()
         self._expr_tick()
         if self.at_reserved("else"):
@@ -412,59 +420,60 @@ class Parser:
             self.err(
                 "E-PAR-010",
                 "'if' requires an 'else' branch",
-                kw.span,
+                kw,
             )
-            else_branch = _error_expr(self.cur().span)
-        return If(cond, then_branch, else_branch, kw.span.cover(else_branch.span))
+            else_branch = _error_expr(self.span(self.pos))
+        return If(cond, then_branch, else_branch, kw.cover(else_branch.span))
 
     def _parse_match(self) -> Expr:
-        kw = self.advance()
+        kw = self.span(self.advance())
         scrutinee = self._parse_binary(PREC_OR)
         cases: list[MatchCase] = []
         while True:
             self._expr_tick()
             if not self.at_reserved("case"):
                 break
-            case_kw = self.advance()
+            case_kw = self.span(self.advance())
             pattern = self.parse_pattern()
             self.expect_op("==>")
             result = self._parse_binary(PREC_OR)
-            cases.append(MatchCase(pattern, result, case_kw.span.cover(result.span)))
+            cases.append(MatchCase(pattern, result, case_kw.cover(result.span)))
         if not cases:
-            self.err("E-PAR-011", "match requires at least one case", kw.span)
+            self.err("E-PAR-011", "match requires at least one case", kw)
             cases.append(
-                MatchCase(WildcardPattern(kw.span), _error_expr(kw.span), kw.span)
+                MatchCase(WildcardPattern(kw), _error_expr(kw), kw)
             )
-        return Match(scrutinee, tuple(cases), kw.span.cover(cases[-1].span))
+        return Match(scrutinee, tuple(cases), kw.cover(cases[-1].span))
 
     # ---------- patterns ----------
 
     def parse_pattern(self) -> Pattern:
         self._expr_tick()
-        t = self.cur()
-        if t.kind == TokenKind.OPEN_PAREN:
+        i = self.pos
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == TokenKind.OPEN_PAREN:
             self.advance()
             inner = self.parse_pattern()
             self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
             return inner
-        if t.kind == TokenKind.OPERATOR_SYMBOL and t.text == "-":
+        if kind == TokenKind.OPERATOR_SYMBOL and text == "-":
             self.advance()
-            lit = self.expect_kind(TokenKind.INTEGER_LITERAL, "an integer literal")
-            value = -int_from_text(lit.text) if lit else 0
-            return LiteralPattern(value, t.span.cover(self.prev_span()))
-        if t.kind == TokenKind.INTEGER_LITERAL:
+            value = -int_from_text(self.texts[self.pos]) if self.at(TokenKind.INTEGER_LITERAL) else 0
+            self.expect_kind(TokenKind.INTEGER_LITERAL, "an integer literal")
+            return LiteralPattern(value, self.span(i).cover(self.prev_span()))
+        if kind == TokenKind.INTEGER_LITERAL:
             self.advance()
-            return LiteralPattern(int_from_text(t.text), t.span)
-        if t.kind == TokenKind.STRING_LITERAL:
+            return LiteralPattern(int_from_text(text), self.span(i))
+        if kind == TokenKind.STRING_LITERAL:
             self.advance()
-            return LiteralPattern(decode_string_text(t.text), t.span)
-        if t.kind == TokenKind.RESERVED_WORD and t.text in ("true", "false"):
+            return LiteralPattern(decode_string_text(text), self.span(i))
+        if kind == TokenKind.RESERVED_WORD and text in ("true", "false"):
             self.advance()
-            return LiteralPattern(t.text == "true", t.span)
-        if t.kind == TokenKind.IDENTIFIER:
-            name_tok = self.advance()
-            if name_tok.text == "_":
-                return WildcardPattern(name_tok.span)
+            return LiteralPattern(text == "true", self.span(i))
+        if kind == TokenKind.IDENTIFIER:
+            self.advance()
+            if text == "_":
+                return WildcardPattern(self.span(i))
             subs: list[Pattern] = []
             while True:
                 self._expr_tick()
@@ -474,24 +483,22 @@ class Parser:
                 subs.append(self.parse_pattern())
                 self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
             if subs:
-                return ConstructorPattern(
-                    name_tok.text, tuple(subs), name_tok.span.cover(self.prev_span())
-                )
-            if name_tok.text.endswith("_"):
-                return ConstructorPattern(name_tok.text, (), name_tok.span)
-            return VarBindPattern(name_tok.text, name_tok.span)
+                return ConstructorPattern(text, tuple(subs), self.span(i).cover(self.prev_span()))
+            if text.endswith("_"):
+                return ConstructorPattern(text, (), self.span(i))
+            return VarBindPattern(text, self.span(i))
         self.err(
             "E-PAR-012",
-            f"expected a pattern (constructor, literal, variable, or '_'), found {self._describe(t)}",
+            f"expected a pattern (constructor, literal, variable, or '_'), found {self._describe()}",
         )
         self._skip_offending()
-        return WildcardPattern(t.span)
+        return WildcardPattern(self.span(i))
 
     # ---------- types ----------
 
     def parse_type(self) -> TypeExpr:
+        # No _expr_tick: _parse_type_applied ends with one, at this token.
         left = self._parse_type_applied()
-        self._expr_tick()
         if self.at_op("-->"):
             self.advance()
             right = self.parse_type()
@@ -502,7 +509,8 @@ class Parser:
         base = self._parse_type_atom()
         args: list[TypeExpr] = []
         while True:
-            self._expr_tick()
+            if self.kinds[self.pos] in _TICKS:
+                self._expr_tick()
             if not self.at(TokenKind.OPEN_BRACKET):
                 break
             self.advance()
@@ -513,19 +521,20 @@ class Parser:
         return base
 
     def _parse_type_atom(self) -> TypeExpr:
-        self._expr_tick()
-        t = self.cur()
-        if t.kind == TokenKind.IDENTIFIER:
-            self.advance()
-            return NamedType(t.text, t.span)
-        if t.kind == TokenKind.OPEN_PAREN:
+        if self.kinds[self.pos] in _TICKS:
+            self._expr_tick()
+        i = self.pos
+        if self.kinds[i] == TokenKind.IDENTIFIER:
+            self.pos = i + 1
+            return NamedType(self.texts[i], self.span(i))
+        if self.kinds[i] == TokenKind.OPEN_PAREN:
             self.advance()
             inner = self.parse_type()
             self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
             return inner
-        self.err("E-PAR-001", f"expected a type, found {self._describe(t)}")
+        self.err("E-PAR-001", f"expected a type, found {self._describe()}")
         self._skip_offending()
-        return NamedType("<error>", t.span)
+        return NamedType("<error>", self.span(i))
 
     # ---------- declarations ----------
 
@@ -537,47 +546,47 @@ class Parser:
     ) -> Definition:
         saved_depth = self.rel_depth
         self.rel_depth = 0
-        name_tok = self.advance()
+        name_span = self.span(self.pos)
+        name = self.texts[self.advance()]
         params: list[tuple[str, TypeExpr]] = []
         while True:
             self._expr_tick()
             if not self.at(TokenKind.OPEN_PAREN):
                 break
             params.append(self._parse_typed_param())
+        # The loop above and parse_type both end with _expr_tick's check.
         result_type: Optional[TypeExpr] = None
-        self._expr_tick()
         if self.at_op(":"):
             self.advance()
             result_type = self.parse_type()
         body: Optional[Expr] = None
-        self._expr_tick()
         if self.at_op("="):
             self.advance()
             if in_abstract:
                 self.err(
                     "E-PAR-001",
-                    f"abstract member '{name_tok.text}' cannot have a body",
-                    name_tok.span,
+                    f"abstract member '{name}' cannot have a body",
+                    name_span,
                 )
             body = self.parse_expression()
         else:
             if not in_abstract:
                 self.err(
                     "E-PAR-001",
-                    f"definition of '{name_tok.text}' requires '=' and a body",
-                    name_tok.span,
+                    f"definition of '{name}' requires '=' and a body",
+                    name_span,
                 )
             elif result_type is None:
                 self.err(
                     "E-PAR-001",
-                    f"abstract member '{name_tok.text}' requires a declared type",
-                    name_tok.span,
+                    f"abstract member '{name}' requires a declared type",
+                    name_span,
                 )
         self._end_declaration_line()
         self.rel_depth = saved_depth
-        span = name_tok.span.cover(self.prev_span())
+        span = name_span.cover(self.prev_span())
         return Definition(
-            name=name_tok.text,
+            name=name,
             params=tuple(params),
             result_type=result_type,
             body=body if not in_abstract else None,
@@ -587,41 +596,37 @@ class Parser:
         )
 
     def parse_directive(self) -> DirectiveBlock:
-        kw = self.advance()
-        target_tok = self.expect_kind(TokenKind.IDENTIFIER, "a directive target")
-        target = target_tok.text if target_tok else "<error>"
-        if self.at(TokenKind.NEWLINE):
-            self.advance()
+        kw = self.span(self.advance())
+        target = self.expect_kind(TokenKind.IDENTIFIER, "a directive target")
+        self._skip_newline()
         raws: list[str] = []
         while self.at(TokenKind.RAW_LINE):
-            raws.append(self.advance().text)
+            raws.append(self.texts[self.advance()])
         return DirectiveBlock(
-            target, _normalize_raw_lines(raws), kw.span.cover(self.prev_span())
+            target, _normalize_raw_lines(raws), kw.cover(self.prev_span())
         )
 
     def _parse_abstract_block(self) -> AbstractBlock:
-        kw = self.advance()
+        kw = self.span(self.advance())
         self._end_declaration_line()
         while self.at(TokenKind.COMMENT):
-            self.pending_comments.append(self.cur().text[2:])
-            self.advance()
+            self.pending_comments.append(self.texts[self.advance()][2:])
         decls: list[Definition] = []
         if self.at(TokenKind.INDENT):
             self.advance()
             while True:
-                t = self.cur()
-                if t.kind == TokenKind.COMMENT:
-                    self.pending_comments.append(t.text[2:])
+                kind = self.kinds[self.pos]
+                if kind == TokenKind.COMMENT:
+                    self.pending_comments.append(self.texts[self.advance()][2:])
+                    continue
+                if kind == TokenKind.NEWLINE:
                     self.advance()
                     continue
-                if t.kind == TokenKind.NEWLINE:
-                    self.advance()
-                    continue
-                if t.kind in (TokenKind.DEDENT, TokenKind.END_OF_INPUT):
-                    if t.kind == TokenKind.DEDENT:
+                if kind in (TokenKind.DEDENT, TokenKind.END_OF_INPUT):
+                    if kind == TokenKind.DEDENT:
                         self.advance()
                     break
-                if t.kind == TokenKind.IDENTIFIER:
+                if kind == TokenKind.IDENTIFIER:
                     decls.append(
                         self.parse_definition(
                             in_abstract=True, comments=self.take_pending_comments()
@@ -630,10 +635,10 @@ class Parser:
                     continue
                 self.err(
                     "E-PAR-001",
-                    f"expected an abstract member declaration, found {self._describe(t)}",
+                    f"expected an abstract member declaration, found {self._describe()}",
                 )
                 self._resync_declaration()
-        return AbstractBlock(tuple(decls), kw.span.cover(self.prev_span()))
+        return AbstractBlock(tuple(decls), kw.cover(self.prev_span()))
 
     def _parse_extends_types(self) -> list[TypeExpr]:
         out: list[TypeExpr] = []
@@ -644,20 +649,15 @@ class Parser:
         return out
 
     def _parse_type_param(self) -> TypeParam:
-        open_tok = self.advance()
-        name_tok = self.expect_kind(TokenKind.IDENTIFIER, "a type parameter name")
-        name = name_tok.text if name_tok else "<error>"
+        open_span = self.span(self.advance())
+        name = self.expect_kind(TokenKind.IDENTIFIER, "a type parameter name")
         bound_kind = "none"
         bound: Optional[TypeExpr] = None
         if self.at_op(":"):
             self.advance()
-            kind_tok = self.expect_kind(TokenKind.IDENTIFIER, "'Type'")
-            if kind_tok and kind_tok.text != "Type":
-                self.err(
-                    "E-PAR-001",
-                    f"type parameter '{name}' must be declared ': Type'",
-                    kind_tok.span,
-                )
+            if self.at(TokenKind.IDENTIFIER) and self.texts[self.pos] != "Type":
+                self.err("E-PAR-001", f"type parameter '{name}' must be declared ': Type'")
+            self.expect_kind(TokenKind.IDENTIFIER, "'Type'")
         elif self.at_reserved("subtype") or self.at_op("<:"):
             self.advance()
             bound_kind = "subtype"
@@ -672,19 +672,18 @@ class Parser:
                 "expected ':', 'subtype', or 'supertype' in type parameter",
             )
         self.expect_kind(TokenKind.CLOSE_BRACKET, "']'")
-        return TypeParam(name, bound_kind, bound, open_tok.span.cover(self.prev_span()))
+        return TypeParam(name, bound_kind, bound, open_span.cover(self.prev_span()))
 
     def parse_class(self) -> ClassDecl:
         comments = self.take_pending_comments()
-        kw = self.advance()
-        name_tok = self.expect_kind(TokenKind.IDENTIFIER, "a class name")
-        name = name_tok.text if name_tok else "<error>"
+        kw = self.span(self.advance())
+        name = self.expect_kind(TokenKind.IDENTIFIER, "a class name")
         if name.endswith("_"):
             self.err(
                 "E-PAR-004",
                 f"class name '{name}' must not end in '_': that suffix is reserved"
                 " for the default constructor",
-                name_tok.span if name_tok else kw.span,
+                self.prev_span(),
             )
         # Header is strictly one logical line: the indented block after it is
         # the member section, never a continuation of the extends clause.
@@ -701,25 +700,23 @@ class Parser:
         # Comment lines between the header and the first member carry no
         # layout tokens, so they can precede the INDENT itself.
         while self.at(TokenKind.COMMENT):
-            self.pending_comments.append(self.cur().text[2:])
-            self.advance()
+            self.pending_comments.append(self.texts[self.advance()][2:])
         members: list = []
         if self.at(TokenKind.INDENT):
             self.advance()
             self._parse_members(members, extends_list)
         if self.at_reserved("end"):
             self.advance()
-            if self.at(TokenKind.NEWLINE):
-                self.advance()
+            self._skip_newline()
         else:
-            self.err("E-PAR-002", f"missing 'end' for class '{name}'", kw.span)
+            self.err("E-PAR-002", f"missing 'end' for class '{name}'", kw)
         return ClassDecl(
             name=name,
             type_params=tuple(type_params),
             extends_list=tuple(extends_list),
             members=tuple(members),
             leading_comments=comments,
-            span=kw.span.cover(self.prev_span()),
+            span=kw.cover(self.prev_span()),
         )
 
     def _parse_members(self, members: list, extends_list: list[TypeExpr]) -> None:
@@ -732,43 +729,42 @@ class Parser:
         tailrec = False
         tailrec_span: Optional[SourceSpan] = None
         while True:
-            t = self.cur()
-            if t.kind == TokenKind.COMMENT:
-                self.pending_comments.append(t.text[2:])
+            kind, text = self.kinds[self.pos], self.texts[self.pos]
+            if kind == TokenKind.COMMENT:
+                self.pending_comments.append(text[2:])
                 self.advance()
                 continue
-            if t.kind == TokenKind.NEWLINE:
+            if kind == TokenKind.NEWLINE:
                 self.advance()
                 continue
-            if t.kind == TokenKind.DEDENT:
+            if kind == TokenKind.DEDENT:
                 self.advance()
                 break
-            if t.kind == TokenKind.END_OF_INPUT or (
-                t.kind == TokenKind.RESERVED_WORD and t.text == "end"
+            if kind == TokenKind.END_OF_INPUT or (
+                kind == TokenKind.RESERVED_WORD and text == "end"
             ):
                 break
-            if t.kind == TokenKind.ANNOTATION:
-                if t.text == "@tailrec":
+            if kind == TokenKind.ANNOTATION:
+                if text == "@tailrec":
                     tailrec = True
-                    tailrec_span = t.span
+                    tailrec_span = self.span(self.pos)
                     self.advance()
-                    if self.at(TokenKind.NEWLINE):
-                        self.advance()
+                    self._skip_newline()
                 else:
-                    self.err("E-PAR-001", f"unknown annotation '{t.text}'")
+                    self.err("E-PAR-001", f"unknown annotation '{text}'")
                     self.advance()
                 continue
-            if t.kind == TokenKind.RESERVED_WORD and t.text == "abstract":
+            if kind == TokenKind.RESERVED_WORD and text == "abstract":
                 # Comments above the block belong to nobody; comments trailing
                 # its last member are pending for the next declaration.
                 self.pending_comments = []
                 members.append(self._parse_abstract_block())
                 continue
-            if t.kind == TokenKind.RESERVED_WORD and t.text == "directive":
+            if kind == TokenKind.RESERVED_WORD and text == "directive":
                 self.pending_comments = []
                 members.append(self.parse_directive())
                 continue
-            if t.kind == TokenKind.IDENTIFIER:
+            if kind == TokenKind.IDENTIFIER:
                 members.append(
                     self.parse_definition(
                         in_abstract=False,
@@ -781,69 +777,66 @@ class Parser:
                 continue
             self.err(
                 "E-PAR-001",
-                f"expected a class member, found {self._describe(t)}",
+                f"expected a class member, found {self._describe()}",
             )
             self._resync_declaration()
         if tailrec and tailrec_span is not None:
             self.err("E-PAR-001", "'@tailrec' is not followed by a definition", tailrec_span)
 
     def _parse_dotted_name(self, what: str) -> str:
-        first = self.expect_kind(TokenKind.IDENTIFIER, what)
-        parts = [first.text if first else "<error>"]
+        parts = [self.expect_kind(TokenKind.IDENTIFIER, what)]
         while self.at_op("."):
             self.advance()
-            part = self.expect_kind(TokenKind.IDENTIFIER, what)
-            parts.append(part.text if part else "<error>")
-        if self.at(TokenKind.NEWLINE):
-            self.advance()
+            parts.append(self.expect_kind(TokenKind.IDENTIFIER, what))
+        self._skip_newline()
         return ".".join(parts)
 
     def parse_program(self) -> Program:
-        first_span = self.cur().span
+        first_span = self.span(self.pos)
         package_name: Optional[str] = None
         imports: list[str] = []
         items: list = []
         while True:
-            t = self.cur()
-            if t.kind == TokenKind.END_OF_INPUT:
+            kind, text = self.kinds[self.pos], self.texts[self.pos]
+            if kind == TokenKind.END_OF_INPUT:
                 break
-            if t.kind == TokenKind.COMMENT:
-                self.pending_comments.append(t.text[2:])
+            if kind == TokenKind.COMMENT:
+                self.pending_comments.append(text[2:])
                 self.advance()
                 continue
-            if t.kind == TokenKind.NEWLINE:
+            if kind == TokenKind.NEWLINE:
                 self.advance()
                 continue
-            if t.kind == TokenKind.INDENT:
+            if kind == TokenKind.INDENT:
                 self.err("E-PAR-001", "unexpected indentation at top level")
                 self._skip_indented_block()
                 continue
-            if t.kind == TokenKind.DEDENT:
+            if kind == TokenKind.DEDENT:
                 self.advance()
                 continue
-            if t.kind == TokenKind.RESERVED_WORD and t.text == "package":
-                kw = self.advance()
+            if kind == TokenKind.RESERVED_WORD and text == "package":
+                kw = self.span(self.advance())
                 name = self._parse_dotted_name("a package name")
                 if package_name is not None or imports or items:
-                    self.err("E-PAR-003", "'package' must be the first declaration", kw.span)
+                    self.err("E-PAR-003", "'package' must be the first declaration", kw)
                 else:
                     package_name = name
                 continue
-            if t.kind == TokenKind.RESERVED_WORD and t.text == "import":
+            if kind == TokenKind.RESERVED_WORD and text == "import":
                 self.advance()
                 imports.append(self._parse_dotted_name("an import name"))
                 continue
-            if t.kind == TokenKind.RESERVED_WORD and t.text == "class":
+            if kind == TokenKind.RESERVED_WORD and text == "class":
                 items.append(self.parse_class())
                 continue
-            if t.kind == TokenKind.RESERVED_WORD and t.text == "directive":
+            if kind == TokenKind.RESERVED_WORD and text == "directive":
                 self.pending_comments = []
                 items.append(self.parse_directive())
                 continue
             self.err(
                 "E-PAR-001",
                 f"expected 'class', 'directive', 'package', or 'import',"
-                f" found {self._describe(t)}",
+                f" found {self._describe()}",
             )
             self._resync_top()
         return Program(
@@ -874,7 +867,7 @@ def parse(source: str, file: str = "<input>") -> ParseResult:
     """Parse one Soda source text. The program is withheld whenever any
     error was produced, by the lexer or the parser."""
     lexed = tokenize(source, file)
-    parser = Parser(lexed.tokens, file)
+    parser = Parser(lexed.kinds, lexed.texts, lexed.span)
     program = parser.parse_program()
     diagnostics = lexed.diagnostics + parser.diagnostics
     if has_errors(diagnostics):
@@ -886,9 +879,12 @@ def parse_expression(tokens: list[Token], position: int = 0):
     """Parse a single expression from a token list, starting at ``position``.
 
     Returns ``(expression, next_position)``; the expression is None when the
-    tokens do not form one.
+    tokens do not form one. Each node's span is built from the given spans.
     """
-    parser = Parser(list(tokens), "<tokens>")
+    if not tokens or tokens[-1].kind != TokenKind.END_OF_INPUT:
+        tokens = [*tokens, Token(TokenKind.END_OF_INPUT, "", synthetic_span("<tokens>"))]
+    spans = [t.span for t in tokens]
+    parser = Parser([t.kind for t in tokens], [t.text for t in tokens], spans.__getitem__)
     parser.pos = position
     expr = parser.parse_expression()
     if has_errors(parser.diagnostics):

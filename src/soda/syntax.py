@@ -33,7 +33,7 @@ class SourceSpan(NamedTuple):
     """Half-open source region: lines and start column are 1-based,
     ``col_end`` is one past the last character.
 
-    A named tuple, because the lexer builds one for every token: it compares
+    A named tuple, because the parser builds one for most nodes: it compares
     equal to a plain tuple of the same fields.
 
     Invariants:
@@ -51,9 +51,15 @@ class SourceSpan(NamedTuple):
 
     def cover(self, other: SourceSpan) -> SourceSpan:
         """Smallest span containing both self and other."""
-        start = min((self.line_start, self.col_start), (other.line_start, other.col_start))
-        end = max((self.line_end, self.col_end), (other.line_end, other.col_end))
-        return SourceSpan(self.file, start[0], start[1], end[0], end[1])
+        # Plain comparisons and tuple.__new__ (which skips the named tuple's
+        # Python-level __new__): the parser calls this for most nodes.
+        file, line, col, end_line, end_col = self
+        _, o_line, o_col, o_end_line, o_end_col = other
+        if o_line < line or (o_line == line and o_col < col):
+            line, col = o_line, o_col
+        if o_end_line > end_line or (o_end_line == end_line and o_end_col > end_col):
+            end_line, end_col = o_end_line, o_end_col
+        return tuple.__new__(SourceSpan, (file, line, col, end_line, end_col))
 
 
 def synthetic_span(file: str = "<synthetic>") -> SourceSpan:

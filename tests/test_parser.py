@@ -1,5 +1,7 @@
 """Grammar coverage: expressions, declarations, layout, and error codes."""
 
+from pathlib import Path
+
 from soda import parse, parse_expression, tokenize
 from soda.syntax import (
     Apply,
@@ -404,3 +406,26 @@ def test_parse_expression_without_end_of_input():
     assert parse_expression(toks[:2]) == (None, 2)
     assert parse_expression([]) == (None, 0)
 
+
+# --- no Token on the parse path ---
+
+
+def test_parse_builds_no_token_and_tokens_are_built_once_on_request(monkeypatch):
+    built = []
+    new = Token.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Token, "__new__", staticmethod(counting_new))
+    source = (Path(__file__).parent / "goldens" / "pair_param.soda").read_text()
+    assert parse(source, "pair_param.soda").ok
+    lexed = tokenize(source, "pair_param.soda")
+    assert built == []
+    tokens = lexed.tokens
+    assert len(built) == len(tokens) == len(lexed.kinds) > 20
+    assert lexed.tokens is tokens and len(built) == len(tokens)
+    assert [(t.kind, t.text, t.span) for t in tokens] == [
+        (lexed.kinds[i], lexed.texts[i], lexed.span(i)) for i in range(len(tokens))
+    ]
