@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from soda import parse, parse_expression, tokenize
 from soda.syntax import (
     Apply,
@@ -429,3 +431,114 @@ def test_parse_builds_no_token_and_tokens_are_built_once_on_request(monkeypatch)
     assert [(t.kind, t.text, t.span) for t in tokens] == [
         (lexed.kinds[i], lexed.texts[i], lexed.span(i)) for i in range(len(tokens))
     ]
+
+
+# --- error recovery ---
+
+# Each input holds a malformed construct and a later error, so the rendered
+# diagnostics show both the message and the token where parsing resumes.
+RECOVERY = {
+    "junk_after_declaration": (
+        "class A\n\n  x = 1 2\n\n  y = )\n\nend\n",
+        ["t.soda:3:9: error[E-PAR-001]: unexpected '2' after declaration",
+         "t.soda:5:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "junk_after_continued_declaration": (
+        "class A\n\n  x = 1\n    + 2 3\n  y = if 1 then 2\n\nend\n",
+        ["t.soda:4:9: error[E-PAR-001]: unexpected '3' after declaration",
+         "t.soda:5:7: error[E-PAR-010]: 'if' requires an 'else' branch"],
+    ),
+    "junk_before_comment_lines": (
+        "class A\n\n  x = 1 +\n    2 3 // trailing\n    // more\n  y = )\n\nend\n",
+        ["t.soda:4:7: error[E-PAR-001]: unexpected '3' after declaration",
+         "t.soda:6:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "bad_abstract_member": (
+        "class A\n\n  abstract\n    1\n    x : Int\n    y = 2\n\nend\n",
+        ["t.soda:4:5: error[E-PAR-001]: expected an abstract member declaration, found '1'",
+         "t.soda:6:5: error[E-PAR-001]: abstract member 'y' cannot have a body"],
+    ),
+    "bad_abstract_member_after_comments": (
+        "class A\n\n  abstract\n  // lead\n    // inner\n    = 1\n    x : Int\n\n  y = )\n\nend\n",
+        ["t.soda:6:5: error[E-PAR-001]: expected an abstract member declaration, found '='",
+         "t.soda:9:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "bad_class_member": (
+        "class A\n\n  1 + 2\n  x = 3\n  = 4\n\nend\n",
+        ["t.soda:3:3: error[E-PAR-001]: expected a class member, found '1'",
+         "t.soda:5:3: error[E-PAR-001]: expected a class member, found '='"],
+    ),
+    "comments_around_members": (
+        "class A\n// c\n  x = 1 2\n  // d\n  y = )\nend\n",
+        ["t.soda:3:9: error[E-PAR-001]: unexpected '2' after declaration",
+         "t.soda:5:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "unknown_annotation": (
+        "class A\n\n  @inline\n  f (n : Int) : Int = n\n\n  g = )\n\nend\n",
+        ["t.soda:3:3: error[E-PAR-001]: unknown annotation '@inline'",
+         "t.soda:6:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "tailrec_without_definition": (
+        "class A\n\n  @tailrec\n\nend\n\nclass B\n\n  y = )\n\nend\n",
+        ["t.soda:3:3: error[E-PAR-001]: '@tailrec' is not followed by a definition",
+         "t.soda:9:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "indentation_at_top_level": (
+        "  x = 1\nclass A\n\n  y = )\n\nend\n",
+        ["t.soda:1:3: error[E-PAR-001]: unexpected indentation at top level",
+         "t.soda:4:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "package_after_import": (
+        "import a.b\npackage c\nclass A\n\n  y = )\n\nend\n",
+        ["t.soda:2:1: error[E-PAR-003]: 'package' must be the first declaration",
+         "t.soda:5:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "junk_at_top_level": (
+        "x = 1\nclass A\n\n  y = )\n\nend\n",
+        ["t.soda:1:1: error[E-PAR-001]: expected 'class', 'directive', 'package', or 'import', found 'x'",
+         "t.soda:4:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "bad_pattern": (
+        "class A\n\n  f (x : Int) : Int =\n    match x\n      case + ==> 1\n      case _ ==> 2\n\n  g = )\n\nend\n",
+        ["t.soda:5:12: error[E-PAR-012]: expected a pattern (constructor, literal,"
+         " variable, or '_'), found '+'",
+         "t.soda:8:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "negative_pattern_without_integer": (
+        "class A\n\n  f (x : Int) : Int =\n    match x\n      case - y ==> 1\n      case (1 ==> 2\n\nend\n",
+        ["t.soda:5:14: error[E-PAR-001]: expected an integer literal, found 'y'",
+         "t.soda:5:14: error[E-PAR-001]: expected '==>', found 'y'",
+         "t.soda:5:16: error[E-PAR-001]: unexpected '==>' after declaration",
+         "t.soda:6:7: error[E-PAR-001]: expected a class member, found 'case'",
+         "t.soda:1:1: error[E-PAR-002]: missing 'end' for class 'A'"],
+    ),
+    "empty_extends_member_line": (
+        "class A\n  extends\n  x = )\nend\n",
+        ["t.soda:2:10: error[E-PAR-001]: expected a type after 'extends'",
+         "t.soda:3:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "junk_after_extends_header": (
+        "class A extends B 1\n\n  x = )\n\nend\n",
+        ["t.soda:1:19: error[E-PAR-001]: unexpected '1' after declaration",
+         "t.soda:3:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "unclosed_named_argument": (
+        "class A\n\n  x = f (a := 1\n\n  y = g (2\n\nend\n",
+        ["t.soda:5:3: error[E-PAR-001]: expected ')', found 'y'",
+         "t.soda:5:3: error[E-PAR-001]: unexpected 'y' after declaration",
+         "t.soda:1:1: error[E-PAR-002]: missing 'end' for class 'A'"],
+    ),
+    "unclosed_type_argument": (
+        "class A\n\n  f (x : List [Int) : Int = x\n\n  g : ( = 1\n\nend\n",
+        ["t.soda:3:19: error[E-PAR-001]: expected ']', found ')'",
+         "t.soda:5:3: error[E-PAR-001]: unexpected 'g' after declaration",
+         "t.soda:1:1: error[E-PAR-002]: missing 'end' for class 'A'"],
+    ),
+}
+
+
+@pytest.mark.parametrize("source, rendered", RECOVERY.values(), ids=RECOVERY.keys())
+def test_recovery_reports_each_error_and_resumes_at_the_same_token(source, rendered):
+    res = parse(source, "t.soda")
+    assert res.program is None
+    assert [d.render() for d in res.diagnostics] == rendered
