@@ -68,6 +68,11 @@ _TOP_KEYWORDS = frozenset({"class", "directive", "package", "import"})
 _BINARY_OP_KINDS = (TokenKind.OPERATOR_SYMBOL, TokenKind.RESERVED_WORD)
 _TICKS = frozenset({TokenKind.NEWLINE, TokenKind.COMMENT})
 _LAYOUT_STEP = {TokenKind.INDENT: 1, TokenKind.DEDENT: -1, TokenKind.COMMENT: 0}
+# What ends a line, a block or the input: recovery stops before these.
+_LINE_END = frozenset({TokenKind.NEWLINE, TokenKind.DEDENT, TokenKind.END_OF_INPUT})
+_LITERAL_NODE = {int: IntLiteral, str: StringLiteral, bool: BoolLiteral}
+# Each of these texts is only ever lexed as a reserved word or an operator.
+_BOUND_KINDS = {"subtype": "subtype", "<:": "subtype", "supertype": "supertype", ">:": "supertype"}
 
 
 @dataclass
@@ -146,18 +151,33 @@ class Parser:
     def err(self, code: str, message: str, span: Optional[SourceSpan] = None) -> None:
         self.diagnostics.append(error(code, message, span or self.span(self.pos)))
 
+    def expected(self, what: str, code: str = "E-PAR-001") -> None:
+        self.err(code, f"expected {what}, found {self._describe()}")
+
     def expect_op(self, op: str) -> None:
         if self.at_op(op):
             self.pos += 1
         else:
-            self.err("E-PAR-001", f"expected '{op}', found {self._describe()}")
+            self.expected(f"'{op}'")
 
     def expect_kind(self, kind: str, what: str) -> str:
         """Consume a token of ``kind`` and return its text, or "<error>"."""
         if self.at(kind):
             return self.texts[self.advance()]
-        self.err("E-PAR-001", f"expected {what}, found {self._describe()}")
+        self.expected(what)
         return "<error>"
+
+    def literal(self, i: int):
+        """The value of token ``i`` if it is an integer, string or boolean
+        literal, else None."""
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == TokenKind.INTEGER_LITERAL:
+            return int_from_text(text)
+        if kind == TokenKind.STRING_LITERAL:
+            return decode_string_text(text)
+        if kind == TokenKind.RESERVED_WORD and text in ("true", "false"):
+            return text == "true"
+        return None
 
     def _describe(self) -> str:
         kind = self.kinds[self.pos]
@@ -192,35 +212,36 @@ class Parser:
         if self.kinds[self.pos] == TokenKind.NEWLINE:
             self.pos += 1
 
+    def _skip_to_line_end(self) -> None:
+        while self.kinds[self.pos] not in _LINE_END:
+            self.pos += 1
+
+    def _take_comments(self) -> str:
+        """Keep each comment here for the next declaration; return the kind
+        of the token after them."""
+        while (kind := self.kinds[self.pos]) == TokenKind.COMMENT:
+            self.pending_comments.append(self.texts[self.pos][2:])
+            self.pos += 1
+        return kind
+
+    def _skip_blank_lines(self) -> str:
+        """Skip newlines, keeping comments as ``_take_comments`` does; return
+        the kind of the token this stops at."""
+        while (kind := self._take_comments()) == TokenKind.NEWLINE:
+            self.pos += 1
+        return kind
+
     def _end_declaration_line(self) -> None:
         """Consume the newline ending a declaration and balance out any
         indentation its continuation lines opened."""
-        if self.kinds[self.pos] not in (
-            TokenKind.NEWLINE,
-            TokenKind.DEDENT,
-            TokenKind.END_OF_INPUT,
-            TokenKind.COMMENT,
-        ):
-            self.err(
-                "E-PAR-001",
-                f"unexpected {self._describe()} after declaration",
-            )
-            while self.kinds[self.pos] not in (
-                TokenKind.NEWLINE,
-                TokenKind.DEDENT,
-                TokenKind.END_OF_INPUT,
-            ):
-                self.advance()
+        kind = self.kinds[self.pos]
+        if kind not in _LINE_END and kind != TokenKind.COMMENT:
+            self.err("E-PAR-001", f"unexpected {self._describe()} after declaration")
+            self._skip_to_line_end()
         self._skip_newline()
-        while self.rel_depth > 0:
-            kind = self.kinds[self.pos]
-            if kind == TokenKind.DEDENT:
-                self.advance()
-                self.rel_depth -= 1
-            elif kind == TokenKind.COMMENT:
-                self.pending_comments.append(self.texts[self.advance()][2:])
-            else:
-                break
+        while self.rel_depth > 0 and self._take_comments() == TokenKind.DEDENT:
+            self.pos += 1
+            self.rel_depth -= 1
 
     def _skip_indented_block(self) -> None:
         if not self.at(TokenKind.INDENT):
@@ -240,12 +261,7 @@ class Parser:
     def _resync_declaration(self) -> None:
         """After a failed declaration: drop the rest of its logical line."""
         self.advance()
-        while self.kinds[self.pos] not in (
-            TokenKind.NEWLINE,
-            TokenKind.DEDENT,
-            TokenKind.END_OF_INPUT,
-        ):
-            self.advance()
+        self._skip_to_line_end()
         self._skip_newline()
         self._skip_indented_block()
 
@@ -259,8 +275,8 @@ class Parser:
     def _skip_offending(self) -> None:
         """Skip the token an error was just reported at, unless it ends a
         line, a block or the input, which the enclosing construct needs."""
-        if self.kinds[self.pos] not in (TokenKind.NEWLINE, TokenKind.DEDENT, TokenKind.END_OF_INPUT):
-            self.advance()
+        if self.kinds[self.pos] not in _LINE_END:
+            self.pos += 1
 
     def take_pending_comments(self) -> tuple[str, ...]:
         out = tuple(self.pending_comments)
@@ -324,19 +340,17 @@ class Parser:
             kind = self.kinds[self.pos]
             if kind == TokenKind.OPEN_PAREN:
                 i = self.pos = self.pos + 1
-                if (
+                named = (
                     self.kinds[i] == TokenKind.IDENTIFIER
                     and self.kinds[i + 1] == TokenKind.OPERATOR_SYMBOL
                     and self.texts[i + 1] == ":="
-                ):
+                )
+                if named:
                     self.pos = i + 2
-                    arg = self.parse_expression()
-                    self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
-                    expr = NamedApply(expr, self.texts[i], arg, expr.span.cover(self.prev_span()))
-                else:
-                    arg = self.parse_expression()
-                    self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
-                    expr = Apply(expr, arg, expr.span.cover(self.span(self.pos - 1)))
+                arg = self.parse_expression()
+                self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
+                span = expr.span.cover(self.span(self.pos - 1))
+                expr = NamedApply(expr, self.texts[i], arg, span) if named else Apply(expr, arg, span)
             elif kind == TokenKind.OPEN_BRACKET:
                 self.pos += 1
                 ty = self.parse_type()
@@ -352,15 +366,10 @@ class Parser:
         if kind == TokenKind.IDENTIFIER:
             self.pos = i + 1
             return Identifier(text, self.span(i))
-        if kind == TokenKind.INTEGER_LITERAL:
+        value = self.literal(i)
+        if value is not None:
             self.pos = i + 1
-            return IntLiteral(int_from_text(text), self.span(i))
-        if kind == TokenKind.STRING_LITERAL:
-            self.pos = i + 1
-            return StringLiteral(decode_string_text(text), self.span(i))
-        if kind == TokenKind.RESERVED_WORD and text in ("true", "false"):
-            self.pos = i + 1
-            return BoolLiteral(text == "true", self.span(i))
+            return _LITERAL_NODE[type(value)](value, self.span(i))
         if kind == TokenKind.RESERVED_WORD and text == "this":
             self.pos = i + 1
             return SelfRef(self.span(i))
@@ -369,7 +378,7 @@ class Parser:
             inner = self.parse_expression()
             self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
             return inner
-        self.err("E-PAR-001", f"expected an expression, found {self._describe()}")
+        self.expected("an expression")
         self._skip_offending()
         return _error_expr(self.span(i))
 
@@ -410,7 +419,7 @@ class Parser:
         if self.at_reserved("then"):
             self.advance()
         else:
-            self.err("E-PAR-001", f"expected 'then', found {self._describe()}")
+            self.expected("'then'")
         then_branch = self.parse_expression()
         self._expr_tick()
         if self.at_reserved("else"):
@@ -461,15 +470,10 @@ class Parser:
             value = -int_from_text(self.texts[self.pos]) if self.at(TokenKind.INTEGER_LITERAL) else 0
             self.expect_kind(TokenKind.INTEGER_LITERAL, "an integer literal")
             return LiteralPattern(value, self.span(i).cover(self.prev_span()))
-        if kind == TokenKind.INTEGER_LITERAL:
-            self.advance()
-            return LiteralPattern(int_from_text(text), self.span(i))
-        if kind == TokenKind.STRING_LITERAL:
-            self.advance()
-            return LiteralPattern(decode_string_text(text), self.span(i))
-        if kind == TokenKind.RESERVED_WORD and text in ("true", "false"):
-            self.advance()
-            return LiteralPattern(text == "true", self.span(i))
+        value = self.literal(i)
+        if value is not None:
+            self.pos = i + 1
+            return LiteralPattern(value, self.span(i))
         if kind == TokenKind.IDENTIFIER:
             self.advance()
             if text == "_":
@@ -487,10 +491,7 @@ class Parser:
             if text.endswith("_"):
                 return ConstructorPattern(text, (), self.span(i))
             return VarBindPattern(text, self.span(i))
-        self.err(
-            "E-PAR-012",
-            f"expected a pattern (constructor, literal, variable, or '_'), found {self._describe()}",
-        )
+        self.expected("a pattern (constructor, literal, variable, or '_')", "E-PAR-012")
         self._skip_offending()
         return WildcardPattern(self.span(i))
 
@@ -532,18 +533,14 @@ class Parser:
             inner = self.parse_type()
             self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
             return inner
-        self.err("E-PAR-001", f"expected a type, found {self._describe()}")
+        self.expected("a type")
         self._skip_offending()
         return NamedType("<error>", self.span(i))
 
     # ---------- declarations ----------
 
-    def parse_definition(
-        self,
-        in_abstract: bool,
-        tailrec: bool = False,
-        comments: tuple[str, ...] = (),
-    ) -> Definition:
+    def parse_definition(self, in_abstract: bool, tailrec: bool = False) -> Definition:
+        comments = self.take_pending_comments()
         saved_depth = self.rel_depth
         self.rel_depth = 0
         name_span = self.span(self.pos)
@@ -596,6 +593,8 @@ class Parser:
         )
 
     def parse_directive(self) -> DirectiveBlock:
+        # Comments above a directive belong to nobody.
+        self.pending_comments = []
         kw = self.span(self.advance())
         target = self.expect_kind(TokenKind.IDENTIFIER, "a directive target")
         self._skip_newline()
@@ -607,43 +606,34 @@ class Parser:
         )
 
     def _parse_abstract_block(self) -> AbstractBlock:
+        # Comments above the block belong to nobody; comments trailing its
+        # last member are pending for the next declaration.
+        self.pending_comments = []
         kw = self.span(self.advance())
         self._end_declaration_line()
-        while self.at(TokenKind.COMMENT):
-            self.pending_comments.append(self.texts[self.advance()][2:])
         decls: list[Definition] = []
-        if self.at(TokenKind.INDENT):
+        if self._take_comments() == TokenKind.INDENT:
             self.advance()
             while True:
-                kind = self.kinds[self.pos]
-                if kind == TokenKind.COMMENT:
-                    self.pending_comments.append(self.texts[self.advance()][2:])
-                    continue
-                if kind == TokenKind.NEWLINE:
-                    self.advance()
-                    continue
+                kind = self._skip_blank_lines()
                 if kind in (TokenKind.DEDENT, TokenKind.END_OF_INPUT):
-                    if kind == TokenKind.DEDENT:
-                        self.advance()
+                    self.advance()  # a no-op at the end of input
                     break
                 if kind == TokenKind.IDENTIFIER:
-                    decls.append(
-                        self.parse_definition(
-                            in_abstract=True, comments=self.take_pending_comments()
-                        )
-                    )
+                    decls.append(self.parse_definition(in_abstract=True))
                     continue
-                self.err(
-                    "E-PAR-001",
-                    f"expected an abstract member declaration, found {self._describe()}",
-                )
+                self.expected("an abstract member declaration")
                 self._resync_declaration()
         return AbstractBlock(tuple(decls), kw.cover(self.prev_span()))
 
     def _parse_extends_types(self) -> list[TypeExpr]:
+        """From 'extends': the types after it, on its line alone."""
+        self.layout_enabled = False
+        self.advance()
         out: list[TypeExpr] = []
         while self.at(TokenKind.IDENTIFIER) or self.at(TokenKind.OPEN_PAREN):
             out.append(self.parse_type())
+        self.layout_enabled = True
         if not out:
             self.err("E-PAR-001", "expected a type after 'extends'")
         return out
@@ -651,20 +641,15 @@ class Parser:
     def _parse_type_param(self) -> TypeParam:
         open_span = self.span(self.advance())
         name = self.expect_kind(TokenKind.IDENTIFIER, "a type parameter name")
-        bound_kind = "none"
+        bound_kind = _BOUND_KINDS.get(self.texts[self.pos], "none")
         bound: Optional[TypeExpr] = None
         if self.at_op(":"):
             self.advance()
             if self.at(TokenKind.IDENTIFIER) and self.texts[self.pos] != "Type":
                 self.err("E-PAR-001", f"type parameter '{name}' must be declared ': Type'")
             self.expect_kind(TokenKind.IDENTIFIER, "'Type'")
-        elif self.at_reserved("subtype") or self.at_op("<:"):
+        elif bound_kind != "none":
             self.advance()
-            bound_kind = "subtype"
-            bound = self.parse_type()
-        elif self.at_reserved("supertype") or self.at_op(">:"):
-            self.advance()
-            bound_kind = "supertype"
             bound = self.parse_type()
         else:
             self.err(
@@ -691,18 +676,13 @@ class Parser:
         type_params: list[TypeParam] = []
         while self.at(TokenKind.OPEN_BRACKET):
             type_params.append(self._parse_type_param())
-        extends_list: list[TypeExpr] = []
-        if self.at_reserved("extends"):
-            self.advance()
-            extends_list.extend(self._parse_extends_types())
         self.layout_enabled = True
+        extends_list = self._parse_extends_types() if self.at_reserved("extends") else []
         self._end_declaration_line()
+        members: list = []
         # Comment lines between the header and the first member carry no
         # layout tokens, so they can precede the INDENT itself.
-        while self.at(TokenKind.COMMENT):
-            self.pending_comments.append(self.texts[self.advance()][2:])
-        members: list = []
-        if self.at(TokenKind.INDENT):
+        if self._take_comments() == TokenKind.INDENT:
             self.advance()
             self._parse_members(members, extends_list)
         if self.at_reserved("end"):
@@ -721,22 +701,12 @@ class Parser:
 
     def _parse_members(self, members: list, extends_list: list[TypeExpr]) -> None:
         if self.at_reserved("extends"):
-            self.layout_enabled = False
-            self.advance()
             extends_list.extend(self._parse_extends_types())
-            self.layout_enabled = True
             self._end_declaration_line()
-        tailrec = False
         tailrec_span: Optional[SourceSpan] = None
         while True:
-            kind, text = self.kinds[self.pos], self.texts[self.pos]
-            if kind == TokenKind.COMMENT:
-                self.pending_comments.append(text[2:])
-                self.advance()
-                continue
-            if kind == TokenKind.NEWLINE:
-                self.advance()
-                continue
+            kind = self._skip_blank_lines()
+            text = self.texts[self.pos]
             if kind == TokenKind.DEDENT:
                 self.advance()
                 break
@@ -746,7 +716,6 @@ class Parser:
                 break
             if kind == TokenKind.ANNOTATION:
                 if text == "@tailrec":
-                    tailrec = True
                     tailrec_span = self.span(self.pos)
                     self.advance()
                     self._skip_newline()
@@ -755,32 +724,19 @@ class Parser:
                     self.advance()
                 continue
             if kind == TokenKind.RESERVED_WORD and text == "abstract":
-                # Comments above the block belong to nobody; comments trailing
-                # its last member are pending for the next declaration.
-                self.pending_comments = []
                 members.append(self._parse_abstract_block())
                 continue
             if kind == TokenKind.RESERVED_WORD and text == "directive":
-                self.pending_comments = []
                 members.append(self.parse_directive())
                 continue
             if kind == TokenKind.IDENTIFIER:
-                members.append(
-                    self.parse_definition(
-                        in_abstract=False,
-                        tailrec=tailrec,
-                        comments=self.take_pending_comments(),
-                    )
-                )
-                tailrec = False
+                tailrec = tailrec_span is not None
+                members.append(self.parse_definition(in_abstract=False, tailrec=tailrec))
                 tailrec_span = None
                 continue
-            self.err(
-                "E-PAR-001",
-                f"expected a class member, found {self._describe()}",
-            )
+            self.expected("a class member")
             self._resync_declaration()
-        if tailrec and tailrec_span is not None:
+        if tailrec_span is not None:
             self.err("E-PAR-001", "'@tailrec' is not followed by a definition", tailrec_span)
 
     def _parse_dotted_name(self, what: str) -> str:
@@ -797,16 +753,10 @@ class Parser:
         imports: list[str] = []
         items: list = []
         while True:
-            kind, text = self.kinds[self.pos], self.texts[self.pos]
+            kind = self._skip_blank_lines()
+            text = self.texts[self.pos]
             if kind == TokenKind.END_OF_INPUT:
                 break
-            if kind == TokenKind.COMMENT:
-                self.pending_comments.append(text[2:])
-                self.advance()
-                continue
-            if kind == TokenKind.NEWLINE:
-                self.advance()
-                continue
             if kind == TokenKind.INDENT:
                 self.err("E-PAR-001", "unexpected indentation at top level")
                 self._skip_indented_block()
@@ -830,14 +780,9 @@ class Parser:
                 items.append(self.parse_class())
                 continue
             if kind == TokenKind.RESERVED_WORD and text == "directive":
-                self.pending_comments = []
                 items.append(self.parse_directive())
                 continue
-            self.err(
-                "E-PAR-001",
-                f"expected 'class', 'directive', 'package', or 'import',"
-                f" found {self._describe()}",
-            )
+            self.expected("'class', 'directive', 'package', or 'import'")
             self._resync_top()
         return Program(
             package_name,
