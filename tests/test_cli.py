@@ -253,6 +253,32 @@ def test_file_that_is_not_utf8_fails_without_a_traceback(tmp_path, command):
     assert proc.stderr == f"{f}: not valid UTF-8 (byte 0xff at offset 15)\n"
 
 
+def test_file_with_a_byte_order_mark_checks_and_formats_without_it(tmp_path):
+    f = tmp_path / "bom.soda"
+    f.write_bytes(b"\xef\xbb\xbfclass A\n\n  x : Int = 1\n\nend\n")
+    for command in ("check", "fmt"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "soda", command, str(f)],
+            capture_output=True,
+            text=True,
+            encoding="utf-8",
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "class A\n\n  x : Int = 1\n\nend\n"
+
+
+def test_offset_of_a_bad_byte_counts_the_byte_order_mark(tmp_path):
+    f = tmp_path / "bad.soda"
+    f.write_bytes(b"\xef\xbb\xbfclass A\n\n  x = \xff\nend\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "soda", "check", str(f)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"{f}: not valid UTF-8 (byte 0xff at offset 18)\n"
+
+
 def test_module_entry_point(pair_file):
     proc = subprocess.run(
         [sys.executable, "-m", "soda", "run", str(pair_file), "Main.demo"],
