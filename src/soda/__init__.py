@@ -61,39 +61,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalyzedProgram",
-    "ConstructorSignature",
-    "DEFAULT_MAX_RECURSION",
-    "DIAGNOSTIC_CODES",
-    "Diagnostic",
-    "Interpreter",
-    "LeanRendering",
-    "LexResult",
-    "ParseResult",
-    "Program",
-    "RuntimeFault",
-    "ScalaRendering",
-    "SourceSpan",
-    "Token",
-    "TokenKind",
-    "analyze",
-    "builtin_fold",
-    "builtin_range",
-    "check_lean_supported",
-    "check_single_definition",
-    "filter_directives",
-    "format_expr",
-    "parse",
-    "parse_expression",
-    "pretty_print",
-    "render_value",
-    "resolve_named_arguments",
-    "synthesize_constructors",
-    "translate_definition_to_scala",
-    "translate_match_to_lean",
-    "translate_to_lean",
-    "translate_to_scala",
-    "translate_type_to_scala",
-    "verify_tailrec",
-]
+__all__ = sorted(_MODULE_OF)

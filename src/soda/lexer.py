@@ -30,6 +30,7 @@ from .syntax import (
     Token,
     TokenKind,
     error,
+    has_errors,
 )
 
 # One master pattern, matched at the cursor after the blanks between
@@ -87,7 +88,7 @@ class LexResult:
 
     @property
     def ok(self) -> bool:
-        return not any(d.severity == "error" for d in self.diagnostics)
+        return not has_errors(self.diagnostics)
 
 
 @dataclass
