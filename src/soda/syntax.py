@@ -4,12 +4,13 @@ types, patterns and declarations, which the pretty-printer and both
 backends share.
 
 Every node is an instance of a tree class (see ``tree_class``): immutable
-after construction, with dataclass fields; spans and tokens, which the lexer
-builds for every token, are named tuples. Source spans are excluded from
-equality (``compare=False``), so ``==`` on two trees is structural equality:
-same shape, same names, same literals, regardless of where the nodes came
-from, at any depth. That is the equality the parse/print round-trip tests
-rely on.
+after construction, with dataclass fields. Spans and tokens are named tuples,
+built on request: the lexer keeps flat lists of kinds, texts and positions,
+and the parser builds a span only for a node or a diagnostic. Source spans
+are excluded from equality (``compare=False``), so ``==`` on two trees is
+structural equality: same shape, same names, same literals, regardless of
+where the nodes came from, at any depth. That is the equality the
+parse/print round-trip tests rely on.
 """
 
 from __future__ import annotations
