@@ -42,16 +42,16 @@ def _emit(diagnostics: list[Diagnostic]) -> None:
 
 def _load(path: str) -> Optional[str]:
     try:
-        # "utf-8-sig" drops a leading byte-order mark, which is not Soda text.
-        with open(path, encoding="utf-8-sig") as fh:
-            return fh.read()
+        with open(path, encoding="utf-8") as fh:
+            # A byte-order mark is not Soda text. Dropping it after decoding,
+            # rather than reading as "utf-8-sig", keeps the offsets below
+            # counted from the start of the file.
+            return fh.read().removeprefix("\ufeff")
     except OSError as ex:
         print(f"{path}: {ex.strerror or ex}", file=sys.stderr)
     except UnicodeDecodeError as ex:
-        # The decoder counts offsets after the mark, so add back its length.
-        offset = ex.start + os.path.getsize(path) - len(ex.object)
         print(f"{path}: not valid UTF-8 (byte 0x{ex.object[ex.start]:02x}"
-              f" at offset {offset})", file=sys.stderr)
+              f" at offset {ex.start})", file=sys.stderr)
     return None
 
 
