@@ -217,8 +217,8 @@ class Parser:
             self.pos += 1
 
     def _take_comments(self) -> str:
-        """Keep each comment here for the next declaration; return the kind
-        of the token after them."""
+        """Keep each comment at the cursor for the next declaration; return
+        the kind of the token after them."""
         while (kind := self.kinds[self.pos]) == TokenKind.COMMENT:
             self.pending_comments.append(self.texts[self.pos][2:])
             self.pos += 1
