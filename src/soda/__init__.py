@@ -21,7 +21,6 @@ _MODULE_OF = {
     "render_value": "interpreter",
     "LeanRendering": "lean_backend",
     "check_lean_supported": "lean_backend",
-    "translate_match_to_lean": "lean_backend",
     "translate_to_lean": "lean_backend",
     "LexResult": "lexer",
     "tokenize": "lexer",
@@ -29,9 +28,7 @@ _MODULE_OF = {
     "parse": "parser",
     "parse_expression": "parser",
     "ScalaRendering": "scala_backend",
-    "translate_definition_to_scala": "scala_backend",
     "translate_to_scala": "scala_backend",
-    "translate_type_to_scala": "scala_backend",
     "DEFAULT_MAX_RECURSION": "syntax",
     "DIAGNOSTIC_CODES": "syntax",
     "Diagnostic": "syntax",

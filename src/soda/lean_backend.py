@@ -170,11 +170,6 @@ class _LeanPrinter(ExprPrinter):
 _LEAN = _LeanPrinter()
 
 
-def translate_match_to_lean(e: Match, indent: str = "") -> str:
-    """Block form of a match, one line per case."""
-    return "\n".join(_LEAN.match_block(e, indent))
-
-
 # ============================================================
 # whole programs
 # ============================================================

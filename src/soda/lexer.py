@@ -157,12 +157,14 @@ class _Scanner:
             col += 1
         return col
 
-    def _apply_layout(self, indent: int, lineno: int) -> None:
-        top = self.indent_stack[-1]
-        if indent > top:
+    def _apply_layout(self, indent: int, lineno: int) -> tuple[int, ...]:
+        """Emit the indent or the dedents that a line at ``indent`` opens or
+        closes, and return the levels closed, innermost first."""
+        if indent > self.indent_stack[-1]:
             self.indent_stack.append(indent)
             self.emit(TokenKind.INDENT, "", lineno, indent + 1)
-            return
+            return ()
+        closed = ()
         while indent < self.indent_stack[-1]:
             if indent > self.indent_stack[-2]:
                 message = (f"dedent to column {indent + 1} does not match"
@@ -171,11 +173,14 @@ class _Scanner:
                 self.out.diagnostics.append(error("E-LEX-004", message, span))
                 # Recover by keeping the line in the level it leaves only in
                 # part, so no dedent is emitted without its indent.
-                return
-            self.indent_stack.pop()
+                break
+            closed += (self.indent_stack.pop(),)
             self.emit(TokenKind.DEDENT, "", lineno, indent + 1)
+        return closed
 
     def _scan_line(self, line: str, lineno: int) -> None:
+        out = self.out
+        layout_index = len(out.kinds)
         if self.bracket_depth == 0:
             indent = self._measure_indent(line, lineno)
             rest = line[indent:]
@@ -184,14 +189,24 @@ class _Scanner:
             if rest.startswith("//"):
                 self.emit(TokenKind.COMMENT, rest, lineno, indent + 1)
                 return
-            self._apply_layout(indent, lineno)
+            closed = self._apply_layout(indent, lineno)
             col = indent
         else:
-            col = 0
+            col, closed = 0, ()
 
-        first_token_index = len(self.out.kinds)
+        first_token_index = len(out.kinds)
         line_opened_at_depth_zero = self.bracket_depth == 0
         self._scan_content(line, lineno, col)
+        if first_token_index == len(out.kinds):
+            # Only illegal characters: the line lexes as a blank one, so its
+            # layout tokens are taken back and it gets no newline.
+            if first_token_index > layout_index:
+                if out.kinds[layout_index] == TokenKind.INDENT:
+                    self.indent_stack.pop()
+                self.indent_stack += reversed(closed)
+                for column in (out.kinds, out.texts, out.lines, out.cols):
+                    del column[layout_index:]
+            return
         if self.bracket_depth == 0:
             self.emit(TokenKind.NEWLINE, "", lineno, len(line) + 1)
         if (

@@ -797,14 +797,11 @@ def _normalize_raw_lines(raws: list[str]) -> tuple[str, ...]:
     and trailing blank lines are dropped, and the common leading-space margin
     of the remaining lines is stripped."""
     texts = [line if line.strip() else "" for line in raws]
-    while texts and texts[0] == "":
-        texts.pop(0)
-    while texts and texts[-1] == "":
-        texts.pop()
-    nonblank = [t for t in texts if t]
+    nonblank = [i for i, t in enumerate(texts) if t]
     if not nonblank:
         return ()
-    margin = min(len(t) - len(t.lstrip(" ")) for t in nonblank)
+    texts = texts[nonblank[0] : nonblank[-1] + 1]
+    margin = min(len(t) - len(t.lstrip(" ")) for t in texts if t)
     return tuple(t[margin:] if t else "" for t in texts)
 
 

@@ -50,16 +50,6 @@ class ScalaRendering:
 
 
 # ============================================================
-# types
-# ============================================================
-
-
-def translate_type_to_scala(t) -> str:
-    """Render a type expression or a class type parameter."""
-    return _SCALA_TYPES.type_param(t) if isinstance(t, TypeParam) else _SCALA_TYPES.expr(t)
-
-
-# ============================================================
 # the printer: expressions, then declarations
 # ============================================================
 
@@ -167,22 +157,9 @@ class _ScalaPrinter(ExprPrinter):
         return lines
 
 
-_SCALA_TYPES = _ScalaPrinter({})
-
-
 # ============================================================
-# declarations and whole programs
+# whole programs
 # ============================================================
-
-
-def translate_definition_to_scala(
-    d: Definition,
-    constructors: dict[str, ConstructorSignature] | None = None,
-    indent: str = "",
-) -> list[str]:
-    """Render one member definition (or abstract declaration) as Scala
-    lines. Constants become ``lazy val``, functions become ``def``."""
-    return _ScalaPrinter(constructors or {}).definition(d, indent)
 
 
 def translate_to_scala(analyzed: AnalyzedProgram) -> ScalaRendering:

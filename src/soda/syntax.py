@@ -323,7 +323,6 @@ DIAGNOSTIC_CODES = {
     "E-SEM-021": "repeated parameter name",
     "E-SEM-022": "missing parameter",
     "E-SEM-023": "mixed named and positional arguments",
-    "E-SEM-030": "this used outside a class",
     "E-LEAN-001": "construct not supported by the Lean backend",
     "W-SEM-001": "identifier not declared in this file",
 }

@@ -276,6 +276,80 @@ def test_analyze_is_linear_in_the_binders_of_a_wide_definition():
     )
 
 
+def assert_linear(code: str, n: int) -> None:
+    """Run ``code``, which defines ``build(n)`` and ``stage(x)``, in a fresh
+    process, and time ``stage`` on ``build(n)`` and ``build(4 * n)``,
+    interleaved, best of 3. Linear work reads about 4, quadratic about 16."""
+    run_code(textwrap.dedent(code) + textwrap.dedent(
+        f"""
+        import gc, time
+
+        def seconds(x):
+            gc.collect()
+            start = time.process_time()
+            stage(x)
+            return time.process_time() - start
+
+        inputs = [build({n}), build({4 * n})]
+        rounds = [[seconds(x) for x in inputs] for _ in range(3)]
+        small, large = (min(times) for times in zip(*rounds))
+        assert large < 8 * small, (small, large)
+        """
+    ))
+
+
+def test_analyze_is_linear_in_the_number_of_classes():
+    # Copying the program-wide name tables once per class made this quadratic.
+    assert_linear(
+        """
+        from soda import analyze, parse
+
+        def build(n):
+            classes = (f"class C{i}\\n\\n  f{i} : Int = {i}\\n\\nend\\n\\n" for i in range(n))
+            return parse("".join(classes)).program
+
+        def stage(program):
+            assert analyze(program).diagnostics == []
+        """,
+        500,
+    )
+
+
+def test_analyze_is_linear_in_the_named_arguments_of_a_call():
+    # Looking each name up in the list of parameter names made this quadratic.
+    assert_linear(
+        """
+        from soda import analyze, parse
+
+        def build(n):
+            params = "".join(f" (p{i} : Int)" for i in range(n))
+            args = " ".join(f"(p{i} := {i})" for i in range(n))
+            return parse(f"class N\\n\\n  g{params} : Int = p0\\n\\n  h : Int = g {args}\\n\\nend\\n").program
+
+        def stage(program):
+            assert analyze(program).diagnostics == []
+        """,
+        3000,
+    )
+
+
+def test_parse_is_linear_in_the_blank_lines_that_open_a_directive():
+    # Dropping the leading blank lines one at a time from the front of a
+    # list made this quadratic.
+    assert_linear(
+        """
+        from soda import parse
+
+        def build(n):
+            return "class D\\n\\n  directive scala\\n" + "\\n" * n + "    val x = 1\\n\\nend\\n"
+
+        def stage(source):
+            assert parse(source).program.classes[0].directives[0].raw_lines == ("val x = 1",)
+        """,
+        32000,
+    )
+
+
 def test_analyze_takes_20000_applied_lambdas_with_distinct_names():
     # Each level binds a new name, so the table of open binders grows to
     # 20001 names; one set of bound names per level would hold 2 * 10^8.

@@ -6,7 +6,6 @@ from soda import (
     analyze,
     check_lean_supported,
     parse,
-    translate_match_to_lean,
     translate_to_lean,
 )
 
@@ -167,13 +166,10 @@ def test_rendering_none_exactly_when_diagnostics_exist():
     assert not bad.ok and bad.text is None and bad.diagnostics
 
 
-def test_translate_match_to_lean_gives_the_lines_of_a_match_body():
+def test_a_match_body_gives_its_lines_in_the_program():
     source = (
         "class P\n\n  abstract\n    fst : Int\n    snd : Int\n\n"
         "  swap (p : P) : P = match p case P_ (a) (b) ==> P_ (b) (a)\n\nend\n"
     )
-    analyzed = analyze(parse(source, "t.soda").program)
-    swap = analyzed.program.classes[0].definitions[0]
-    block = translate_match_to_lean(swap.body, "  ")
-    assert block == "  match p with\n  | P_ a b => P_ b a"
-    assert f"\ndef swap (p : P) : P :=\n{block}\n" in translate_to_lean(analyzed).text
+    block = "  match p with\n  | P_ a b => P_ b a"
+    assert f"\ndef swap (p : P) : P :=\n{block}\n" in text_of(source)

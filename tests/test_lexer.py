@@ -1,5 +1,6 @@
 """Token-level behavior: classification, layout, strings, raw capture."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -129,6 +130,18 @@ def test_layout_blank_and_comment_lines_are_transparent():
         t.kind for t in tokenize(source).tokens if t.span.line_start == 3
     ]
     assert comment_line_kinds == [TokenKind.COMMENT]
+
+
+@pytest.mark.parametrize("source", [
+    "class A\n$\n  x = 1\nend\n",
+    "class A\n$\n  x : Int = 1\n\nend\n",
+    "class A\n\n  abstract\n$\n    v : Int\n\nend\n",
+])
+def test_a_line_of_only_illegal_characters_lexes_as_a_blank_line(source):
+    # No layout token and no newline, so the parser reports nothing more.
+    blank = tokenize(source.replace("$", ""))
+    assert (kinds(source), tokenize(source).lines) == (blank.kinds, blank.lines)
+    assert [d.code for d in parse(source).diagnostics] == ["E-LEX-002"]
 
 
 def test_newline_suppressed_inside_brackets():

@@ -2,23 +2,9 @@
 
 from pathlib import Path
 
-from soda import (
-    analyze,
-    parse,
-    translate_definition_to_scala,
-    translate_to_scala,
-    translate_type_to_scala,
-)
-from soda.syntax import (
-    AppliedType,
-    FunctionType,
-    NamedType,
-    TypeParam,
-    synthetic_span,
-)
+from soda import analyze, parse, translate_to_scala
 
 GOLDENS = Path(__file__).parent / "goldens"
-S = synthetic_span()
 
 
 def scala_of(source):
@@ -192,21 +178,18 @@ def test_source_map_points_lines_back_at_declarations():
 
 
 def test_type_rendering_table():
-    assert translate_type_to_scala(NamedType("Bool", S)) == "Boolean"
-    assert translate_type_to_scala(NamedType("Int", S)) == "Int"
-    assert translate_type_to_scala(
-        AppliedType(NamedType("Seq", S), (NamedType("Int", S),), S)
-    ) == "Seq [Int]"
-    assert translate_type_to_scala(
-        FunctionType(
-            FunctionType(NamedType("Int", S), NamedType("Int", S), S),
-            NamedType("Bool", S),
-            S,
-        )
-    ) == "(Int => Int) => Boolean"
-    assert translate_type_to_scala(
-        TypeParam("A", "subtype", NamedType("B", S), S)
-    ) == "A <: B"
+    source = (
+        "class B\n\nend\n\nclass T [A subtype B]\n\n  abstract\n    b : Bool\n"
+        "    i : Int\n    s : Seq [Int]\n    f : (Int --> Int) --> Bool\n\nend\n"
+    )
+    lines = scala_of(source).text.split("\n")
+    start = lines.index("trait T [A <: B] {")
+    assert lines[start + 1 : start + 5] == [
+        "  def b : Boolean",
+        "  def i : Int",
+        "  def s : Seq [Int]",
+        "  def f : (Int => Int) => Boolean",
+    ]
 
 
 SWAP = (
@@ -215,20 +198,18 @@ SWAP = (
 )
 
 
-def test_translate_definition_to_scala_gives_the_lines_the_golden_embeds():
+def test_abstract_members_give_the_lines_the_golden_embeds():
     analyzed = analyze(parse((GOLDENS / "pair_param.soda").read_text(), "p.soda").program)
     golden = (GOLDENS / "pair_param.scala").read_text()
+    text = translate_to_scala(analyzed).text
     for d in analyzed.program.classes[0].abstract_members:
-        lines = translate_definition_to_scala(d, analyzed.constructors, "  ")
-        assert lines == [f"  def {d.name} : {d.result_type.name}"]
-        assert "\n" + "\n".join(lines) + "\n" in golden
+        line = f"\n  def {d.name} : {d.result_type.name}\n"
+        assert line in text and line in golden
 
 
-def test_translate_definition_to_scala_gives_the_lines_of_a_match_body():
+def test_a_match_body_gives_its_lines_in_the_program():
     analyzed = analyze(parse(SWAP, "t.soda").program)
-    swap = analyzed.program.classes[0].definitions[0]
-    lines = translate_definition_to_scala(swap, analyzed.constructors, "  ")
-    assert lines == [
+    lines = [
         "  def swap (p : P) : P =",
         "    p match {",
         "      case P_ (a, b) => P_ (b, a)",

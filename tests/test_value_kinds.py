@@ -47,6 +47,8 @@ class K
 
   shout (s : String) : String = s + "!"
 
+  pair (a : Int) (b : Int) : P = P_ (a) (b)
+
 end
 """
 
@@ -81,6 +83,14 @@ def test_equality_holds_within_a_kind(source):
 def test_objects_whose_fields_differ_only_in_kind_are_unequal():
     assert render_value(ev("P_ (1) (true) == P_ (true) (1)")) == "false"
     assert render_value(ev("P_ (0) (false) == P_ (false) (0)")) == "false"
+
+
+def test_objects_from_run_entry_compare_and_hash_by_class_and_fields():
+    first, second = INTERP.run_entry("K", "pair", (1, 2)), INTERP.run_entry("K", "pair", (1, 2))
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first != INTERP.run_entry("K", "pair", (1, 3))
+    assert first != 1 and not first == 1
 
 
 def test_sequences_whose_items_differ_only_in_kind_are_unequal():
