@@ -67,6 +67,23 @@ end
 """
 
 
+# Type arguments are erased at run time: a chain through a type application
+# is a call like any other.
+TYPES = """\
+class G
+
+  plus (a : Int) (b : Int) : Int = a + b
+
+  add3 (a : Int) (b : Int) (c : Int) : Int = a * 100 + b * 10 + c
+
+  typed (x : Int) : Int = plus [Int] (x) (x + 1) + add3 [Int] [Int] (x) (1) (2 / x)
+
+  partial (x : Int) : Int --> Int = add3 [Int] (x) (x)
+
+end
+"""
+
+
 def analyzed_of(source):
     res = parse(source, "t.soda")
     assert res.ok, [d.render() for d in res.diagnostics]
@@ -137,6 +154,7 @@ SWEEPS = {
         ("F", "sum_with", (20,)), ("F", "sum_lambda", (20, 3)), ("F", "sum_partial", (20,)),
         ("F", "sum_nested", (6,)), ("F", "divide_all", (5,)), ("F", "plus", (1,)),
     ]),
+    "types": (TYPES, [("G", "typed", (3,)), ("G", "typed", (0,)), ("G", "partial", (1, 2))]),
 }
 
 #: The digest of each call's sweep, one line per budget: the budget, the
@@ -206,6 +224,12 @@ SWEEP_DIGESTS = {
         "6dd6542f8c9bfb39cc94b56fbe61c7ff6b039e379c15d5a7186e10d4d623e765",
     "spec Spec.classify(62,)":
         "6fc066eef03a4a4eb0095deba1ceee0fb99b92490065fae72528be4cef2389f5",
+    "types G.typed(3,)":
+        "471d1eb67b6ad25ee4050fd0c95d99d2158016dfaf960f439bd27ad6dcc1ce37",
+    "types G.typed(0,)":
+        "3074e09382eb7304681a2e4df7d67e4b5b5f0840f31c83223431ad6719bccb00",
+    "types G.partial(1, 2)":
+        "9bcb55f2a1d60dd1a42f5a4aef0c240fdf13eb1b99e364d438c333db13645548",
 }
 
 
