@@ -58,7 +58,6 @@ from .syntax import (
     SourceSpan,
     StringLiteral,
     TypeApply,
-    UnaryNot,
     VarBindPattern,
     WildcardPattern,
     binder_names,
@@ -340,34 +339,30 @@ _LOCAL = 0  # (_LOCAL, span, slot)
 _VALUE = 1  # (_VALUE, span, value): a literal, builtin, constructor, function or 'this'
 _CONSTANT = 2  # (_CONSTANT, span, [body, value once evaluated, else None])
 _LAMBDA = 3  # (_LAMBDA, span, body, slots of the outer locals the body uses)
-_TYPED = 4  # (_TYPED, span, function): types are erased at runtime
-_FAULT = 5  # (_FAULT, span, fault): the fault to give when evaluated
+_FAULT = 4  # (_FAULT, span, fault): the fault to give when evaluated
 # A _CALL, _BINARY or _IF node (kind + _SLOW), the last item saying how many
 # levels below it the frame path goes. Within the budget, it reads the leaves
 # (_LOCAL and _VALUE nodes) in place and raises the peak as deep, else takes
 # the frame path. _WHOLE passes a class definition all its arguments.
-_WHOLE = 6  # (_WHOLE, span, function, argument, definition, arguments, reach)
-_LEAF_OP = 7  # a _BINARY node whose left operand is a leaf
-_LEAF_IF = 8  # an _IF node whose cond is a binary operator on leaves
+_WHOLE = 5  # (_WHOLE, span, function, argument, definition, arguments, reach)
+_LEAF_OP = 6  # a _BINARY node whose left operand is a leaf
+_LEAF_IF = 7  # an _IF node whose cond is a binary operator on leaves
 # Nodes that first evaluate the sub-expression at index 2. Each kind is also
 # that of the frame which waits for its value: (kind, node, locals, depth).
-_CALL = 9  # (_CALL, span, function, argument)
-_BINARY = 10  # (_BINARY, span, left, right, op, 1)
-_IF = 11  # (_IF, span, cond, then, else, 2)
+_CALL = 8  # (_CALL, span, function, argument)
+_BINARY = 9  # (_BINARY, span, left, right, op, 1)
+_IF = 10  # (_IF, span, cond, then, else, 2)
 _SLOW = _CALL - _WHOLE
-_MATCH = 12  # (_MATCH, span, scrutinee, ((pattern, result, slots of outer locals), ...))
-_NOT = 13  # (_NOT, span, operand)
+_MATCH = 11  # (_MATCH, span, scrutinee, ((pattern, result, slots of outer locals), ...))
+_NOT = 12  # (_NOT, span, operand)
 
 # The other frames, with what the waiting evaluation needs once its value
 # arrives; ``depth`` is the waiting evaluation's depth.
-_RIGHT = 14  # (_RIGHT, binary operator node, left value): the right operand
-_APPLY = 15  # (_APPLY, function, span, depth, depth of a closure's body): the argument
-_FOLD = 16  # (_FOLD, op, items, index, span, depth): the accumulator so far
-_ARG = 17  # (_ARG, argument, span, depth): a function to apply to argument
-_CONST = 18  # (_CONST, cell): a constant's value, kept in its cell
-
-#: The kind of node built from the resolved children of each other expression.
-_BUILT = {UnaryNot: _NOT, TypeApply: _TYPED}
+_RIGHT = 13  # (_RIGHT, binary operator node, left value): the right operand
+_APPLY = 14  # (_APPLY, function, span, depth, depth of a closure's body): the argument
+_FOLD = 15  # (_FOLD, op, items, index, span, depth): the accumulator so far
+_ARG = 16  # (_ARG, argument, span, depth): a function to apply to argument
+_CONST = 17  # (_CONST, cell): a constant's value, kept in its cell
 
 
 class Interpreter:
@@ -530,8 +525,10 @@ class Interpreter:
                     message = f"named argument '{x.param_name}' could not be resolved to a declared"
                     fault = RuntimeFault(FAULT_NOT_APPLICABLE, message + " parameter", x.span)
                     done.append((_FAULT, x.span, fault))
-                else:
-                    done.append((_BUILT[t], x.span, *kids))
+                elif t is TypeApply:  # types are erased at run time
+                    done.append(kids[0])
+                else:  # UnaryNot
+                    done.append((_NOT, x.span, *kids))
         return done.pop()
 
     # ---------- evaluation machine ----------
@@ -602,9 +599,6 @@ class Interpreter:
                         continue
                 elif kind == _LAMBDA:
                     value = ClosureV(expr[2], tuple([env[i] for i in expr[3]]))
-                elif kind == _TYPED:
-                    expr = expr[2]
-                    continue
                 else:  # _FAULT
                     return expr[2]
 

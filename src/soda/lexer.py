@@ -2,9 +2,11 @@
 
 Line-oriented scanner with offside-rule layout: indentation changes become
 ``indent``/``dedent`` tokens against a stack of indentation levels, and each
-content line at bracket depth zero ends with a ``newline`` token. Inside
-parentheses or brackets the layout tokens are suppressed, so bracketed
-expressions may span lines freely.
+content line at bracket depth zero ends with a ``newline`` token. A line is
+scanned first and its layout decided after, so a line that holds no token
+but a comment (blank, a comment, only illegal characters) has no layout, as
+in Python's tokenizer. Inside parentheses or brackets the layout tokens are
+suppressed, so bracketed expressions may span lines freely.
 
 Directive blocks are special: after a line whose first token is the
 ``directive`` reserved word, every following line that is blank or indented
@@ -99,8 +101,7 @@ class _Scanner:
     out: LexResult
     indent_stack: list[int] = field(default_factory=lambda: [0])
     bracket_depth: int = 0
-    raw_mode: bool = False
-    raw_threshold: int = 0
+    raw_margin: int | None = None  # the open directive line's indentation, else None
 
     def span(self, line: int, col_start: int, col_end: int) -> SourceSpan:
         return SourceSpan(self.out.file, line, col_start, line, col_end)
@@ -117,10 +118,7 @@ class _Scanner:
         if lines and lines[-1] == "":
             lines.pop()
         for lineno, raw in enumerate(lines, start=1):
-            line = raw[:-1] if raw.endswith("\r") else raw
-            if self.raw_mode and self._try_raw_line(line, lineno):
-                continue
-            self._scan_line(line, lineno)
+            self._scan_line(raw[:-1] if raw.endswith("\r") else raw, lineno)
         eof_line = len(lines) + 1
         while len(self.indent_stack) > 1:
             self.indent_stack.pop()
@@ -128,95 +126,64 @@ class _Scanner:
         self.emit(TokenKind.END_OF_INPUT, "", eof_line, 1)
         return self.out
 
-    # ---------- raw (directive) lines ----------
-
-    def _try_raw_line(self, line: str, lineno: int) -> bool:
-        """Capture one directive-body line; False ends raw mode and hands the
-        line back to normal scanning."""
-        if line.strip() == "":
-            self.emit(TokenKind.RAW_LINE, "", lineno, 1)
-            return True
-        indent = len(line) - len(line.lstrip(" \t"))
-        if indent > self.raw_threshold:
-            self.emit(TokenKind.RAW_LINE, line, lineno, 1)
-            return True
-        self.raw_mode = False
-        return False
-
-    # ---------- normal lines ----------
-
-    def _measure_indent(self, line: str, lineno: int) -> int:
-        col = 0
-        tab_reported = False
-        while col < len(line) and line[col] in " \t":
-            if line[col] == "\t" and not tab_reported:
-                self.out.diagnostics.append(
-                    error("E-LEX-003", "tab character in indentation", self.span(lineno, col + 1, col + 2))
-                )
-                tab_reported = True
-            col += 1
-        return col
-
-    def _apply_layout(self, indent: int, lineno: int) -> tuple[int, ...]:
-        """Emit the indent or the dedents that a line at ``indent`` opens or
-        closes, and return the levels closed, innermost first."""
-        if indent > self.indent_stack[-1]:
-            self.indent_stack.append(indent)
-            self.emit(TokenKind.INDENT, "", lineno, indent + 1)
-            return ()
-        closed = ()
-        while indent < self.indent_stack[-1]:
-            if indent > self.indent_stack[-2]:
+    def _layout(self, indent: int, lineno: int, mark: int) -> list[str]:
+        """The indent or the dedents that a line at ``indent`` opens or
+        closes; a dedent to no enclosing level is reported at ``mark``."""
+        stack = self.indent_stack
+        if indent > stack[-1]:
+            stack.append(indent)
+            return [TokenKind.INDENT]
+        dedents = []
+        while indent < stack[-1]:
+            if indent > stack[-2]:
                 message = (f"dedent to column {indent + 1} does not match"
                            " any enclosing indentation level")
                 span = self.span(lineno, indent + 1, indent + 1)
-                self.out.diagnostics.append(error("E-LEX-004", message, span))
+                self.out.diagnostics.insert(mark, error("E-LEX-004", message, span))
                 # Recover by keeping the line in the level it leaves only in
                 # part, so no dedent is emitted without its indent.
                 break
-            closed += (self.indent_stack.pop(),)
-            self.emit(TokenKind.DEDENT, "", lineno, indent + 1)
-        return closed
+            stack.pop()
+            dedents.append(TokenKind.DEDENT)
+        return dedents
 
     def _scan_line(self, line: str, lineno: int) -> None:
+        """Scan the line's tokens, then decide its layout: a line with no
+        token but a comment gets none, as a blank line; any other line that
+        starts at bracket depth zero gets its indent or dedents before its
+        first token. Inside a directive block the line is a ``raw_line``."""
         out = self.out
-        layout_index = len(out.kinds)
-        if self.bracket_depth == 0:
-            indent = self._measure_indent(line, lineno)
-            rest = line[indent:]
-            if rest == "":
+        indent = len(line) - len(line.lstrip(" \t"))
+        if self.raw_margin is not None:
+            if line.strip() == "":
+                self.emit(TokenKind.RAW_LINE, "", lineno, 1)
                 return
-            if rest.startswith("//"):
-                self.emit(TokenKind.COMMENT, rest, lineno, indent + 1)
+            if indent > self.raw_margin:
+                self.emit(TokenKind.RAW_LINE, line, lineno, 1)
                 return
-            closed = self._apply_layout(indent, lineno)
-            col = indent
-        else:
-            col, closed = 0, ()
-
-        first_token_index = len(out.kinds)
-        line_opened_at_depth_zero = self.bracket_depth == 0
-        self._scan_content(line, lineno, col)
-        if first_token_index == len(out.kinds):
-            # Only illegal characters: the line lexes as a blank one, so its
-            # layout tokens are taken back and it gets no newline.
-            if first_token_index > layout_index:
-                if out.kinds[layout_index] == TokenKind.INDENT:
-                    self.indent_stack.pop()
-                self.indent_stack += reversed(closed)
-                for column in (out.kinds, out.texts, out.lines, out.cols):
-                    del column[layout_index:]
+            self.raw_margin = None
+        at_depth_zero = self.bracket_depth == 0
+        if at_depth_zero and (tab := line.find("\t", 0, indent)) >= 0:
+            span = self.span(lineno, tab + 1, tab + 2)
+            out.diagnostics.append(error("E-LEX-003", "tab character in indentation", span))
+        if indent == len(line):  # blank: no token, so no layout
             return
+        mark, first = len(out.diagnostics), len(out.kinds)
+        self._scan_content(line, lineno, indent)
+        count = len(out.kinds) - first
+        if count == 0 or count == 1 and out.kinds[first] == TokenKind.COMMENT:
+            return
+        if at_depth_zero:
+            if out.texts[first] == "directive" and out.kinds[first] == TokenKind.RESERVED_WORD:
+                self.raw_margin = indent
+            if indent != self.indent_stack[-1] and (layout := self._layout(indent, lineno, mark)):
+                n = len(layout)
+                out.kinds[first:first] = layout
+                out.texts[first:first] = [""] * n
+                out.lines[first:first] = [lineno] * n
+                out.cols[first:first] = [indent + 1] * n
         if self.bracket_depth == 0:
             self.emit(TokenKind.NEWLINE, "", lineno, len(line) + 1)
-        if (
-            line_opened_at_depth_zero
-            and first_token_index < len(self.out.kinds)
-            and self.out.kinds[first_token_index] == TokenKind.RESERVED_WORD
-            and self.out.texts[first_token_index] == "directive"
-        ):
-            self.raw_mode = True
-            self.raw_threshold = len(line) - len(line.lstrip(" \t"))
 
     def _scan_content(self, line: str, lineno: int, col: int) -> None:
         out, n = self.out, len(line)

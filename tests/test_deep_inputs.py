@@ -11,6 +11,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -347,6 +349,33 @@ def test_parse_is_linear_in_the_blank_lines_that_open_a_directive():
             assert parse(source).program.classes[0].directives[0].raw_lines == ("val x = 1",)
         """,
         32000,
+    )
+
+
+# Sources of n units for tokenize: (the expression of the source, n).
+LEX_SHAPES = {
+    "comment lines": ('"  // note\\n" * n', 2500),
+    "illegal characters then a comment": ('"$ // c\\n" * n', 1200),
+    "members with a continuation line": (
+        '"class A\\n" + "".join(f"  x{i} : Int =\\n    {i}\\n" for i in range(n)) + "end\\n"', 800),
+    "one line of illegal characters": ('"$" * n', 2500),
+    "one long comment": ('"// " + "c" * n', 2_000_000),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LEX_SHAPES))
+def test_tokenize_is_linear_in_each_shape(shape):
+    source, n = LEX_SHAPES[shape]
+    assert_linear(
+        f"""
+        from soda import tokenize
+
+        def build(n):
+            return {source}
+
+        stage = tokenize
+        """,
+        n,
     )
 
 

@@ -1,7 +1,7 @@
 """Token-level behavior: classification, layout, strings, raw capture."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from astgen import random_program
@@ -136,12 +136,26 @@ def test_layout_blank_and_comment_lines_are_transparent():
     "class A\n$\n  x = 1\nend\n",
     "class A\n$\n  x : Int = 1\n\nend\n",
     "class A\n\n  abstract\n$\n    v : Int\n\nend\n",
+    "class A\n$ // note\n  x = 1\nend\n",
+    "class A\n\n  abstract\n$ // note\n    v : Int\n\nend\n",
+    "class A\n\n  x : Int = 1\n$ // note\n  y : Int = 2\n\nend\n",
 ])
 def test_a_line_of_only_illegal_characters_lexes_as_a_blank_line(source):
     # No layout token and no newline, so the parser reports nothing more.
     blank = tokenize(source.replace("$", ""))
     assert (kinds(source), tokenize(source).lines) == (blank.kinds, blank.lines)
     assert [d.code for d in parse(source).diagnostics] == ["E-LEX-002"]
+
+
+def test_a_blank_or_comment_line_reports_no_dedent_and_a_line_reports_it_first():
+    # A line that lexes as blank or as a comment has no layout, so it
+    # cannot dedent to a column that matches no level.
+    for source in ("class A\n    x = 1\n  $\n", "class A\n    x = 1\n  $ // c\n"):
+        assert codes(source) == ["E-LEX-002"]
+    # On a line with content, the dedent's error comes before the errors
+    # of the line's characters, after a tab in its indentation.
+    assert codes('class A\n    x = 1\n  y = $ "\\q"\n') == ["E-LEX-004", "E-LEX-002", "E-LEX-002"]
+    assert codes("class A\n    x = 1\n \ty = $\n") == ["E-LEX-003", "E-LEX-004", "E-LEX-002"]
 
 
 def test_newline_suppressed_inside_brackets():
@@ -191,6 +205,7 @@ _LAYOUT = (TokenKind.NEWLINE, TokenKind.INDENT, TokenKind.DEDENT,
 
 
 @given(st.text(alphabet=st.characters(codec="ascii"), max_size=200))
+@example("'//")
 @settings(max_examples=300, deadline=None)
 def test_arbitrary_text_never_breaks_the_lexer(source):
     res = tokenize(source)
@@ -199,6 +214,12 @@ def test_arbitrary_text_never_breaks_the_lexer(source):
     assert ks.count(TokenKind.INDENT) == ks.count(TokenKind.DEDENT)
     for d in res.diagnostics:
         assert d.code in DIAGNOSTIC_CODES
+    # Layout lies only on a line with a token other than a comment, or at
+    # the end of input.
+    content = {line for kind, line in zip(res.kinds, res.lines) if kind not in _LAYOUT + (TokenKind.COMMENT,)}
+    for kind, line in zip(res.kinds, res.lines):
+        if kind in _LAYOUT:
+            assert line in content or line == res.lines[-1], (kind, line)
 
 
 # Lines of any code points, drawing a Unicode number as often as anything
