@@ -352,7 +352,8 @@ def test_parse_is_linear_in_the_blank_lines_that_open_a_directive():
     )
 
 
-# Sources of n units for tokenize: (the expression of the source, n).
+# Inputs to tokenize: an expression for a source of n units, and the n to
+# time it at (and at 4n).
 LEX_SHAPES = {
     "comment lines": ('"  // note\\n" * n', 2500),
     "illegal characters then a comment": ('"$ // c\\n" * n', 1200),

@@ -147,7 +147,7 @@ def test_a_line_of_only_illegal_characters_lexes_as_a_blank_line(source):
     assert [d.code for d in parse(source).diagnostics] == ["E-LEX-002"]
 
 
-def test_a_blank_or_comment_line_reports_no_dedent_and_a_line_reports_it_first():
+def test_a_bad_dedent_is_reported_only_on_a_line_with_content_and_first():
     # A line that lexes as blank or as a comment has no layout, so it
     # cannot dedent to a column that matches no level.
     for source in ("class A\n    x = 1\n  $\n", "class A\n    x = 1\n  $ // c\n"):
