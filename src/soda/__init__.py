@@ -10,7 +10,6 @@ _MODULE_OF = {
     "ConstructorSignature": "analyzer",
     "analyze": "analyzer",
     "check_single_definition": "analyzer",
-    "filter_directives": "analyzer",
     "resolve_named_arguments": "analyzer",
     "synthesize_constructors": "analyzer",
     "verify_tailrec": "analyzer",

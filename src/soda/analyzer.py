@@ -15,6 +15,7 @@ program must satisfy before translation or evaluation makes sense.
 - identifiers that no declaration in the file binds produce warnings
 
 ``analyze`` runs the whole pipeline; each check is also callable on its own.
+Directive blocks are left as they are: each printer keeps its own target's.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .syntax import (
     ClassDecl,
     Definition,
     Diagnostic,
-    DirectiveBlock,
     Expr,
     Identifier,
     MatchCase,
@@ -320,25 +320,6 @@ def _undeclared(defn: Definition, own: dict, global_names: set[str]):
 # ============================================================
 # directive filtering
 # ============================================================
-
-
-def filter_directives(program: Program, target: str) -> Program:
-    """Keep only the directive blocks aimed at ``target``; other targets'
-    blocks disappear from the program entirely."""
-
-    def keep(member):
-        return not isinstance(member, DirectiveBlock) or member.target == target
-
-    new_items = []
-    for item in program.items:
-        if isinstance(item, DirectiveBlock):
-            if item.target == target:
-                new_items.append(item)
-        else:
-            new_items.append(
-                replace(item, members=tuple(m for m in item.members if keep(m)))
-            )
-    return replace(program, items=tuple(new_items))
 
 
 # ============================================================

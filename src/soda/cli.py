@@ -23,6 +23,7 @@ from .parser import parse
 from .syntax import (
     DEFAULT_MAX_RECURSION,
     Diagnostic,
+    Program,
     has_errors,
     int_from_text,
     pretty_print,
@@ -74,19 +75,25 @@ def _write_atomic(path: str, text: str) -> bool:
         return False
 
 
-def _analyze_file(path: str) -> Optional[AnalyzedProgram]:
-    """Parse and analyze one file, reporting everything found. None when
-    any stage produced errors."""
-    from .analyzer import analyze
-
+def _parse_file(path: str) -> Optional[Program]:
+    """Load and parse one file, reporting its diagnostics; None on any error."""
     source = _load(path)
     if source is None:
         return None
     parsed = parse(source, path)
     _emit(parsed.diagnostics)
-    if parsed.program is None:
+    return parsed.program
+
+
+def _analyze_file(path: str) -> Optional[AnalyzedProgram]:
+    """Parse and analyze one file, reporting everything found. None when
+    any stage produced errors."""
+    from .analyzer import analyze
+
+    program = _parse_file(path)
+    if program is None:
         return None
-    analyzed = analyze(parsed.program)
+    analyzed = analyze(program)
     _emit(analyzed.diagnostics)
     if not analyzed.ok:
         return None
@@ -198,16 +205,11 @@ def _cmd_run(args) -> int:
 def _cmd_fmt(args) -> int:
     status = 0
     for path in args.files:
-        source = _load(path)
-        if source is None:
+        program = _parse_file(path)
+        if program is None:
             status = 1
             continue
-        parsed = parse(source, path)
-        _emit(parsed.diagnostics)
-        if parsed.program is None:
-            status = 1
-            continue
-        sys.stdout.write(pretty_print(parsed.program))
+        sys.stdout.write(pretty_print(program))
     return status
 
 

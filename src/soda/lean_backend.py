@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .analyzer import AnalyzedProgram, constructor_fields, filter_directives
+from .analyzer import AnalyzedProgram, constructor_fields
 from .syntax import (
     PREC_APP,
     PREC_ATOM,
@@ -123,30 +123,25 @@ class _LeanPrinter(ExprPrinter):
         return f"fun {param} => {self.expr(e.body)}", PREC_LOW
 
     def match(self, e: Match) -> tuple[str, int]:
-        arms = " ".join(self.match_arms(e))
-        return f"match {self.expr(e.scrutinee, PREC_OR)} with {arms}", PREC_LOW
+        return " ".join(self.match_lines(e)), PREC_LOW
 
-    def match_arms(self, e: Match) -> list[str]:
-        arms = []
-        for c in e.cases:
-            arms.append(f"| {self.expr(c.pattern)} => {self.expr(c.result, PREC_OR)}")
-        return arms
+    def match_lines(self, e: Match) -> list[str]:
+        """The head line, then one ``| p => r`` line per case."""
+        arms = (f"| {self.expr(c.pattern)} => {self.expr(c.result, PREC_OR)}" for c in e.cases)
+        return [f"match {self.expr(e.scrutinee, PREC_OR)} with", *arms]
 
     # ---------- declarations ----------
 
     comment = "--"
     writes_tailrec = False
     defines = ":="
+    target = "lean"
 
     def keyword(self, d: Definition) -> str:
         return "def "
 
     def match_block(self, e: Match, indent: str) -> list[str]:
-        lines = [f"match {self.expr(e.scrutinee, PREC_OR)} with", *self.match_arms(e)]
-        return [indent + line for line in lines]
-
-    # A target splices its directive blocks verbatim, without their header.
-    directive = ExprPrinter.spliced
+        return [indent + line for line in self.match_lines(e)]
 
     def class_(self, cls: ClassDecl) -> list[str]:
         # The constructor's class, if it has fields, then a namespace holding
@@ -160,7 +155,7 @@ class _LeanPrinter(ExprPrinter):
             lines += ["  deriving DecidableEq", ""]
         lines.append(f"namespace {cls.name}")
         for member in cls.members:
-            if isinstance(member, DirectiveBlock):
+            if isinstance(member, DirectiveBlock) and member.target == self.target:
                 lines += ["", *self.directive(member, "")]
             elif isinstance(member, Definition) and member.body is not None:
                 lines += ["", *self.definition(member, "")]
@@ -177,9 +172,9 @@ _LEAN = _LeanPrinter()
 
 def translate_to_lean(analyzed: AnalyzedProgram) -> LeanRendering:
     """Render the whole program, or report every unsupported construct and
-    render nothing. ``lean`` directives appear verbatim at their position."""
+    render nothing. Only ``lean`` directive blocks appear, verbatim at their
+    position."""
     diagnostics = check_lean_supported(analyzed.program)
     if diagnostics:
         return LeanRendering(None, diagnostics)
-    program = filter_directives(analyzed.program, "lean")
-    return LeanRendering(_LEAN.program(program)[0], diagnostics)
+    return LeanRendering(_LEAN.program(analyzed.program)[0], diagnostics)

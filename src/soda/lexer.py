@@ -42,12 +42,15 @@ from .syntax import (
 # turns away: an identifier starts with ``isalpha()`` or "_". Integer
 # literals are runs of decimal digits, which is what ``int`` accepts.
 # Operators go longest first; "." only appears in qualified package and
-# import names. When no group matches, the character at the cursor (if any)
-# starts no token.
+# import names. A string literal is Friedl's "unrolled loop" (*Mastering
+# Regular Expressions*, ch. 6): its body is runs of plain characters, each
+# escape a backslash and the character after it (if any), and the closing
+# quote may be missing at the end of a line. When no group matches, the
+# character at the cursor (if any) starts no token.
 _TOKEN = re.compile(
     r"""[ \t]*(?:
         (?P<comment>//.*)
-      | (?P<string>")
+      | (?P<string>"(?P<body>[^"\\]*(?:\\.?[^"\\]*)*)"?)
       | (?P<integer_literal>\d+)
       | (?P<word>[^\W\d]\w*)
       | (?P<annotation>@\w+)
@@ -57,6 +60,9 @@ _TOKEN = re.compile(
     )?""",
     re.VERBOSE,
 ).match
+
+# One escape in a string literal's body.
+_ESCAPE = re.compile(r"\\(.?)")
 
 _BRACKETS = {
     "(": TokenKind.OPEN_PAREN,
@@ -213,8 +219,9 @@ class _Scanner:
                 self.bracket_depth = max(0, self.bracket_depth - 1)
                 kind = _BRACKETS[text]
             elif group == "string":
-                col = self._scan_string(line, lineno, start)
-                continue
+                kind = TokenKind.STRING_LITERAL
+                if "\\" in text or m.end("body") == col:
+                    self._check_string(m, lineno)
             else:
                 kind = group
             kinds(kind)
@@ -227,56 +234,25 @@ class _Scanner:
         message = "stray '@'" if ch == "@" else f"illegal character {ch!r}"
         self.out.diagnostics.append(error("E-LEX-002", message, self.span(lineno, col + 1, col + 2)))
 
-    def _scan_string(self, line: str, lineno: int, col: int) -> int:
-        """Scan a string literal from its opening quote. Only ``\\\"`` and
-        ``\\\\`` escapes exist; anything else after a backslash is an error.
-        An unterminated literal is closed at end of line."""
-        n = len(line)
-        end = col + 1
-        while end < n:
-            ch = line[end]
-            if ch == '"':
-                self.emit(TokenKind.STRING_LITERAL, line[col : end + 1], lineno, col + 1)
-                return end + 1
-            if ch == "\\":
-                if end + 1 < n and line[end + 1] in ('"', "\\"):
-                    end += 2
-                    continue
-                bad = line[end : end + 2]
-                self.out.diagnostics.append(
-                    error(
-                        "E-LEX-002",
-                        f"illegal escape sequence {bad!r} in string literal",
-                        self.span(lineno, end + 1, end + 1 + len(bad)),
-                    )
-                )
-                end += 2
-                continue
-            end += 1
-        self.out.diagnostics.append(
-            error("E-LEX-001", "unterminated string literal", self.span(lineno, col + 1, n + 1))
-        )
-        self.emit(TokenKind.STRING_LITERAL, line[col:n], lineno, col + 1)
-        return n
+    def _check_string(self, m: re.Match, lineno: int) -> None:
+        """Report each escape in string literal ``m`` other than ``\\\"`` and
+        ``\\\\``, and a missing closing quote."""
+        start, end = m.span("body")
+        for e in _ESCAPE.finditer(m.string, start, end):
+            if e[1] != '"' and e[1] != "\\":
+                message = f"illegal escape sequence {e[0]!r} in string literal"
+                span = self.span(lineno, e.start() + 1, e.end() + 1)
+                self.out.diagnostics.append(error("E-LEX-002", message, span))
+        if end == m.end():
+            span = self.span(lineno, start, end + 1)
+            self.out.diagnostics.append(error("E-LEX-001", "unterminated string literal", span))
 
 
 def decode_string_text(text: str) -> str:
-    """Decode a string literal lexeme (quotes included when present) to its
-    value. Tolerates the recovery forms the scanner can produce."""
-    body = text[1:] if text.startswith('"') else text
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\" and i + 1 < len(body):
-            out.append(body[i + 1])
-            i += 2
-            continue
-        if ch == '"':
-            break
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    """Decode a string literal lexeme to its value: each escape becomes the
+    character after its backslash, and a backslash that ends an unclosed
+    literal stays."""
+    return _ESCAPE.sub(lambda e: e[1] or e[0], _TOKEN(text)["body"])
 
 
 def tokenize(source: str, file: str = "<input>") -> LexResult:

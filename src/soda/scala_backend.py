@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analyzer import AnalyzedProgram, ConstructorSignature, filter_directives
+from .analyzer import AnalyzedProgram, ConstructorSignature
 from .syntax import (
     PREC_APP,
     PREC_LOW,
@@ -29,7 +29,6 @@ from .syntax import (
     ClassDecl,
     ConstructorPattern,
     Definition,
-    DirectiveBlock,
     Expr,
     ExprPrinter,
     Identifier,
@@ -59,6 +58,7 @@ class _ScalaPrinter(ExprPrinter):
     not_word = "!"
     arrow = "=>"
     type_renames = {"Bool": "Boolean"}
+    target = "scala"
 
     def __init__(self, constructors: dict[str, ConstructorSignature]):
         self.constructors = constructors
@@ -112,9 +112,6 @@ class _ScalaPrinter(ExprPrinter):
         # Constants become ``lazy val``, functions and declarations ``def``.
         return "def " if d.body is None or d.params else "lazy val "
 
-    # A target splices its directive blocks verbatim, without their header.
-    directive = ExprPrinter.spliced
-
     def import_chunks(self, imports: tuple[str, ...]) -> list[list[str]]:
         return [[f"import {name}"] for name in imports]
 
@@ -135,10 +132,10 @@ class _ScalaPrinter(ExprPrinter):
                 if member.members:
                     decls = [self.definition(decl, "  ") for decl in member.members]
                     chunks.append([line for lines in decls for line in lines])
-            elif isinstance(member, DirectiveBlock):
-                chunks.append(self.directive(member, "  "))
-            else:
+            elif isinstance(member, Definition):
                 chunks.append(self.definition(member, "  "))
+            elif member.target == self.target:
+                chunks.append(self.directive(member, "  "))
         lines = self.comments(cls, "")
         if chunks:
             # One blank line between chunks: ``body`` has one before each.
@@ -163,8 +160,7 @@ class _ScalaPrinter(ExprPrinter):
 
 
 def translate_to_scala(analyzed: AnalyzedProgram) -> ScalaRendering:
-    """Render the whole program. Directive blocks for other targets are
-    dropped; ``scala`` directives appear verbatim at their source position."""
-    program = filter_directives(analyzed.program, "scala")
-    text, source_map = _ScalaPrinter(analyzed.constructors).program(program)
+    """Render the whole program. Only ``scala`` directive blocks appear,
+    verbatim at their source position."""
+    text, source_map = _ScalaPrinter(analyzed.constructors).program(analyzed.program)
     return ScalaRendering(text, source_map)

@@ -1039,6 +1039,8 @@ class ExprPrinter:
     comment = "//"
     writes_tailrec = True
     defines = "="
+    #: Whose directive blocks print: a backend's own, spliced; None (Soda) all.
+    target: Optional[str] = None
 
     def comments(self, node: Union[Definition, ClassDecl], indent: str) -> list[str]:
         return [f"{indent}{self.comment}{c}" for c in node.leading_comments]
@@ -1070,6 +1072,8 @@ class ExprPrinter:
         return [indent + raw if raw else "" for raw in block.raw_lines]
 
     def directive(self, block: DirectiveBlock, indent: str) -> list[str]:
+        if self.target:  # a backend splices the raw lines verbatim, without the header
+            return self.spliced(block, indent)
         return [f"{indent}directive {block.target}", *self.spliced(block, indent + "  ")]
 
     def class_(self, c: ClassDecl) -> list[str]:
@@ -1107,7 +1111,7 @@ class ExprPrinter:
         for item in p.items:
             if isinstance(item, ClassDecl):
                 chunks.append((self.class_(item), item.span))
-            else:
+            elif self.target in (None, item.target):
                 chunks.append((self.directive(item, ""), item.span))
         lines: list[str] = []
         starts: dict[int, SourceSpan] = {}

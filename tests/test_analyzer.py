@@ -3,7 +3,6 @@
 from soda import (
     analyze,
     check_single_definition,
-    filter_directives,
     format_expr,
     parse,
     parse_expression,
@@ -277,22 +276,3 @@ def test_a_pattern_variable_is_bound_only_in_its_own_case_result():
     ]
     span = analyzed.diagnostics[0].span
     assert (span.line_start, span.col_start) == (6, line.rindex("own") + 1)
-
-
-# --- directive filtering ---
-
-def test_filter_directives_keeps_only_one_target():
-    prog = program_of(
-        "directive lean\n  import Std\n\n"
-        "class A\n\n  x = 1\n\n  directive scala\n    val y = 2\n\n"
-        "  directive lean\n    theorem t : 1 = 1 := rfl\n\nend\n"
-    )
-    lean = filter_directives(prog, "lean")
-    assert len(lean.top_directives) == 1
-    assert len(lean.classes[0].directives) == 1
-    assert lean.classes[0].directives[0].target == "lean"
-    scala = filter_directives(prog, "scala")
-    assert scala.top_directives == ()
-    assert [b.raw_lines for b in scala.classes[0].directives] == [("val y = 2",)]
-    # definitions are untouched
-    assert [d.name for d in scala.classes[0].definitions] == ["x"]

@@ -361,6 +361,8 @@ LEX_SHAPES = {
         '"class A\\n" + "".join(f"  x{i} : Int =\\n    {i}\\n" for i in range(n)) + "end\\n"', 800),
     "one line of illegal characters": ('"$" * n', 2500),
     "one long comment": ('"// " + "c" * n', 2_000_000),
+    "one string literal with an escape every tenth character": (
+        """'x = "' + ("abcdefgh" + chr(92) * 2) * (n // 10) + '"'""", 250_000),
 }
 
 

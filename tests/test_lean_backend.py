@@ -121,12 +121,16 @@ def test_tailrec_annotation_is_dropped():
 
 def test_lean_directives_are_spliced_and_others_dropped():
     text = text_of(
+        "directive scala\n  import scala.math.max\n\ndirective lean\n  open Nat\n\n"
         "class A\n\n  x : Int = 1\n\n  directive lean\n"
         "    theorem t : 1 = 1 := rfl\n\n  directive scala\n"
         "    val helper = 42\n\nend\n"
     )
     assert "theorem t : 1 = 1 := rfl" in text
     assert "helper" not in text
+    # Top-level blocks: only the lean one, at column 1.
+    assert "scala.math" not in text
+    assert text.startswith("open Nat\n\nnamespace A\n")
 
 
 def test_each_unsupported_construct_is_reported_once_by_name():

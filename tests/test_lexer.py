@@ -5,7 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from astgen import random_program
-from soda import DIAGNOSTIC_CODES, TokenKind, parse, pretty_print, tokenize
+from soda import DIAGNOSTIC_CODES, SourceSpan, TokenKind, parse, pretty_print, tokenize
+from soda.lexer import decode_string_text
+from soda.syntax import error, escape_string
 
 
 def kinds(source):
@@ -98,6 +100,101 @@ def test_unterminated_string_is_rejected_and_closed_at_line_end():
     assert any(d.code == "E-LEX-001" for d in res.diagnostics)
     # recovery: the next line still tokenizes
     assert "next" in [t.text for t in res.tokens if t.kind == TokenKind.IDENTIFIER]
+
+
+@given(st.text(st.characters(blacklist_characters="\n\r"), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_an_escaped_string_lexes_as_one_literal_and_decodes_back(value):
+    res = tokenize(f'"{escape_string(value)}"')
+    assert res.diagnostics == []
+    assert res.kinds == [TokenKind.STRING_LITERAL, TokenKind.NEWLINE, TokenKind.END_OF_INPUT]
+    assert decode_string_text(res.texts[0]) == value
+
+
+# The per-character string scanner and decoder that the one string pattern
+# replaced, kept as the reference for the property below.
+def _reference_scan_string(line, col, tokens, diagnostics):
+    n = len(line)
+    end = col + 1
+    while end < n:
+        ch = line[end]
+        if ch == '"':
+            tokens.append((TokenKind.STRING_LITERAL, line[col : end + 1], col + 1))
+            return end + 1
+        if ch == "\\":
+            if end + 1 < n and line[end + 1] in ('"', "\\"):
+                end += 2
+                continue
+            bad = line[end : end + 2]
+            diagnostics.append(("E-LEX-002", f"illegal escape sequence {bad!r} in string literal",
+                                end + 1, end + 1 + len(bad)))
+            end += 2
+            continue
+        end += 1
+    diagnostics.append(("E-LEX-001", "unterminated string literal", col + 1, n + 1))
+    tokens.append((TokenKind.STRING_LITERAL, line[col:n], col + 1))
+    return n
+
+
+def _reference_decode(text):
+    body = text[1:] if text.startswith('"') else text
+    out = []
+    i = 0
+    while i < len(body):
+        ch = body[i]
+        if ch == "\\" and i + 1 < len(body):
+            out.append(body[i + 1])
+            i += 2
+            continue
+        if ch == '"':
+            break
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+def _reference_line(line):
+    """The tokens (kind, text, column) and diagnostics of one line over the
+    alphabet below, with strings read by the reference scanner."""
+    tokens, diagnostics, i = [], [], 0
+    while i < len(line):
+        ch = line[i]
+        if ch in " \t":
+            i += 1
+        elif line.startswith("//", i):
+            tokens.append((TokenKind.COMMENT, line[i:], i + 1))
+            break
+        elif ch == "/":
+            tokens.append((TokenKind.OPERATOR_SYMBOL, ch, i + 1))
+            i += 1
+        elif ch in "ab":
+            start = i
+            while i < len(line) and line[i] in "ab":
+                i += 1
+            tokens.append((TokenKind.IDENTIFIER, line[start:i], start + 1))
+        elif ch == '"':
+            i = _reference_scan_string(line, i, tokens, diagnostics)
+        else:
+            diagnostics.append(("E-LEX-002", f"illegal character {ch!r}", i + 1, i + 2))
+            i += 1
+    return tokens, [error(code, message, SourceSpan("<input>", 1, a, 1, b)).render()
+                    for code, message, a, b in diagnostics]
+
+
+@given(st.text(st.sampled_from(['"', "\\", "a", "b", " ", "\t", "/", "\r", "\x0c", "\xa0"]), max_size=30))
+@example('"a\\')
+@example('"\\"')
+@settings(max_examples=1000, deadline=None)
+def test_string_literals_lex_and_decode_as_the_per_character_scanner_did(text):
+    line = "a " + text  # no leading blank, so no layout and no E-LEX-003
+    want_tokens, want_diagnostics = _reference_line(line.removesuffix("\r"))
+    res = tokenize(line)
+    got = [(k, t, c) for k, t, c in zip(res.kinds, res.texts, res.cols) if k not in _LAYOUT]
+    assert got == want_tokens
+    assert [d.render() for d in res.diagnostics] == want_diagnostics
+    for kind, text, _ in got:
+        if kind == TokenKind.STRING_LITERAL:
+            assert decode_string_text(text) == _reference_decode(text)
 
 
 def test_tab_in_indentation_is_rejected_once_per_line():

@@ -534,6 +534,37 @@ RECOVERY = {
          "t.soda:5:3: error[E-PAR-001]: unexpected 'g' after declaration",
          "t.soda:1:1: error[E-PAR-002]: missing 'end' for class 'A'"],
     ),
+    "lambda_without_parameters": (
+        "class A\n\n  x = lambda --> 1\n\n  y = )\n\nend\n",
+        ["t.soda:3:14: error[E-PAR-001]: lambda requires at least one parameter",
+         "t.soda:5:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "if_without_then": (
+        "class A\n\n  x = if a 1 else 2\n\n  y = )\n\nend\n",
+        ["t.soda:3:12: error[E-PAR-001]: expected 'then', found '1'",
+         "t.soda:5:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "type_parameter_without_type": (
+        "class A [T : Int]\n\n  y = )\n\nend\n",
+        ["t.soda:1:14: error[E-PAR-001]: type parameter 'T' must be declared ': Type'",
+         "t.soda:3:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "definition_without_body": (
+        "class A\n\n  f (x : Int) : Int\n\n  y = )\n\nend\n",
+        ["t.soda:3:3: error[E-PAR-001]: definition of 'f' requires '=' and a body",
+         "t.soda:5:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "abstract_member_without_type": (
+        "class A\n\n  abstract\n    x\n\n  y = )\n\nend\n",
+        ["t.soda:4:5: error[E-PAR-001]: abstract member 'x' requires a declared type",
+         "t.soda:6:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "parameter_without_type": (
+        "class A\n\n  f (x : ) : Int = 1\n\n  y = )\n\nend\n",
+        ["t.soda:3:10: error[E-PAR-001]: expected a type, found ')'",
+         "t.soda:3:12: error[E-PAR-001]: expected ')', found ':'",
+         "t.soda:5:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
 }
 
 

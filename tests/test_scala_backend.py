@@ -149,12 +149,18 @@ def test_package_and_imports_pass_through():
 
 def test_scala_directives_are_spliced_and_others_dropped():
     src = (
+        "directive lean\n  open Nat\n\ndirective scala\n  import scala.math.max\n\n"
         "class A\n\n  x : Int = 1\n\n  directive scala\n    val helper = 42\n\n"
         "  directive lean\n    theorem t : 1 = 1 := rfl\n\nend\n"
     )
-    text = scala_of(src).text
+    out = scala_of(src)
+    text = out.text
     assert "  val helper = 42" in text
     assert "theorem" not in text
+    # Top-level blocks: only the scala one, at column 1, mapped to its source.
+    assert "open Nat" not in text
+    assert text.startswith("import scala.math.max\n\ntrait A {\n")
+    assert [sp.line_start for sp in out.source_map.values()][:2] == [4, 7]
 
 
 def test_comments_render_as_line_comments():

@@ -131,6 +131,7 @@ def test_run_entry_keeps_the_kind_of_a_python_argument(rule, arg, want):
     ("not 0", "'not' requires a boolean operand"),
     ("if 1 then 2 else 3", "'if' condition is not a boolean"),
     ("if 0 then 2 else 3", "'if' condition is not a boolean"),
+    ("if 1 + 1 then 2 else 3", "'if' condition is not a boolean"),
     ("1 and true", "'and' requires boolean operands"),
     ("true and 1", "'and' requires boolean operands"),
     ("0 or false", "'or' requires boolean operands"),
@@ -146,6 +147,9 @@ def test_an_operand_of_the_wrong_kind_faults(source, message):
     out = ev(source)
     assert isinstance(out, RuntimeFault), render_value(out)
     assert (out.kind, out.message) == ("arity_fault", message)
+    if source.startswith("if "):  # the fault points at the condition
+        expr, _ = parse_expression(tokenize(source).tokens)
+        assert out.span == expr.cond.span
 
 
 TRICKY = ["]", ", ", " (", ")", "[", "a], [b", 'x" (y', ""]
