@@ -1039,7 +1039,7 @@ class ExprPrinter:
     comment = "//"
     writes_tailrec = True
     defines = "="
-    #: Whose directive blocks print: a backend's own, spliced; None (Soda) all.
+    #: A backend's directive target, the only blocks it splices; None in Soda.
     target: Optional[str] = None
 
     def comments(self, node: Union[Definition, ClassDecl], indent: str) -> list[str]:
