@@ -35,11 +35,13 @@ spans left out is a structural equality that works at any depth.
 
 Usage (from the repository root):
 
-    python3 scripts/snapshot.py --check   # recompute every input, report differences
-    python3 scripts/snapshot.py --write   # regenerate tests/snapshot/digests.json
+    python3 scripts/snapshot.py --check             # recompute every input, report differences
+    python3 scripts/snapshot.py --write FIELD...    # regenerate those fields of tests/snapshot/digests.json
 
-Regenerate only for a change of behaviour made on purpose, and name in
-CHANGES.md each field that changed, how many inputs it touched and why.
+``--write`` writes nothing and exits 1 when a field it does not name
+differs. Regenerate only for a change of behaviour made on purpose, and
+name in CHANGES.md each field that changed, how many inputs it touched and
+why.
 """
 
 from __future__ import annotations
@@ -231,22 +233,37 @@ def differences(expected: dict, actual: dict) -> list[str]:
     return out
 
 
+def _without(digests: dict, names, inputs) -> dict:
+    """The digests of ``inputs`` but for the fields ``names``; an input
+    ``digests`` lacks has none."""
+    return {n: {f: v for f, v in digests.get(n, {}).items() if f not in names} for n in inputs}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--check", action="store_true", help="recompute every input and compare")
-    mode.add_argument("--write", action="store_true", help=f"regenerate {DIGESTS.relative_to(ROOT)}")
+    mode.add_argument(
+        "--write", nargs="+", choices=FIELDS, metavar="FIELD",
+        help=f"regenerate these fields of {DIGESTS.relative_to(ROOT)}, if no other field differs",
+    )
     args = ap.parse_args(argv)
     actual = compute(full=True)
+    recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     if args.write:
-        DIGESTS.parent.mkdir(parents=True, exist_ok=True)
-        DIGESTS.write_text(json.dumps(actual, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {len(actual)} inputs to {DIGESTS.relative_to(ROOT)}")
-        return 0
-    diffs = differences(json.loads(DIGESTS.read_text()), actual)
+        inputs = recorded.keys() | actual.keys()
+        diffs = differences(_without(recorded, args.write, inputs), _without(actual, args.write, inputs))
+        if not diffs:
+            DIGESTS.parent.mkdir(parents=True, exist_ok=True)
+            DIGESTS.write_text(json.dumps(actual, indent=1, sort_keys=True) + "\n")
+            touched = len(differences(recorded, actual))
+            print(f"wrote {len(actual)} inputs to {DIGESTS.relative_to(ROOT)}; {touched} changed")
+            return 0
+    else:
+        diffs = differences(recorded, actual)
     for line in diffs:
         print(line)
-    print(f"{len(actual)} inputs, {len(diffs)} differ")
+    print(f"{len(actual)} inputs, {len(diffs)} differ" + (" in other fields; nothing written" if args.write else ""))
     return 1 if diffs else 0
 
 

@@ -21,6 +21,7 @@ Directive blocks are left as they are: each printer keeps its own target's.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import is_, is_not
 from typing import Optional
 
 from .syntax import (
@@ -147,18 +148,6 @@ def synthesize_constructors(program: Program) -> dict[str, ConstructorSignature]
 # ============================================================
 
 
-def _rebuild_chain(head: Expr, steps, span) -> Expr:
-    expr = head
-    for step in steps:
-        if step[0] == "pos":
-            expr = Apply(expr, step[1], span)
-        elif step[0] == "named":
-            expr = NamedApply(expr, step[1], step[2], span)
-        else:
-            expr = TypeApply(expr, step[1], span)
-    return expr
-
-
 def resolve_named_arguments(
     call: Expr, param_names: list[str]
 ) -> tuple[Optional[Expr], list[Diagnostic]]:
@@ -211,62 +200,92 @@ def resolve_named_arguments(
         )
     if diagnostics:
         return None, diagnostics
-    type_steps = [s for s in steps if s[0] == "type"]
-    ordered = type_steps + [("pos", by_name[p]) for p in param_names]
-    return _rebuild_chain(head, ordered, call.span), diagnostics
+    for s in steps:
+        if s[0] == "type":
+            head = TypeApply(head, s[1], call.span)
+    for p in param_names:
+        head = Apply(head, by_name[p], call.span)
+    return head, diagnostics
 
 
 def _rewrite_named_calls(
     body: Expr, own: dict, constructor_params: dict, diagnostics: list[Diagnostic]
 ) -> Expr:
-    """Copy of ``body`` with every resolvable named-argument call in
-    positional form. A callee's parameter names come from ``own``, the
-    class's declarations, and else from ``constructor_params``. Calls whose
-    head is neither keep their named arguments; the code generators render
-    those in the target language's own syntax.
+    """``body`` with every resolvable named-argument call in positional
+    form. A callee's parameter names come from ``own``, the class's
+    declarations, and else from ``constructor_params``. Calls whose head is
+    neither keep their named arguments; the code generators render those in
+    the target language's own syntax.
 
-    The copy is built bottom-up from an explicit stack, not by recursion.
-    Each call chain is rebuilt from its rewritten head and arguments, and
-    every call node in it carries the span of the whole chain."""
+    The result is built bottom-up from an explicit stack, not by recursion.
+    A node none of whose children changed is returned itself, so only a
+    resolved chain and the nodes above it are copied: the path copying of
+    persistent trees."""
     done: list[Expr] = []  # rewritten sub-expressions, in postorder
-    todo: list = [body]  # nodes to visit, and (node, steps, part count) to rebuild
+    # (node, whether it is no call's function, its children once visited)
+    todo: list = [(body, True, None)]
     while todo:
-        e = todo.pop()
-        if type(e) in CALL_KINDS:
+        e, top, kids = todo.pop()
+        if kids is None:
+            kids = children(e)
+            fn = e.function if type(e) in CALL_KINDS else None
+            todo += [(e, top, kids), *[(k, k is not fn, None) for k in reversed(kids)]]
+            continue
+        new = done[len(done) - len(kids):]
+        del done[len(done) - len(kids):]
+        if not all(map(is_, new, kids)):
+            e = rebuild(e, tuple(new))
+        if top and type(e) in CALL_KINDS:  # the outermost link of a chain
             head, steps = peel_call_chain(e)
-            parts = [head, *[s[-1] for s in steps if s[0] != "type"]]
-            todo += [(e, steps, len(parts)), *reversed(parts)]
-            continue
-        if type(e) is not tuple:
-            parts = children(e)
-            if parts:
-                todo += [(e, None, len(parts)), *reversed(parts)]
-            else:
-                done.append(e)
-            continue
-        e, steps, count = e  # its parts are rewritten: rebuild the node
-        parts = done[len(done) - count:]
-        del done[len(done) - count:]
-        if steps is None:
-            done.append(rebuild(e, tuple(parts)))
-            continue
-        head, args = parts[0], iter(parts[1:])
-        steps = [s if s[0] == "type" else (*s[:-1], next(args)) for s in steps]
-        call = _rebuild_chain(head, steps, e.span)
-        if type(head) is Identifier and any(s[0] == "named" for s in steps):
-            params = own.get(head.name, constructor_params.get(head.name))
-            if params is not None:
-                resolved, diags = resolve_named_arguments(call, params)
-                diagnostics.extend(diags)
-                if resolved is not None:
-                    call = resolved
-        done.append(call)
+            if type(head) is Identifier and any(s[0] == "named" for s in steps):
+                params = own.get(head.name, constructor_params.get(head.name))
+                if params is not None:
+                    resolved, diags = resolve_named_arguments(e, params)
+                    diagnostics.extend(diags)
+                    e = resolved or e
+        done.append(e)
     return done[0]
 
 
 # ============================================================
-# tail recursion
+# tail recursion and undeclared identifiers
 # ============================================================
+
+
+def _check_body(
+    defn: Definition, self_name: Optional[str], own: dict, global_names, tailrec: list, undeclared: list
+) -> bool:
+    """Walk ``defn``'s body once. Append to ``tailrec`` a diagnostic for
+    each call of ``self_name`` to itself outside tail position (no check
+    when it is None), and to ``undeclared`` each identifier and constructor
+    pattern whose name is not bound locally, declared in its class
+    (``own``), or a builtin, class or constructor (``global_names``).
+    Return whether the body holds a named-argument call. Tail positions
+    are as ``verify_tailrec`` says."""
+    # The walk's table counts only the names bound locally (parameters,
+    # lambda parameters, pattern variables). One named like the definition
+    # shadows it.
+    bound = {p: 1 for p, _ in defn.params}
+    link = None  # the function of the last call visited: a link of its chain
+    named = False
+    for node, tail in scoped_walk(defn.body, bound):
+        t = type(node)
+        if t is Identifier:
+            if not bound.get(node.name) and node.name not in own and node.name not in global_names:
+                undeclared.append(node)
+        elif t is MatchCase:
+            for p in pattern_nodes(node.pattern):
+                if type(p) is ConstructorPattern and p.name not in global_names:
+                    undeclared.append(p)
+        elif t is Apply or t is NamedApply or t is TypeApply:
+            named = named or t is NamedApply
+            if self_name and not tail and node is not link and not bound.get(self_name):
+                head = peel_call_chain(node)[0]
+                if type(head) is Identifier and head.name == self_name:
+                    message = f"'{self_name}' calls itself outside tail position"
+                    tailrec.append(error("E-SEM-010", message, node.span))
+            link = node.function
+    return named
 
 
 def verify_tailrec(defn: Definition) -> list[Diagnostic]:
@@ -274,52 +293,10 @@ def verify_tailrec(defn: Definition) -> list[Diagnostic]:
     in tail position. Tail positions are the body root, both branches of an
     ``if``, and the result of each ``match`` case; nothing else. Returns one
     diagnostic per violating call."""
-    if defn.body is None:
-        return []
     diagnostics: list[Diagnostic] = []
-    name = defn.name
-    # A parameter, lambda parameter or pattern variable named like the
-    # definition shadows it.
-    bound = {p: 1 for p, _ in defn.params}
-    link = None  # the function of the last call visited: a link of its chain
-    for node, tail in scoped_walk(defn.body, bound):
-        if type(node) not in CALL_KINDS:
-            continue
-        if not tail and node is not link and not bound.get(name):
-            head = peel_call_chain(node)[0]
-            if type(head) is Identifier and head.name == name:
-                message = f"'{name}' calls itself outside tail position"
-                diagnostics.append(error("E-SEM-010", message, node.span))
-        link = node.function
+    if defn.body is not None:
+        _check_body(defn, defn.name, {}, BUILTIN_NAMES, diagnostics, [])
     return diagnostics
-
-
-# ============================================================
-# undeclared identifiers
-# ============================================================
-
-
-def _undeclared(defn: Definition, own: dict, global_names: set[str]):
-    """Yield each identifier and constructor pattern in ``defn``'s body whose
-    name is not bound locally, declared in its class (``own``), or a
-    builtin, class or constructor (``global_names``)."""
-    # The walk's table counts only the names bound locally (parameters,
-    # lambda parameters, pattern variables).
-    bound = {p: 1 for p, _ in defn.params}
-    for node, _ in scoped_walk(defn.body, bound):
-        t = type(node)
-        if t is Identifier:
-            if not bound.get(node.name) and node.name not in own and node.name not in global_names:
-                yield node
-        elif t is MatchCase:
-            for p in pattern_nodes(node.pattern):
-                if type(p) is ConstructorPattern and p.name not in global_names:
-                    yield p
-
-
-# ============================================================
-# directive filtering
-# ============================================================
 
 
 # ============================================================
@@ -329,9 +306,11 @@ def _undeclared(defn: Definition, own: dict, global_names: set[str]):
 
 def analyze(program: Program) -> AnalyzedProgram:
     """Run every structural check and rewrite, in one loop over the classes.
-    The returned program has named-argument calls resolved. Its diagnostics
-    come pass by pass: duplicates, named arguments, tail calls, then
-    undeclared names."""
+    The returned program has named-argument calls resolved, and shares with
+    ``program`` every node that no resolved call lies under: a definition,
+    class or program with nothing rewritten is returned as it is. Its
+    diagnostics come pass by pass: duplicates, named arguments, tail calls,
+    then undeclared names."""
     diagnostics = check_single_definition(program)
     constructors = synthesize_constructors(program)
     constructor_params = {
@@ -340,29 +319,29 @@ def analyze(program: Program) -> AnalyzedProgram:
     global_names = {*BUILTIN_NAMES, *(c.name for c in program.classes), *constructors}
     named: list[Diagnostic] = []
     tailrec: list[Diagnostic] = []
-    undeclared: dict[tuple, Diagnostic] = {}  # by name, line and column
-    new_items = []
-    for item in program.items:
+    found: list = []  # undeclared identifiers and constructor patterns
+    items = list(program.items)
+    for i, item in enumerate(items):
         if not isinstance(item, ClassDecl):
-            new_items.append(item)
             continue
         own = {d.name: [p[0] for p in d.params] for d in _member_declarations(item)}
-        members = tuple(
-            replace(m, body=_rewrite_named_calls(m.body, own, constructor_params, named))
-            if isinstance(m, Definition) and m.body is not None
-            else m
-            for m in item.members
-        )
-        # The bodies are checked once the class is rewritten: checking each
-        # right after its own rewrite measured about 5% slower.
-        for m in members:
+        members = list(item.members)
+        for j, m in enumerate(members):
             if isinstance(m, Definition) and m.body is not None:
-                if m.is_tailrec_annotated:
-                    tailrec.extend(verify_tailrec(m))
-                for u in _undeclared(m, own, global_names):
-                    message = f"'{u.name}' is not declared in this file"
-                    key = (u.name, u.span.line_start, u.span.col_start)
-                    undeclared.setdefault(key, warning("W-SEM-001", message, u.span))
-        new_items.append(replace(item, members=members))
+                self_name = m.name if m.is_tailrec_annotated else None
+                # Only a body that holds a named-argument call is rewritten.
+                if _check_body(m, self_name, own, global_names, tailrec, found):
+                    body = _rewrite_named_calls(m.body, own, constructor_params, named)
+                    if body is not m.body:
+                        members[j] = replace(m, body=body)
+        if any(map(is_not, members, item.members)):
+            items[i] = replace(item, members=tuple(members))
+    if any(map(is_not, items, program.items)):
+        program = replace(program, items=tuple(items))
+    undeclared: dict[tuple, Diagnostic] = {}  # by name, line and column
+    for u in found:
+        message = f"'{u.name}' is not declared in this file"
+        key = (u.name, u.span.line_start, u.span.col_start)
+        undeclared.setdefault(key, warning("W-SEM-001", message, u.span))
     diagnostics += named + tailrec + list(undeclared.values())
-    return AnalyzedProgram(replace(program, items=tuple(new_items)), constructors, diagnostics)
+    return AnalyzedProgram(program, constructors, diagnostics)

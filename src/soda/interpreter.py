@@ -449,20 +449,27 @@ class Interpreter:
         links: dict = {}
         done: list = []  # the resolved nodes of finished sub-trees
         # The nodes whose children are not all resolved, each with where they
-        # start in done and the previous ``end``, the length of done once
-        # the innermost such node has all its children there.
+        # start in done, the previous ``end``, the length of done once the
+        # innermost such node has all its children there, and its span. Every
+        # link of a call chain takes its outermost link's: the whole chain's.
         waiting: list = []
         end = -1
         inert = 0  # open named-argument calls: they fault, so their parts use no local
+        link = None  # the function of the last call visited: a link of its chain
         for x, _ in scoped_walk(root, bound):
             t = type(x)
             count = len(children(x))
             if count:
+                span = x.span
                 if t is Lambda or t is MatchCase:
                     binds = binder_names(x)
                     scopes.append(({name: i for i, name in enumerate(binds)}, [], len(binds)))
+                elif t is Apply or t is NamedApply or t is TypeApply:
+                    if x is link:
+                        span = waiting[-1][3]
+                    link = x.function
                 inert += t is NamedApply
-                waiting.append((x, len(done), end))
+                waiting.append((x, len(done), end, span))
                 end = len(done) + count
                 continue
             if t is IntLiteral or t is BoolLiteral or t is StringLiteral:
@@ -494,25 +501,25 @@ class Interpreter:
                 done.append((_FAULT, span, fault))
             # Build each waiting node whose children are all resolved now.
             while len(done) == end:
-                x, first, end = waiting.pop()
+                x, first, end, span = waiting.pop()
                 kids = done[first:]
                 del done[first:]
                 t = type(x)
                 if t is Match:
-                    done.append((_MATCH, x.span, kids[0], tuple(kids[1:])))
+                    done.append((_MATCH, span, kids[0], tuple(kids[1:])))
                 elif t is MatchCase:
                     done.append((x.pattern, kids[0], tuple(scopes.pop()[1])))
                 elif t is Lambda:
-                    done.append((_LAMBDA, x.span, kids[0], tuple(scopes.pop()[1])))
+                    done.append((_LAMBDA, span, kids[0], tuple(scopes.pop()[1])))
                 elif t is BinaryOp:
                     # the left operand in place, unless 'and' or 'or' must test it first
                     leaf = kids[0][0] <= _VALUE and (kids[1][0] <= _VALUE or x.op not in ("and", "or"))
-                    done.append((_LEAF_OP if leaf else _BINARY, x.span, *kids, x.op, 1))
+                    done.append((_LEAF_OP if leaf else _BINARY, span, *kids, x.op, 1))
                 elif t is If:
                     leaves = kids[0][0] == _LEAF_OP and kids[0][3][0] <= _VALUE
-                    done.append((_LEAF_IF if leaves else _IF, x.span, *kids, 2))
+                    done.append((_LEAF_IF if leaves else _IF, span, *kids, 2))
                 elif t is Apply:
-                    node = (_CALL, x.span, *kids)
+                    node = (_CALL, span, *kids)
                     fn, count, _ = links.pop(id(kids[0]), (kids[0][2], 0, None))
                     if type(fn) is ClosureV:  # the chain's head is a class definition
                         if count + 1 < fn.arity:
@@ -523,12 +530,12 @@ class Interpreter:
                 elif t is NamedApply:
                     inert -= 1
                     message = f"named argument '{x.param_name}' could not be resolved to a declared"
-                    fault = RuntimeFault(FAULT_NOT_APPLICABLE, message + " parameter", x.span)
-                    done.append((_FAULT, x.span, fault))
+                    fault = RuntimeFault(FAULT_NOT_APPLICABLE, message + " parameter", span)
+                    done.append((_FAULT, span, fault))
                 elif t is TypeApply:  # types are erased at run time
                     done.append(kids[0])
                 else:  # UnaryNot
-                    done.append((_NOT, x.span, *kids))
+                    done.append((_NOT, span, *kids))
         return done.pop()
 
     # ---------- evaluation machine ----------

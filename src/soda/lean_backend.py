@@ -89,6 +89,10 @@ def check_lean_supported(program: Program) -> list[Diagnostic]:
 # ============================================================
 
 
+class _Refused(Exception):
+    """A construct the Lean translation does not cover was met in printing."""
+
+
 class _LeanPrinter(ExprPrinter):
     binary_ops = {**ExprPrinter.binary_ops, "and": "&&", "or": "||"}
     not_word = "!"
@@ -103,6 +107,9 @@ class _LeanPrinter(ExprPrinter):
         if not p.sub_patterns:
             return p.name, PREC_ATOM
         return p.name + "".join(f" {self.expr(s, PREC_ATOM)}" for s in p.sub_patterns), PREC_APP
+
+    def self_ref(self, e: SelfRef) -> tuple[str, int]:
+        raise _Refused
 
     def call(self, e: Expr) -> tuple[str, int]:
         # Type arguments are erased; inference recovers them.
@@ -174,7 +181,18 @@ def translate_to_lean(analyzed: AnalyzedProgram) -> LeanRendering:
     """Render the whole program, or report every unsupported construct and
     render nothing. Only ``lean`` directive blocks appear, verbatim at their
     position."""
-    diagnostics = check_lean_supported(analyzed.program)
-    if diagnostics:
+    # Package, imports and bounds are checked here, and a 'this' stops the
+    # printer, which reaches every body anyway. Only then are all the
+    # refused constructs found, in source order; a printer too deep for the
+    # stack still gives them, as when they were found first.
+    program = analyzed.program
+    bounds = {tp.bound_kind for cls in program.classes for tp in cls.type_params}
+    try:
+        if program.package_name is not None or program.imports or bounds & {"subtype", "supertype"}:
+            raise _Refused
+        return LeanRendering(_LEAN.program(program)[0])
+    except (_Refused, RecursionError):
+        diagnostics = check_lean_supported(program)
+        if not diagnostics:
+            raise
         return LeanRendering(None, diagnostics)
-    return LeanRendering(_LEAN.program(analyzed.program)[0], diagnostics)

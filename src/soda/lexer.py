@@ -174,6 +174,9 @@ class _Scanner:
             out.diagnostics.append(error("E-LEX-003", "tab character in indentation", span))
         if indent == len(line):  # blank: no token, so no layout
             return
+        if line.startswith("//", indent):  # one comment token, so no layout
+            self.emit(TokenKind.COMMENT, line[indent:], lineno, indent + 1)
+            return
         mark, first = len(out.diagnostics), len(out.kinds)
         self._scan_content(line, lineno, indent)
         count = len(out.kinds) - first

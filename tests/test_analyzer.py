@@ -162,6 +162,23 @@ def test_analyze_rewrites_named_constructor_calls():
     assert format_expr(build.body) == "P_ (1) (2)"
 
 
+def test_analyze_returns_what_no_named_call_changes_as_it_is():
+    prog = program_of(
+        "class M\n\n  mix (a : Int) (b : Int) : Int = a - b\n\n"
+        "  use : Int = mix (b := 1) (a := 10) + mix (1) (2)\n\nend\n\n"
+        "class N\n\n  n : Int = M_\n\nend\n"
+    )
+    out = analyze(prog).program
+    mix, use = out.classes[0].definitions
+    assert mix is prog.classes[0].definitions[0]
+    assert out.classes[1] is prog.classes[1]
+    # Only the resolved chain and the nodes above it are copied.
+    assert format_expr(use.body) == "mix (10) (1) + mix (1) (2)"
+    assert use.body.right is prog.classes[0].definitions[1].body.right
+    plain = program_of("class A\n\n  f (x : Int) : Int = x + 1\n\nend\n")
+    assert analyze(plain).program is plain
+
+
 def test_named_argument_errors_surface_through_analyze():
     prog = program_of(
         "class M\n\n  mix (a : Int) (b : Int) : Int = a\n\n"
@@ -276,3 +293,13 @@ def test_a_pattern_variable_is_bound_only_in_its_own_case_result():
     ]
     span = analyzed.diagnostics[0].span
     assert (span.line_start, span.col_start) == (6, line.rindex("own") + 1)
+
+
+def test_undeclared_names_warn_in_source_order_inside_a_reordered_named_call():
+    # Names are found in the parsed body, before its named calls are
+    # reordered to declared parameter order.
+    analyzed = analyze(program_of(
+        "class A\n\n  g (a : Int) (b : Int) : Int = a\n\n"
+        "  h : Int = g (b := yy) (a := xx)\n\nend\n"
+    ))
+    assert [d.message.split("'")[1] for d in analyzed.diagnostics] == ["yy", "xx"]

@@ -335,6 +335,42 @@ def test_analyze_is_linear_in_the_named_arguments_of_a_call():
     )
 
 
+def test_analyze_is_linear_in_definitions_that_each_make_a_named_call():
+    # Work per rewritten body that grows with its class, such as building
+    # the class's table of parameter names again, would make this quadratic.
+    assert_linear(
+        """
+        from soda import analyze, parse
+
+        def build(n):
+            calls = "".join(f"  h{i} : Int = g (b := {i}) (a := 1)\\n\\n" for i in range(n))
+            return parse(f"class N\\n\\n  g (a : Int) (b : Int) : Int = a\\n\\n{calls}end\\n").program
+
+        def stage(program):
+            assert analyze(program).diagnostics == []
+        """,
+        1000,
+    )
+
+
+def test_analyze_is_linear_in_the_named_calls_of_a_flat_sum():
+    # Copying or walking the body once per resolved call would make this
+    # quadratic.
+    assert_linear(
+        """
+        from soda import analyze, parse
+
+        def build(n):
+            body = " + ".join(["g (b := 2) (a := 1)"] * n)
+            return parse(f"class N\\n\\n  g (a : Int) (b : Int) : Int = a\\n\\n  h : Int = {body}\\n\\nend\\n").program
+
+        def stage(program):
+            assert analyze(program).diagnostics == []
+        """,
+        1000,
+    )
+
+
 def test_parse_is_linear_in_the_blank_lines_that_open_a_directive():
     # Dropping the leading blank lines one at a time from the front of a
     # list made this quadratic.

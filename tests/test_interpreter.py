@@ -351,13 +351,24 @@ def test_faults_propagate_out_of_arguments():
 
 
 def test_a_fault_inside_a_call_chain_reports_the_whole_chain():
-    # Analysis rebuilds call chains; every call node in one gets its span.
+    # The interpreter gives every link of a call chain the whole chain's span.
     line = "  f (x : Int) : Int = x (1) (2)"
     out = interp_of(f"class T\n\n{line}\n\nend\n").run_entry("T", "f", (5,))
     assert isinstance(out, RuntimeFault) and out.kind == "arity_fault"
     start = line.index("x (1)") + 1
     assert (out.span.line_start, out.span.col_start, out.span.col_end) == (3, start, len(line) + 1)
 
+
+
+def test_a_fault_inside_a_chain_beside_a_resolved_named_call_reports_the_whole_chain():
+    # Analysis copies the named call and the sum above it, and shares the
+    # chain beside it, which keeps the parser's span for each link.
+    line = "  f (x : Int) : Int = g (b := x) (a := 1) + x (1) (2)"
+    source = f"class T\n\n  g (a : Int) (b : Int) : Int = a\n\n{line}\n\nend\n"
+    out = interp_of(source).run_entry("T", "f", (5,))
+    assert isinstance(out, RuntimeFault) and out.kind == "arity_fault"
+    start = line.index("x (1)") + 1
+    assert (out.span.line_start, out.span.col_start, out.span.col_end) == (5, start, len(line) + 1)
 
 # --- recursion and the stack guarantee ---
 

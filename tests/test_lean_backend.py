@@ -1,5 +1,6 @@
 """Lean rendering: class/where blocks, namespaces, and the unsupported set."""
 
+import sys
 from pathlib import Path
 
 from soda import (
@@ -153,6 +154,24 @@ def test_each_unsupported_construct_is_reported_once_by_name():
 def test_every_import_reports_separately():
     out = lean_of("import a.b\nimport c.d\n\nclass A\n\n  x : Int = 1\n\nend\n")
     assert [d.code for d in out.diagnostics] == ["E-LEAN-001", "E-LEAN-001"]
+
+
+def test_every_refused_construct_is_reported_in_source_order():
+    out = lean_of(
+        "package p\n\nimport a.b\n\nclass A\n\n  x : A = this\n\nend\n\n"
+        "class B [X subtype Q]\n\n  y : Int = 1\n\n  z : B = this\n\nend\n"
+    )
+    assert out.text is None
+    words = [d.message.split("'")[1] for d in out.diagnostics]
+    assert words == ["package", "import", "this", "subtype", "this"]
+
+
+def test_a_this_is_reported_even_where_the_printer_runs_out_of_stack():
+    depth = sys.getrecursionlimit() * 3 // 10  # parses, but is too deep to print
+    nested = "List [" * depth + "Int" + "]" * depth
+    out = lean_of(f"class A\n\n  f (x : {nested}) : Int = 1\n\n  g : A = this\n\nend\n")
+    assert out.text is None
+    assert [(d.code, d.span.line_start) for d in out.diagnostics] == [("E-LEAN-001", 5)]
 
 
 def test_check_lean_supported_is_exposed():
