@@ -38,8 +38,9 @@ Usage (from the repository root):
     python3 scripts/snapshot.py --check             # recompute every input, report differences
     python3 scripts/snapshot.py --write FIELD...    # regenerate those fields of tests/snapshot/digests.json
 
-``--write`` writes nothing and exits 1 when a field it does not name
-differs. Regenerate only for a change of behaviour made on purpose, and
+Both end with a line that counts the differing inputs per field, such as
+``differ by field: parse 3, analyzed 3``. ``--write`` writes nothing and
+exits 1 when a field it does not name differs. Regenerate only for a change of behaviour made on purpose, and
 name in CHANGES.md each field that changed, how many inputs it touched and
 why.
 """
@@ -233,6 +234,14 @@ def differences(expected: dict, actual: dict) -> list[str]:
     return out
 
 
+def field_counts(expected: dict, actual: dict) -> str:
+    """One line with how many inputs differ in each field, in field order,
+    naming only the fields that differ somewhere."""
+    names = expected.keys() | actual.keys()
+    counts = [(f, sum(expected.get(n, {}).get(f) != actual.get(n, {}).get(f) for n in names)) for f in FIELDS]
+    return "differ by field: " + (", ".join(f"{f} {c}" for f, c in counts if c) or "none")
+
+
 def _without(digests: dict, names, inputs) -> dict:
     """The digests of ``inputs`` but for the fields ``names``; an input
     ``digests`` lacks has none."""
@@ -250,20 +259,21 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     actual = compute(full=True)
     recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    expected, compared = recorded, actual
     if args.write:
         inputs = recorded.keys() | actual.keys()
-        diffs = differences(_without(recorded, args.write, inputs), _without(actual, args.write, inputs))
-        if not diffs:
-            DIGESTS.parent.mkdir(parents=True, exist_ok=True)
-            DIGESTS.write_text(json.dumps(actual, indent=1, sort_keys=True) + "\n")
-            touched = len(differences(recorded, actual))
-            print(f"wrote {len(actual)} inputs to {DIGESTS.relative_to(ROOT)}; {touched} changed")
-            return 0
-    else:
-        diffs = differences(recorded, actual)
+        expected, compared = _without(recorded, args.write, inputs), _without(actual, args.write, inputs)
+    diffs = differences(expected, compared)
+    if args.write and not diffs:
+        DIGESTS.parent.mkdir(parents=True, exist_ok=True)
+        DIGESTS.write_text(json.dumps(actual, indent=1, sort_keys=True) + "\n")
+        touched = len(differences(recorded, actual))
+        print(f"wrote {len(actual)} inputs to {DIGESTS.relative_to(ROOT)}; {touched} changed")
+        return 0
     for line in diffs:
         print(line)
     print(f"{len(actual)} inputs, {len(diffs)} differ" + (" in other fields; nothing written" if args.write else ""))
+    print(field_counts(expected, compared))
     return 1 if diffs else 0
 
 

@@ -25,18 +25,17 @@ from operator import is_, is_not
 from typing import Optional
 
 from .syntax import (
-    CALL_KINDS,
     AbstractBlock,
-    Apply,
+    Call,
     ClassDecl,
     Definition,
     Diagnostic,
     Expr,
     Identifier,
     MatchCase,
-    NamedApply,
+    NamedArg,
     Program,
-    TypeApply,
+    TypeArg,
     TypeExpr,
     TypeParam,
     ConstructorPattern,
@@ -44,7 +43,6 @@ from .syntax import (
     error,
     has_errors,
     pattern_nodes,
-    peel_call_chain,
     rebuild,
     scoped_walk,
     warning,
@@ -149,44 +147,44 @@ def synthesize_constructors(program: Program) -> dict[str, ConstructorSignature]
 
 
 def resolve_named_arguments(
-    call: Expr, param_names: list[str]
-) -> tuple[Optional[Expr], list[Diagnostic]]:
+    call: Call, param_names: list[str]
+) -> tuple[Optional[Call], list[Diagnostic]]:
     """Rewrite one call whose arguments use ``name := value`` form into plain
-    positional application in declared order.
+    positional application in declared order, after its type arguments.
 
     A call with only positional arguments is returned unchanged. On any
     violation the diagnostics say what went wrong and no rewritten call is
     produced.
     """
-    head, steps = peel_call_chain(call)
-    named = [s for s in steps if s[0] == "named"]
+    named = [a for a in call.args if type(a) is NamedArg]
     if not named:
         return call, []
-    if any(s[0] == "pos" for s in steps):
+    types = [a for a in call.args if type(a) is TypeArg]
+    if len(named) + len(types) < len(call.args):
         message = "call mixes named and positional arguments"
         return None, [error("E-SEM-023", message, call.span)]
     diagnostics: list[Diagnostic] = []
     known = set(param_names)
     by_name: dict[str, Expr] = {}
-    for _, name, arg in named:
-        if name not in known:
+    for a in named:
+        if a.name not in known:
             diagnostics.append(
                 error(
                     "E-SEM-020",
-                    f"unknown parameter '{name}' in named-argument call",
-                    arg.span,
+                    f"unknown parameter '{a.name}' in named-argument call",
+                    a.value.span,
                 )
             )
-        elif name in by_name:
+        elif a.name in by_name:
             diagnostics.append(
                 error(
                     "E-SEM-021",
-                    f"parameter '{name}' is given more than once",
-                    arg.span,
+                    f"parameter '{a.name}' is given more than once",
+                    a.value.span,
                 )
             )
         else:
-            by_name[name] = arg
+            by_name[a.name] = a.value
     missing = [p for p in param_names if p not in by_name]
     if missing and not diagnostics:
         diagnostics.append(
@@ -200,12 +198,8 @@ def resolve_named_arguments(
         )
     if diagnostics:
         return None, diagnostics
-    for s in steps:
-        if s[0] == "type":
-            head = TypeApply(head, s[1], call.span)
-    for p in param_names:
-        head = Apply(head, by_name[p], call.span)
-    return head, diagnostics
+    args = (*types, *(by_name[p] for p in param_names))
+    return Call(call.function, args, call.span), diagnostics
 
 
 def _rewrite_named_calls(
@@ -213,36 +207,32 @@ def _rewrite_named_calls(
 ) -> Expr:
     """``body`` with every resolvable named-argument call in positional
     form. A callee's parameter names come from ``own``, the class's
-    declarations, and else from ``constructor_params``. Calls whose head is
-    neither keep their named arguments; the code generators render those in
-    the target language's own syntax.
+    declarations, and else from ``constructor_params``. Calls whose function
+    is neither keep their named arguments; the code generators render those
+    in the target language's own syntax.
 
     The result is built bottom-up from an explicit stack, not by recursion.
     A node none of whose children changed is returned itself, so only a
-    resolved chain and the nodes above it are copied: the path copying of
+    resolved call and the nodes above it are copied: the path copying of
     persistent trees."""
     done: list[Expr] = []  # rewritten sub-expressions, in postorder
-    # (node, whether it is no call's function, its children once visited)
-    todo: list = [(body, True, None)]
+    todo: list = [(body, None)]  # (node, its children once visited)
     while todo:
-        e, top, kids = todo.pop()
+        e, kids = todo.pop()
         if kids is None:
             kids = children(e)
-            fn = e.function if type(e) in CALL_KINDS else None
-            todo += [(e, top, kids), *[(k, k is not fn, None) for k in reversed(kids)]]
+            todo += [(e, kids), *[(k, None) for k in reversed(kids)]]
             continue
         new = done[len(done) - len(kids):]
         del done[len(done) - len(kids):]
         if not all(map(is_, new, kids)):
             e = rebuild(e, tuple(new))
-        if top and type(e) in CALL_KINDS:  # the outermost link of a chain
-            head, steps = peel_call_chain(e)
-            if type(head) is Identifier and any(s[0] == "named" for s in steps):
-                params = own.get(head.name, constructor_params.get(head.name))
-                if params is not None:
-                    resolved, diags = resolve_named_arguments(e, params)
-                    diagnostics.extend(diags)
-                    e = resolved or e
+        if type(e) is Call and type(e.function) is Identifier:
+            params = own.get(e.function.name, constructor_params.get(e.function.name))
+            if params is not None:
+                resolved, diags = resolve_named_arguments(e, params)
+                diagnostics.extend(diags)
+                e = resolved or e
         done.append(e)
     return done[0]
 
@@ -266,7 +256,6 @@ def _check_body(
     # lambda parameters, pattern variables). One named like the definition
     # shadows it.
     bound = {p: 1 for p, _ in defn.params}
-    link = None  # the function of the last call visited: a link of its chain
     named = False
     for node, tail in scoped_walk(defn.body, bound):
         t = type(node)
@@ -277,14 +266,13 @@ def _check_body(
             for p in pattern_nodes(node.pattern):
                 if type(p) is ConstructorPattern and p.name not in global_names:
                     undeclared.append(p)
-        elif t is Apply or t is NamedApply or t is TypeApply:
-            named = named or t is NamedApply
-            if self_name and not tail and node is not link and not bound.get(self_name):
-                head = peel_call_chain(node)[0]
-                if type(head) is Identifier and head.name == self_name:
-                    message = f"'{self_name}' calls itself outside tail position"
-                    tailrec.append(error("E-SEM-010", message, node.span))
-            link = node.function
+        elif t is NamedArg:
+            named = True
+        elif t is Call and self_name and not tail and not bound.get(self_name):
+            fn = node.function
+            if type(fn) is Identifier and fn.name == self_name:
+                message = f"'{self_name}' calls itself outside tail position"
+                tailrec.append(error("E-SEM-010", message, node.span))
     return named
 
 

@@ -40,9 +40,9 @@ from typing import Optional, Union
 from .analyzer import AnalyzedProgram, ConstructorSignature
 from .syntax import (
     DEFAULT_MAX_RECURSION,
-    Apply,
     BinaryOp,
     BoolLiteral,
+    Call,
     ConstructorPattern,
     Expr,
     Identifier,
@@ -52,12 +52,12 @@ from .syntax import (
     LiteralPattern,
     Match,
     MatchCase,
-    NamedApply,
+    NamedArg,
     Pattern,
     SelfRef,
     SourceSpan,
     StringLiteral,
-    TypeApply,
+    TypeArg,
     VarBindPattern,
     WildcardPattern,
     binder_names,
@@ -314,17 +314,14 @@ def _operate(node: tuple, env: tuple) -> EvalOutcome:
     return _binary(node, left, env[right[2]] if right[0] == _LOCAL else right[2])
 
 
-def _whole(chain: tuple, fn: ClosureV) -> tuple:
-    """The node that passes ``fn`` the arguments of ``chain``, its whole call
-    chain, when each is a leaf or a binary operator on leaves, else ``chain``."""
-    links = [chain]
-    while len(links) < fn.arity:
-        links.append(links[-1][2])
-    args = [link[3] for link in reversed(links)]
+def _whole(call: tuple, fn: ClosureV, args: list) -> tuple:
+    """The node that passes ``fn`` all its arguments ``args`` at once, when
+    each is a leaf or a binary operator on leaves, else ``call``, the
+    ``_CALL`` node that passes the last of them."""
     if not all(a[0] <= _VALUE or a[0] == _LEAF_OP and a[3][0] <= _VALUE for a in args):
-        return chain
+        return call
     reach = fn.arity + (args[0][0] == _LEAF_OP)  # the head, or arg 0's operands
-    return (_WHOLE, *chain[1:], fn, tuple(args), reach)
+    return (_WHOLE, *call[1:], fn, tuple(args), reach)
 
 
 # The resolve pass turns each expression into nested tuples (kind, span,
@@ -371,9 +368,9 @@ class Interpreter:
     Every definition body is resolved once, here, and ``evaluate`` resolves
     the expression it is given. A name is the innermost local of that name,
     else the class's definition (or 'this'), else a constructor or builtin.
-    A ``run_entry``, or a call chain whose arguments are locals, literals or
+    A ``run_entry``, or a call whose arguments are locals, literals or
     operators on two of them, that passes a definition all its arguments
-    enters the body once, with all of them as its locals; other chains pass
+    enters the body once, with all of them as its locals; other calls pass
     them one at a time, through partial applications. A constant is
     evaluated on its first lookup and then kept, like the ``lazy val`` the
     Scala backend emits.
@@ -444,32 +441,23 @@ class Interpreter:
         # (the slot of each name it binds or uses, the slots that the outer
         # locals it uses have in the enclosing scope, how many names it binds).
         scopes: list = [({p: len(params) - 1 - i for i, p in enumerate(params)}, [], len(params))]
-        # (definition, count, link) by the id of the outermost link of each
-        # chain that passes a class definition fewer arguments than it takes.
-        links: dict = {}
         done: list = []  # the resolved nodes of finished sub-trees
         # The nodes whose children are not all resolved, each with where they
-        # start in done, the previous ``end``, the length of done once the
-        # innermost such node has all its children there, and its span. Every
-        # link of a call chain takes its outermost link's: the whole chain's.
+        # start in done and the previous ``end``, the length of done once the
+        # innermost such node has all its children there.
         waiting: list = []
         end = -1
-        inert = 0  # open named-argument calls: they fault, so their parts use no local
-        link = None  # the function of the last call visited: a link of its chain
+        inert = 0  # named arguments still open: their call faults, so its parts use no local
         for x, _ in scoped_walk(root, bound):
             t = type(x)
             count = len(children(x))
             if count:
-                span = x.span
                 if t is Lambda or t is MatchCase:
                     binds = binder_names(x)
                     scopes.append(({name: i for i, name in enumerate(binds)}, [], len(binds)))
-                elif t is Apply or t is NamedApply or t is TypeApply:
-                    if x is link:
-                        span = waiting[-1][3]
-                    link = x.function
-                inert += t is NamedApply
-                waiting.append((x, len(done), end, span))
+                elif t is Call:
+                    inert += list(map(type, x.args)).count(NamedArg)
+                waiting.append((x, len(done), end))
                 end = len(done) + count
                 continue
             if t is IntLiteral or t is BoolLiteral or t is StringLiteral:
@@ -501,10 +489,10 @@ class Interpreter:
                 done.append((_FAULT, span, fault))
             # Build each waiting node whose children are all resolved now.
             while len(done) == end:
-                x, first, end, span = waiting.pop()
+                x, first, end = waiting.pop()
                 kids = done[first:]
                 del done[first:]
-                t = type(x)
+                t, span = type(x), x.span
                 if t is Match:
                     done.append((_MATCH, span, kids[0], tuple(kids[1:])))
                 elif t is MatchCase:
@@ -518,21 +506,25 @@ class Interpreter:
                 elif t is If:
                     leaves = kids[0][0] == _LEAF_OP and kids[0][3][0] <= _VALUE
                     done.append((_LEAF_IF if leaves else _IF, span, *kids, 2))
-                elif t is Apply:
-                    node = (_CALL, span, *kids)
-                    fn, count, _ = links.pop(id(kids[0]), (kids[0][2], 0, None))
-                    if type(fn) is ClosureV:  # the chain's head is a class definition
-                        if count + 1 < fn.arity:
-                            links[id(node)] = (fn, count + 1, node)
-                        else:
-                            node = _whole(node, fn)
+                elif t is Call:
+                    # One _CALL node per argument, each applying the value of
+                    # the one before to it; a class definition given all its
+                    # arguments takes them at once, in a _WHOLE node.
+                    node = kids[0]
+                    fn, given = node[2], []
+                    for arg, kid in zip(x.args, kids[1:]):
+                        if type(arg) is NamedArg:
+                            message = f"named argument '{arg.name}' could not be resolved to a declared"
+                            fault = RuntimeFault(FAULT_NOT_APPLICABLE, message + " parameter", span)
+                            node, fn = (_FAULT, span, fault), None
+                        elif type(arg) is not TypeArg:  # types are erased at run time
+                            node = (_CALL, span, node, kid)
+                            given.append(kid)
+                            if type(fn) is ClosureV and len(given) == fn.arity:
+                                node = _whole(node, fn, given)
                     done.append(node)
-                elif t is NamedApply:
+                elif t is NamedArg:
                     inert -= 1
-                    message = f"named argument '{x.param_name}' could not be resolved to a declared"
-                    fault = RuntimeFault(FAULT_NOT_APPLICABLE, message + " parameter", span)
-                    done.append((_FAULT, span, fault))
-                elif t is TypeApply:  # types are erased at run time
                     done.append(kids[0])
                 else:  # UnaryNot
                     done.append((_NOT, span, *kids))

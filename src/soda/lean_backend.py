@@ -28,20 +28,21 @@ from .syntax import (
     PREC_ATOM,
     PREC_LOW,
     PREC_OR,
+    Call,
     ClassDecl,
     ConstructorPattern,
     Definition,
     Diagnostic,
     DirectiveBlock,
-    Expr,
     ExprPrinter,
     Lambda,
     Match,
+    NamedArg,
     Program,
     SelfRef,
+    TypeArg,
     TypeExpr,
     error,
-    peel_call_chain,
     walk,
 )
 
@@ -111,18 +112,17 @@ class _LeanPrinter(ExprPrinter):
     def self_ref(self, e: SelfRef) -> tuple[str, int]:
         raise _Refused
 
-    def call(self, e: Expr) -> tuple[str, int]:
+    def call(self, e: Call) -> tuple[str, int]:
         # Type arguments are erased; inference recovers them.
-        head, steps = peel_call_chain(e)
-        values = [s for s in steps if s[0] != "type"]
+        values = [a for a in e.args if type(a) is not TypeArg]
         if not values:
-            return self._bare[type(head)](self, head)
-        parts = [self.expr(head, PREC_APP)]
-        for step in values:
-            if step[0] == "pos":
-                parts.append(self.expr(step[1], PREC_ATOM))
+            return self._bare[type(e.function)](self, e.function)
+        parts = [self.expr(e.function, PREC_APP)]
+        for a in values:
+            if type(a) is NamedArg:
+                parts.append(f"({a.name} := {self.expr(a.value)})")
             else:
-                parts.append(f"({step[1]} := {self.expr(step[2])})")
+                parts.append(self.expr(a, PREC_ATOM))
         return " ".join(parts), PREC_APP
 
     def lambda_(self, e: Lambda) -> tuple[str, int]:

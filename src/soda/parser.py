@@ -25,9 +25,9 @@ from .syntax import (
     BINARY_PRECEDENCE,
     PREC_OR,
     AbstractBlock,
-    Apply,
     BinaryOp,
     BoolLiteral,
+    Call,
     ClassDecl,
     Definition,
     Diagnostic,
@@ -40,7 +40,7 @@ from .syntax import (
     Lambda,
     Match,
     MatchCase,
-    NamedApply,
+    NamedArg,
     NamedType,
     Pattern,
     Program,
@@ -49,7 +49,7 @@ from .syntax import (
     StringLiteral,
     Token,
     TokenKind,
-    TypeApply,
+    TypeArg,
     TypeExpr,
     TypeParam,
     UnaryNot,
@@ -334,6 +334,7 @@ class Parser:
 
     def _parse_app(self) -> Expr:
         expr = self._parse_primary()
+        args: list[Expr] = []
         while True:
             if self.kinds[self.pos] in _TICKS:
                 self._expr_tick()
@@ -348,16 +349,24 @@ class Parser:
                 if named:
                     self.pos = i + 2
                 arg = self.parse_expression()
+                if named:
+                    arg = NamedArg(self.texts[i], arg, self.span(i).cover(arg.span))
                 self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
-                span = expr.span.cover(self.span(self.pos - 1))
-                expr = NamedApply(expr, self.texts[i], arg, span) if named else Apply(expr, arg, span)
             elif kind == TokenKind.OPEN_BRACKET:
                 self.pos += 1
                 ty = self.parse_type()
+                arg = TypeArg(ty, ty.span)
                 self.expect_kind(TokenKind.CLOSE_BRACKET, "']'")
-                expr = TypeApply(expr, ty, expr.span.cover(self.prev_span()))
             else:
-                return expr
+                break
+            args.append(arg)
+            end = self.pos - 1
+        if not args:
+            return expr
+        if type(expr) is Call:  # (f (a)) (b) is the call f (a) (b)
+            args[:0] = expr.args
+            expr = expr.function
+        return Call(expr, tuple(args), expr.span.cover(self.span(end)))
 
     def _parse_primary(self) -> Expr:
         # No _expr_tick: _parse_unary has just called it, at this token.

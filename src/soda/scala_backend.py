@@ -26,17 +26,18 @@ from .syntax import (
     PREC_APP,
     PREC_LOW,
     AbstractBlock,
+    Call,
     ClassDecl,
     ConstructorPattern,
     Definition,
-    Expr,
     ExprPrinter,
     Identifier,
     Lambda,
     Match,
+    NamedArg,
     SourceSpan,
+    TypeArg,
     TypeParam,
-    peel_call_chain,
 )
 
 @dataclass
@@ -70,19 +71,19 @@ class _ScalaPrinter(ExprPrinter):
         # Fields go in one list, which a constructor without fields keeps.
         return f"{p.name} ({', '.join(map(self.expr, p.sub_patterns))})", PREC_APP
 
-    def call(self, e: Expr) -> tuple[str, int]:
-        head, steps = peel_call_chain(e)
-        out = self.expr(head, PREC_APP)
-        type_args = [s[1] for s in steps if s[0] == "type"]
+    def call(self, e: Call) -> tuple[str, int]:
+        out = self.expr(e.function, PREC_APP)
+        type_args = [a.type for a in e.args if type(a) is TypeArg]
         if type_args:
             out += self.type_args(type_args)
         args = []
-        for s in steps:
-            if s[0] == "pos":
-                args.append(self.expr(s[1]))
-            elif s[0] == "named":
-                args.append(f"{s[1]} = {self.expr(s[2])}")
-        sig = self.constructors.get(head.name) if isinstance(head, Identifier) else None
+        for a in e.args:
+            if type(a) is NamedArg:
+                args.append(f"{a.name} = {self.expr(a.value)}")
+            elif type(a) is not TypeArg:
+                args.append(self.expr(a))
+        fn = e.function
+        sig = self.constructors.get(fn.name) if isinstance(fn, Identifier) else None
         if args and sig is not None and len(args) == len(sig.fields):
             # Case classes apply in one argument list.
             return f"{out} ({', '.join(args)})", PREC_APP

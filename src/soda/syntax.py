@@ -487,30 +487,30 @@ class SelfRef(Expr):
 
 
 @tree_class
-class Apply(Expr):
-    """One-argument application; multi-argument calls are nested Apply."""
+class Call(Expr):
+    """Application of ``function`` to ``args``, in source order: plain
+    expressions, ``NamedArg`` and ``TypeArg``. ``f (a) (n := b) [T]`` is one
+    call, and the parser never makes a call whose function is a call."""
 
     function: Expr
-    argument: Expr
+    args: tuple[Expr, ...]
     span: SourceSpan = field(compare=False, repr=False)
 
 
 @tree_class
-class NamedApply(Expr):
-    """Application with a named argument, ``f (x := e)``."""
+class NamedArg(Expr):
+    """A named argument of a call, ``(name := value)``."""
 
-    function: Expr
-    param_name: str
-    argument: Expr
+    name: str
+    value: Expr
     span: SourceSpan = field(compare=False, repr=False)
 
 
 @tree_class
-class TypeApply(Expr):
-    """Type-argument application, ``Pair_ [Int]``."""
+class TypeArg(Expr):
+    """A type argument of a call, ``[type]``."""
 
-    function: Expr
-    type_argument: TypeExpr
+    type: TypeExpr
     span: SourceSpan = field(compare=False, repr=False)
 
 
@@ -580,9 +580,8 @@ class UnaryNot(Expr):
 # ============================================================
 
 _CHILDREN = {
-    Apply: lambda e: (e.function, e.argument),
-    NamedApply: lambda e: (e.function, e.argument),
-    TypeApply: lambda e: (e.function,),
+    Call: lambda e: (e.function, *e.args),
+    NamedArg: lambda e: (e.value,),
     Lambda: lambda e: (e.body,),
     If: lambda e: (e.cond, e.then_branch, e.else_branch),
     Match: lambda e: (e.scrutinee, *e.cases),
@@ -593,9 +592,8 @@ _CHILDREN = {
 
 # Constructor arguments for a copy of each node with new children ``k``.
 _REBUILD_ARGS = {
-    Apply: lambda e, k: (k[0], k[1], e.span),
-    NamedApply: lambda e, k: (k[0], e.param_name, k[1], e.span),
-    TypeApply: lambda e, k: (k[0], e.type_argument, e.span),
+    Call: lambda e, k: (k[0], k[1:], e.span),
+    NamedArg: lambda e, k: (e.name, k[0], e.span),
     Lambda: lambda e, k: (e.param, e.param_type, k[0], e.span),
     If: lambda e, k: (k[0], k[1], k[2], e.span),
     Match: lambda e, k: (k[0], k[1:], e.span),
@@ -631,28 +629,6 @@ def walk(e: Expr):
             stack.extend(reversed(get(node)))
 
 
-CALL_KINDS = (Apply, NamedApply, TypeApply)
-
-
-def peel_call_chain(e: Expr):
-    """Split a (possibly nested) application into its head and the ordered
-    argument steps. Steps are ('pos', expr), ('named', name, expr), or
-    ('type', type_expr)."""
-    steps = []
-    while True:
-        t = type(e)
-        if t is Apply:
-            steps.append(("pos", e.argument))
-        elif t is NamedApply:
-            steps.append(("named", e.param_name, e.argument))
-        elif t is TypeApply:
-            steps.append(("type", e.type_argument))
-        else:
-            steps.reverse()
-            return e, steps
-        e = e.function
-
-
 #: Index of the first child in tail position, for the nodes that pass tail
 #: position on: both branches of an ``if``, and each ``match`` case result.
 _FIRST_TAIL_CHILD = {If: 1, Match: 1, MatchCase: 0}
@@ -683,8 +659,7 @@ def binder_names(e: Expr) -> tuple[str, ...]:
 def scoped_walk(e: Expr, bound: dict):
     """``(node, tail)`` for every node under ``e`` in preorder, without
     recursion. ``tail`` says whether the node is in tail position, counting
-    ``e`` as one; neither the function nor the argument of a call is, so
-    every link of a call chain is visited, outermost first.
+    ``e`` as one; no part of a call is.
 
     ``bound`` is the table of open binders, ``{name: count}``, and the walk
     keeps it up to date: while a node is yielded, ``bound.get(name)`` is
@@ -886,9 +861,7 @@ _PRINT_METHODS = {
     StringLiteral: "literal",
     Identifier: "identifier",
     SelfRef: "self_ref",
-    Apply: "call",
-    NamedApply: "call",
-    TypeApply: "call",
+    Call: "call",
     UnaryNot: "unary_not",
     BinaryOp: "binary_op",
     Lambda: "lambda_",
@@ -977,16 +950,15 @@ class ExprPrinter:
     def self_ref(self, e: SelfRef) -> tuple[str, int]:
         return "this", PREC_ATOM
 
-    def call(self, e: Expr) -> tuple[str, int]:
-        head, steps = peel_call_chain(e)
-        parts = [self.expr(head, PREC_APP)]
-        for step in steps:
-            if step[0] == "pos":
-                parts.append(f"({self.expr(step[1])})")
-            elif step[0] == "named":
-                parts.append(f"({step[1]} := {self.expr(step[2])})")
+    def call(self, e: Call) -> tuple[str, int]:
+        parts = [self.expr(e.function, PREC_APP)]
+        for a in e.args:
+            if type(a) is NamedArg:
+                parts.append(f"({a.name} := {self.expr(a.value)})")
+            elif type(a) is TypeArg:
+                parts.append(f"[{self.expr(a.type)}]")
             else:
-                parts.append(f"[{self.expr(step[1])}]")
+                parts.append(f"({self.expr(a)})")
         return " ".join(parts), PREC_APP
 
     def unary_not(self, e: UnaryNot) -> tuple[str, int]:

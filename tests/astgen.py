@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from soda.syntax import (
     AbstractBlock,
     AppliedType,
-    Apply,
     BinaryOp,
     BoolLiteral,
+    Call,
     ClassDecl,
     ConstructorPattern,
     Definition,
@@ -38,13 +38,13 @@ from soda.syntax import (
     LiteralPattern,
     Match,
     MatchCase,
-    NamedApply,
+    NamedArg,
     NamedType,
     Pattern,
     Program,
     SelfRef,
     StringLiteral,
-    TypeApply,
+    TypeArg,
     TypeExpr,
     TypeParam,
     UnaryNot,
@@ -215,19 +215,17 @@ class AstGen:
                 _SPAN,
             )
         if roll < 0.88:
-            fn: Expr = Identifier(self._identifier_name(), _SPAN)
-            for _ in range(self.rng.randint(1, 2)):
-                fn = Apply(fn, self.expr(depth - 1), _SPAN)
-            return fn
+            fn = Identifier(self._identifier_name(), _SPAN)
+            args = tuple(self.expr(depth - 1) for _ in range(self.rng.randint(1, 2)))
+            return Call(fn, args, _SPAN)
         if roll < 0.95:
-            return NamedApply(
+            return Call(
                 Identifier(self._identifier_name(), _SPAN),
-                self.rng.choice(_PARAM_NAMES),
-                self.expr(depth - 1),
+                (NamedArg(self.rng.choice(_PARAM_NAMES), self.expr(depth - 1), _SPAN),),
                 _SPAN,
             )
-        return TypeApply(
-            Identifier(self._identifier_name(), _SPAN), self.type_expr(), _SPAN
+        return Call(
+            Identifier(self._identifier_name(), _SPAN), (TypeArg(self.type_expr(), _SPAN),), _SPAN
         )
 
     # --- declarations ---

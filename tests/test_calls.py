@@ -12,7 +12,17 @@ from pathlib import Path
 
 import pytest
 
-from soda import Interpreter, RuntimeFault, analyze, parse, render_value
+from soda import (
+    Interpreter,
+    RuntimeFault,
+    analyze,
+    parse,
+    pretty_print,
+    render_value,
+    translate_to_lean,
+    translate_to_scala,
+)
+from soda.syntax import format_expr
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -129,6 +139,77 @@ def test_the_first_fault_comes_from_the_leftmost_faulting_argument():
     out = it.run_entry("P", "leftmost", (1,))
     row = next(i for i, line in enumerate(lines) if line.startswith("  half "))
     assert isinstance(out, RuntimeFault) and out.span.line_start == row + 1
+
+
+# Calls that mix type, positional and named arguments: named ones to a
+# declared callee are resolved, in declared order after the type arguments;
+# those to an unknown callee stay, and evaluating them faults.
+MIXED = """\
+class Pair [A : Type] [B : Type]
+
+  abstract
+    fst : A
+    snd : B
+
+end
+
+class Mix
+
+  g (a : Int) (b : Int) : Int = a - b
+
+  named (x : Int) : Int = g (b := x) (a := 10)
+
+  typed : Pair [Int] [Bool] = Pair_ [Int] [Bool] (snd := true) (fst := 1)
+
+  mixed (x : Int) : Int = g [Int] (x) [Bool] (2)
+
+  unknown (x : Int) : Int = k [Int] (x) (n := 1) (m := 2)
+
+end
+"""
+
+
+def test_calls_that_mix_argument_kinds_round_trip_translate_and_resolve():
+    program = parse(MIXED, "t.soda").program
+    assert pretty_print(program) == MIXED
+    analyzed = analyze(program)
+    assert [d.code for d in analyzed.diagnostics] == ["W-SEM-001"]  # k
+    bodies = {d.name: format_expr(d.body) for d in analyzed.program.classes[1].definitions}
+    assert bodies == {
+        "g": "a - b",
+        "named": "g (10) (x)",
+        "typed": "Pair_ [Int] [Bool] (1) (true)",
+        "mixed": "g [Int] (x) [Bool] (2)",
+        "unknown": "k [Int] (x) (n := 1) (m := 2)",
+    }
+    scala = translate_to_scala(analyzed).text
+    for line in (
+        "def named (x : Int) : Int = g (10) (x)",
+        "lazy val typed : Pair [Int, Boolean] = Pair_ [Int, Boolean] (1, true)",
+        "def mixed (x : Int) : Int = g [Int, Boolean] (x) (2)",
+        "def unknown (x : Int) : Int = k [Int] (x) (n = 1) (m = 2)",
+    ):
+        assert f"  {line}\n" in scala
+    lean = translate_to_lean(analyzed).text
+    for line in (
+        "def named (x : Int) : Int := g 10 x",
+        "def typed : Pair Int Bool := Pair_ 1 true",
+        "def mixed (x : Int) : Int := g x 2",
+        "def unknown (x : Int) : Int := k x (n := 1) (m := 2)",
+    ):
+        assert f"\n{line}\n" in lean
+    it = Interpreter(analyzed)
+    assert render_value(it.run_entry("Mix", "named", (3,))) == "7"
+    assert render_value(it.run_entry("Mix", "typed")) == "Pair_ (1) (true)"
+    assert render_value(it.run_entry("Mix", "mixed", (5,))) == "3"
+    out = it.run_entry("Mix", "unknown", (0,))
+    assert isinstance(out, RuntimeFault) and out.kind == "arity_fault"
+    assert "named argument 'm' could not be resolved" in out.message
+    # the span of the whole call
+    assert tuple(out.span)[1:] == (19, 29, 19, 58)
+    # a declared callee given named and positional arguments is an error
+    mixed_kinds = analyze(parse(MIXED.replace("g [Int] (x) [Bool] (2)", "g [Int] (x) (b := 2)")).program)
+    assert [d.code for d in mixed_kinds.diagnostics] == ["E-SEM-023", "W-SEM-001"]
 
 
 def test_of_two_parameters_with_one_name_the_later_is_in_scope():

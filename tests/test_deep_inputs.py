@@ -371,6 +371,30 @@ def test_analyze_is_linear_in_the_named_calls_of_a_flat_sum():
     )
 
 
+def test_every_stage_is_linear_in_the_arguments_of_a_call():
+    # A call is one node with its arguments in a list; walking back through
+    # one node per argument at each argument would make a stage quadratic.
+    assert_linear(
+        """
+        from soda import Interpreter, analyze, parse, pretty_print
+        from soda import translate_to_lean, translate_to_scala
+
+        def build(n):
+            args = " ".join(f"({i})" for i in range(n))
+            return f"class C\\n\\n  g (x : Int) : Int = g\\n\\n  h : Int = g {args}\\n\\nend\\n"
+
+        def stage(source):
+            program = parse(source).program
+            assert pretty_print(program) == source
+            analyzed = analyze(program)
+            assert analyzed.diagnostics == []
+            assert translate_to_scala(analyzed).text and translate_to_lean(analyzed).ok
+            Interpreter(analyzed)
+        """,
+        1000,
+    )
+
+
 def test_parse_is_linear_in_the_blank_lines_that_open_a_directive():
     # Dropping the leading blank lines one at a time from the front of a
     # list made this quadratic.
@@ -424,13 +448,13 @@ def test_analyze_takes_20000_applied_lambdas_with_distinct_names():
     run_code(
         """
         from soda import analyze
-        from soda.syntax import (Apply, BinaryOp, ClassDecl, Definition, Identifier,
+        from soda.syntax import (BinaryOp, Call, ClassDecl, Definition, Identifier,
                                  IntLiteral, Lambda, NamedType, Program, synthetic_span)
 
         span = synthetic_span()
         expr = BinaryOp("+", Identifier("a", span), Identifier("z", span), span)
         for k in range(20_000):
-            expr = Apply(Lambda(f"y{k}", None, expr, span), IntLiteral(k, span), span)
+            expr = Call(Lambda(f"y{k}", None, expr, span), (IntLiteral(k, span),), span)
         f = Definition("f", (("a", NamedType("Int", span)),), None, expr, True, span=span)
         program = Program(None, (), (ClassDecl("A", (), (), (f,), span=span),), span)
         diagnostics = analyze(program).diagnostics
@@ -447,7 +471,7 @@ def test_evaluate_takes_20000_nested_ifs_and_lambdas():
     run_code(
         """
         from soda import Interpreter, analyze, parse
-        from soda.syntax import Apply, BinaryOp, Identifier, If, IntLiteral, Lambda
+        from soda.syntax import BinaryOp, Call, Identifier, If, IntLiteral, Lambda
         from soda.syntax import synthetic_span
 
         span = synthetic_span()
@@ -455,7 +479,7 @@ def test_evaluate_takes_20000_nested_ifs_and_lambdas():
         for k in range(20_000):
             cond = BinaryOp("==", Identifier("y", span), IntLiteral(k, span), span)
             body = If(cond, expr, IntLiteral(-1, span), span)
-            expr = Apply(Lambda("y", None, body, span), IntLiteral(k, span), span)
+            expr = Call(Lambda("y", None, body, span), (IntLiteral(k, span),), span)
         it = Interpreter(analyze(parse("class A\\n\\nend\\n").program))
         out = it.evaluate(expr)
         assert type(out) is int and out == 0 and it.last_peak_depth == 2
@@ -469,13 +493,13 @@ def test_evaluate_takes_20000_applied_lambdas_around_an_outer_local():
     run_code(
         """
         from soda import Interpreter, analyze, parse
-        from soda.syntax import Apply, Identifier, IntLiteral, Lambda, synthetic_span
+        from soda.syntax import Call, Identifier, IntLiteral, Lambda, synthetic_span
 
         span = synthetic_span()
         expr = Identifier("a", span)
         for k in range(20_000):
-            expr = Apply(Lambda(f"y{k}", None, expr, span), IntLiteral(k, span), span)
-        expr = Apply(Lambda("a", None, expr, span), IntLiteral(7, span), span)
+            expr = Call(Lambda(f"y{k}", None, expr, span), (IntLiteral(k, span),), span)
+        expr = Call(Lambda("a", None, expr, span), (IntLiteral(7, span),), span)
         it = Interpreter(analyze(parse("class A\\n\\nend\\n").program))
         out = it.evaluate(expr)
         assert type(out) is int and out == 7 and it.last_peak_depth == 1

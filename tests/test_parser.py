@@ -1,14 +1,16 @@
 """Grammar coverage: expressions, declarations, layout, and error codes."""
 
+import sys
 from pathlib import Path
 
 import pytest
 
-from soda import parse, parse_expression, tokenize
+from astgen import random_program
+from soda import parse, parse_expression, pretty_print, tokenize
 from soda.syntax import (
-    Apply,
     BinaryOp,
     BoolLiteral,
+    Call,
     ConstructorPattern,
     FunctionType,
     Identifier,
@@ -17,11 +19,11 @@ from soda.syntax import (
     Lambda,
     LiteralPattern,
     Match,
-    NamedApply,
+    NamedArg,
     NamedType,
     SelfRef,
     StringLiteral,
-    TypeApply,
+    TypeArg,
     UnaryNot,
     VarBindPattern,
     SourceSpan,
@@ -29,6 +31,7 @@ from soda.syntax import (
     TokenKind,
     WildcardPattern,
     synthetic_span,
+    walk,
 )
 
 # spans are excluded from node equality, so one synthetic span serves for all
@@ -97,27 +100,67 @@ def test_unary_minus_on_expression_becomes_zero_minus():
 
 
 def test_application_requires_parenthesized_arguments():
-    assert body_of("f (1) (2)") == Apply(
-        Apply(Identifier("f", S), IntLiteral(1, S), S), IntLiteral(2, S), S
+    assert body_of("f (1) (2)") == Call(
+        Identifier("f", S), (IntLiteral(1, S), IntLiteral(2, S)), S
     )
 
 
 def test_application_binds_tighter_than_operators():
     e = body_of("f (1) + g (2)")
     assert isinstance(e, BinaryOp) and e.op == "+"
-    assert isinstance(e.left, Apply) and isinstance(e.right, Apply)
+    assert isinstance(e.left, Call) and isinstance(e.right, Call)
 
 
 def test_named_argument_application():
-    assert body_of("f (snd := 2)") == NamedApply(
-        Identifier("f", S), "snd", IntLiteral(2, S), S
+    assert body_of("f (snd := 2)") == Call(
+        Identifier("f", S), (NamedArg("snd", IntLiteral(2, S), S),), S
     )
 
 
 def test_type_argument_application():
-    assert body_of("f [Int]") == TypeApply(
-        Identifier("f", S), NamedType("Int", S), S
+    assert body_of("f [Int]") == Call(
+        Identifier("f", S), (TypeArg(NamedType("Int", S), S),), S
     )
+
+
+def test_a_call_keeps_arguments_of_every_kind_in_source_order():
+    a, b = Identifier("a", S), Identifier("b", S)
+    assert body_of("f [Int] (a) (n := b) [Bool] (m := a)") == Call(
+        Identifier("f", S),
+        (TypeArg(NamedType("Int", S), S), a, NamedArg("n", b, S),
+         TypeArg(NamedType("Bool", S), S), NamedArg("m", a, S)),
+        S,
+    )
+
+
+def test_a_parenthesized_call_given_more_arguments_is_one_call():
+    f_a_b = Call(Identifier("f", S), (Identifier("a", S), Identifier("b", S)), S)
+    assert body_of("(f (a)) (b)") == body_of("f (a) (b)") == f_a_b
+    assert body_of("((f [Int]) (n := 1)) (2)") == body_of("f [Int] (n := 1) (2)")
+    # The call runs from its function to its last argument.
+    span = body_of("(f (a)) (b)").span
+    assert (span.line_start, span.col_start, span.line_end, span.col_end) == (3, 12, 3, 22)
+
+
+def test_no_parsed_call_has_a_call_as_its_function():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import gen  # the compile workload's corpus
+
+    texts = [pretty_print(random_program(seed)) for seed in range(100)]
+    texts += [f.text for f in gen.compile_corpus(1)]
+    calls = 0
+    for text in texts:
+        try:
+            program = parse(text).program
+        except RecursionError:  # the 1000-branch decision table: ROADMAP item 1
+            continue
+        for c in program.classes if program else ():
+            for d in c.definitions:
+                for node in walk(d.body) if d.body else ():
+                    if type(node) is Call:
+                        calls += 1
+                        assert type(node.function) is not Call, pretty_print(program)
+    assert calls > 1000
 
 
 def test_lambda_multi_parameter_sugar_nests_right():
@@ -337,8 +380,8 @@ def test_inconsistent_dedent_is_the_only_error_reported():
 def test_parse_expression_entry_point():
     toks = tokenize("Pair_ (1) (2)").tokens
     expr, _ = parse_expression(toks)
-    assert expr == Apply(
-        Apply(Identifier("Pair_", S), IntLiteral(1, S), S), IntLiteral(2, S), S
+    assert expr == Call(
+        Identifier("Pair_", S), (IntLiteral(1, S), IntLiteral(2, S)), S
     )
 
 
@@ -371,13 +414,13 @@ def test_parse_expression_keeps_the_spans_of_a_hand_made_token_list():
     ]
     expr, next_position = parse_expression(toks)
     assert expr == BinaryOp(
-        "+", Apply(Identifier("f", S), Identifier("x", S), S), StringLiteral("ab", S), S
+        "+", Call(Identifier("f", S), (Identifier("x", S),), S), StringLiteral("ab", S), S
     )
     assert next_position == 6
     assert expr.span == _other(7, 5, 8, 3)
     assert expr.left.span == _other(7, 5, 7, 10)
     assert expr.left.function.span == _other(7, 5, 7, 6)
-    assert expr.left.argument.span == _other(7, 8, 7, 9)
+    assert expr.left.args[0].span == _other(7, 8, 7, 9)
     assert expr.right.span == _other(7, 13, 8, 3)
 
 

@@ -21,6 +21,13 @@ def test_quick_corpus_matches_the_recorded_digests():
     assert snapshot.differences(expected, actual) == []
 
 
+def test_the_last_line_counts_the_differing_inputs_per_field():
+    recorded = {"a": {"parse": "1", "fmt": "2"}, "b": {"parse": "3", "fmt": "4"}}
+    actual = {"a": {"parse": "9", "fmt": "2"}, "b": {"parse": "9", "fmt": "9"}}
+    assert snapshot.field_counts(recorded, actual) == "differ by field: parse 2, fmt 1"
+    assert snapshot.field_counts(recorded, recorded) == "differ by field: none"
+
+
 def test_a_stage_that_raises_is_recorded_by_its_exception_type(monkeypatch):
     source = snapshot.gen.spec_source()
 

@@ -11,9 +11,9 @@ from soda import syntax
 from soda.syntax import (
     AbstractBlock,
     AppliedType,
-    Apply,
     BinaryOp,
     BoolLiteral,
+    Call,
     ClassDecl,
     ConstructorPattern,
     Definition,
@@ -27,13 +27,13 @@ from soda.syntax import (
     LiteralPattern,
     Match,
     MatchCase,
-    NamedApply,
+    NamedArg,
     NamedType,
     Program,
     SelfRef,
     SourceSpan,
     StringLiteral,
-    TypeApply,
+    TypeArg,
     TypeParam,
     UnaryNot,
     VarBindPattern,
@@ -70,11 +70,9 @@ CASES = [
     (StringLiteral, ('a "b"',), "StringLiteral(value='a \"b\"')"),
     (Identifier, ("x",), "Identifier(name='x')"),
     (SelfRef, (), "SelfRef()"),
-    (Apply, (X, ONE), "Apply(function=Identifier(name='x'), argument=IntLiteral(value=1))"),
-    (NamedApply, (X, "n", ONE),
-     "NamedApply(function=Identifier(name='x'), param_name='n', argument=IntLiteral(value=1))"),
-    (TypeApply, (X, INT),
-     "TypeApply(function=Identifier(name='x'), type_argument=NamedType(name='Int'))"),
+    (Call, (X, (ONE,)), "Call(function=Identifier(name='x'), args=(IntLiteral(value=1),))"),
+    (NamedArg, ("n", ONE), "NamedArg(name='n', value=IntLiteral(value=1))"),
+    (TypeArg, (INT,), "TypeArg(type=NamedType(name='Int'))"),
     (Lambda, ("y", None, X),
      "Lambda(param='y', param_type=None, body=Identifier(name='x'))"),
     (If, (BoolLiteral(True, SPAN), X, ONE),
