@@ -148,6 +148,7 @@ def test_no_parsed_call_has_a_call_as_its_function():
 
     texts = [pretty_print(random_program(seed)) for seed in range(100)]
     texts += [f.text for f in gen.compile_corpus(1)]
+    texts.append("class A\n\n  f = (g (a)) (b) + ((h [Int]) (n := 1)) ((k (c)) (d))\n\nend\n")
     calls = 0
     for text in texts:
         try:
