@@ -153,7 +153,7 @@ def test_no_parsed_call_has_a_call_as_its_function():
     for text in texts:
         try:
             program = parse(text).program
-        except RecursionError:  # the 1000-branch decision table: ROADMAP item 1
+        except RecursionError:  # the 1000-branch decision table: deeper than the parser goes yet
             continue
         for c in program.classes if program else ():
             for d in c.definitions:
