@@ -6,6 +6,9 @@ The corpus is built with fixed seeds:
 - ``astgen/<seed>``: the canonical text of ``tests/astgen.py``'s program for
   each seed in 0-399;
 - ``golden/<name>``: the hand-written listings in ``tests/goldens``;
+- ``hand/<name>``: the hand-written inputs in ``tests/snapshot/inputs``, for
+  what the generated inputs do not reach (a parenthesized call given more
+  arguments, a comment in each place one may stand);
 - ``compile-<seed>/<name>``: the files of ``perfbench/gen.py``'s compile
   corpus for seeds 1-3;
 - ``evaluate/spec``: the evaluate workload's specification, run on its
@@ -73,6 +76,7 @@ from soda import (  # noqa: E402
 from soda.syntax import Expr, SourceSpan, children, walk  # noqa: E402
 
 DIGESTS = ROOT / "tests" / "snapshot" / "digests.json"
+HAND = ROOT / "tests" / "snapshot" / "inputs"
 FIELDS = ("parse", "diagnostics", "analyzed", "fmt", "scala", "lean", "run")
 ASTGEN_SEEDS = range(400)
 COMPILE_SEEDS = (1, 2, 3)
@@ -141,9 +145,10 @@ def digest(text: str) -> str:
 def corpus(full: bool) -> list[tuple[str, str, list]]:
     """``(name, source text, extra run_entry calls)`` for every input: the
     whole corpus, or the quick subset the tier-1 test checks: the goldens,
-    the evaluate specification, astgen seeds 0-99 and the seed-1 compile
-    files under QUICK_BYTES."""
+    the hand-written inputs, the evaluate specification, astgen seeds 0-99
+    and the seed-1 compile files under QUICK_BYTES."""
     inputs = [(f"golden/{p.name}", p.read_text(), []) for p in sorted((ROOT / "tests" / "goldens").glob("*.soda"))]
+    inputs += [(f"hand/{p.name}", p.read_text(), []) for p in sorted(HAND.glob("*.soda"))]
     calls = [("Spec", rule, tuple(args)) for case in gen.eval_cases(EVALUATE_SEED) for rule, args, _ in case]
     inputs.append(("evaluate/spec", gen.spec_source(), calls))
     seeds = ASTGEN_SEEDS if full else range(100)

@@ -1,6 +1,7 @@
 """The behaviour snapshot: the quick part of the corpus that
-``scripts/snapshot.py`` pins (the goldens, the evaluate specification,
-astgen seeds 0-99 and the small seed-1 compile files) must still give the
+``scripts/snapshot.py`` pins (the goldens, the hand-written inputs, the
+evaluate specification, astgen seeds 0-99 and the small seed-1 compile
+files) must still give the
 recorded digest for every field. ``python3 scripts/snapshot.py --check``
 checks the whole corpus."""
 
@@ -16,7 +17,7 @@ import snapshot  # noqa: E402
 def test_quick_corpus_matches_the_recorded_digests():
     recorded = json.loads(snapshot.DIGESTS.read_text())
     actual = snapshot.compute(full=False)
-    assert len(actual) == 140
+    assert len(actual) == 147
     expected = {name: recorded[name] for name in actual}
     assert snapshot.differences(expected, actual) == []
 
