@@ -15,8 +15,6 @@ _MODULE_OF = {
     "verify_tailrec": "analyzer",
     "Interpreter": "interpreter",
     "RuntimeFault": "interpreter",
-    "builtin_fold": "interpreter",
-    "builtin_range": "interpreter",
     "render_value": "interpreter",
     "LeanRendering": "lean_backend",
     "check_lean_supported": "lean_backend",

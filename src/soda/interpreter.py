@@ -172,25 +172,6 @@ def _equal(a, b) -> bool:
 
 
 # ============================================================
-# builtin semantics, usable on plain Python values
-# ============================================================
-
-
-def builtin_range(n: int) -> list[int]:
-    """First ``n`` naturals, empty for any ``n <= 0``. Always terminates."""
-    return list(range(n)) if n > 0 else []
-
-
-def builtin_fold(sequence, initial, operation):
-    """Left fold: feed the accumulator through ``operation`` once per item,
-    starting from ``initial``. Always terminates."""
-    accumulated = initial
-    for item in sequence:
-        accumulated = operation(accumulated, item)
-    return accumulated
-
-
-# ============================================================
 # conversions and rendering
 # ============================================================
 

@@ -4,9 +4,14 @@ Line-oriented scanner with offside-rule layout: indentation changes become
 ``indent``/``dedent`` tokens against a stack of indentation levels, and each
 content line at bracket depth zero ends with a ``newline`` token. A line is
 scanned first and its layout decided after, so a line that holds no token
-but a comment (blank, a comment, only illegal characters) has no layout, as
-in Python's tokenizer. Inside parentheses or brackets the layout tokens are
-suppressed, so bracketed expressions may span lines freely.
+(blank, a comment, only illegal characters) has no layout, as in Python's
+tokenizer. Inside parentheses or brackets the layout tokens are suppressed,
+so bracketed expressions may span lines freely.
+
+A ``//`` comment is no token: it runs to the end of its line and goes to
+``LexResult.comments`` with its position, as Go's ``go/scanner`` keeps
+comments out of the token stream. The parser attaches a comment to the
+declaration after it by position.
 
 Directive blocks are special: after a line whose first token is the
 ``directive`` reserved word, every following line that is blank or indented
@@ -75,13 +80,16 @@ _BRACKETS = {
 @dataclass
 class LexResult:
     """Token ``i`` is ``kinds[i]`` with lexeme ``texts[i]``, from column
-    ``cols[i]`` of line ``lines[i]`` of ``file``, ``len(texts[i])`` wide."""
+    ``cols[i]`` of line ``lines[i]`` of ``file``, ``len(texts[i])`` wide.
+    Each comment is a ``(line, column, text)`` entry of ``comments``, in
+    source order; its text runs from the ``//`` to the end of the line."""
 
     file: str
     kinds: list[str] = field(default_factory=list)
     texts: list[str] = field(default_factory=list)
     lines: list[int] = field(default_factory=list)
     cols: list[int] = field(default_factory=list)
+    comments: list[tuple[int, int, str]] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
     def span(self, i: int) -> SourceSpan:
@@ -155,9 +163,9 @@ class _Scanner:
 
     def _scan_line(self, line: str, lineno: int) -> None:
         """Scan the line's tokens, then decide its layout: a line with no
-        token but a comment gets none, as a blank line; any other line that
-        starts at bracket depth zero gets its indent or dedents before its
-        first token. Inside a directive block the line is a ``raw_line``."""
+        token gets none; any other line that starts at bracket depth zero
+        gets its indent or dedents before its first token. Inside a
+        directive block the line is a ``raw_line``."""
         out = self.out
         indent = len(line) - len(line.lstrip(" \t"))
         if self.raw_margin is not None:
@@ -172,15 +180,9 @@ class _Scanner:
         if at_depth_zero and (tab := line.find("\t", 0, indent)) >= 0:
             span = self.span(lineno, tab + 1, tab + 2)
             out.diagnostics.append(error("E-LEX-003", "tab character in indentation", span))
-        if indent == len(line):  # blank: no token, so no layout
-            return
-        if line.startswith("//", indent):  # one comment token, so no layout
-            self.emit(TokenKind.COMMENT, line[indent:], lineno, indent + 1)
-            return
         mark, first = len(out.diagnostics), len(out.kinds)
         self._scan_content(line, lineno, indent)
-        count = len(out.kinds) - first
-        if count == 0 or count == 1 and out.kinds[first] == TokenKind.COMMENT:
+        if len(out.kinds) == first:
             return
         if at_depth_zero:
             if out.texts[first] == "directive" and out.kinds[first] == TokenKind.RESERVED_WORD:
@@ -225,6 +227,9 @@ class _Scanner:
                 kind = TokenKind.STRING_LITERAL
                 if "\\" in text or m.end("body") == col:
                     self._check_string(m, lineno)
+            elif group == "comment":  # it runs to the end of the line
+                out.comments.append((lineno, start + 1, text))
+                return
             else:
                 kind = group
             kinds(kind)

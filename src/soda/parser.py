@@ -9,6 +9,10 @@ newline is consumed and the expression continues; otherwise the expression
 ends at that newline and the enclosing declaration consumes the newline plus
 the dedents it opened.
 
+Comments are not tokens. One cursor walks the lexer's list of them: a
+definition or class takes, as its leading comments, those before its first
+token that no declaration took or dropped (``take_comments``).
+
 Error recovery is line- and keyword-based: a failed declaration skips to the
 end of its logical line, a failed top-level item skips to the next
 ``class``/``directive``/``package``/``import``. All diagnostics are
@@ -17,6 +21,7 @@ collected; a parse with any error yields no program.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -66,8 +71,7 @@ from .syntax import (
 
 _TOP_KEYWORDS = frozenset({"class", "directive", "package", "import"})
 _BINARY_OP_KINDS = (TokenKind.OPERATOR_SYMBOL, TokenKind.RESERVED_WORD)
-_TICKS = frozenset({TokenKind.NEWLINE, TokenKind.COMMENT})
-_LAYOUT_STEP = {TokenKind.INDENT: 1, TokenKind.DEDENT: -1, TokenKind.COMMENT: 0}
+_LAYOUT_STEP = {TokenKind.INDENT: 1, TokenKind.DEDENT: -1}
 # What ends a line, a block or the input: recovery stops before these.
 _LINE_END = frozenset({TokenKind.NEWLINE, TokenKind.DEDENT, TokenKind.END_OF_INPUT})
 _LITERAL_NODE = {int: IntLiteral, str: StringLiteral, bool: BoolLiteral}
@@ -109,12 +113,16 @@ def _newline_runs(kinds: list[str]) -> dict[int, tuple[int, int]]:
 
 
 class Parser:
-    def __init__(self, kinds: list[str], texts: list[str], span: Callable[[int], SourceSpan]):
+    def __init__(self, kinds: list[str], texts: list[str], span: Callable[[int], SourceSpan],
+                 comments: list[tuple[int, int, str]]):
         """Token ``i`` has kind ``kinds[i]``, text ``texts[i]`` and span
-        ``span(i)``; the last token is ``end_of_input``."""
+        ``span(i)``; the last token is ``end_of_input``. ``comments`` holds
+        ``(line, column, text)`` entries in source order, as the lexer's."""
         self.kinds = kinds
         self.texts = texts
         self.span = span
+        self.comments = comments
+        self.next_comment = 0  # the comments before it are taken or dropped
         self.runs = _newline_runs(kinds)
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
@@ -124,8 +132,6 @@ class Parser:
         self.rel_depth = 0
         # Inline mode disables newline continuation entirely (class headers).
         self.layout_enabled = True
-        # Comments waiting to be attached to the next declaration.
-        self.pending_comments: list[str] = []
 
     # ---------- token plumbing ----------
 
@@ -192,21 +198,14 @@ class Parser:
     # ---------- layout ----------
 
     def _expr_tick(self) -> None:
-        """Skip comments, and consume a newline plus its layout tokens when
-        the following line still belongs to the current construct. Hot paths
-        call it only at a token in ``_TICKS``, the kinds it acts on."""
-        while True:
-            kind = self.kinds[self.pos]
-            if kind == TokenKind.COMMENT:
-                self.pos += 1
-            elif kind == TokenKind.NEWLINE and self.layout_enabled:
-                after, net = self.runs[self.pos]
-                if self.rel_depth + net <= 0:
-                    return
+        """Consume a newline plus its layout tokens when the following line
+        still belongs to the current construct. Hot paths call it only at a
+        newline, the one token it acts on."""
+        if self.kinds[self.pos] == TokenKind.NEWLINE and self.layout_enabled:
+            after, net = self.runs[self.pos]
+            if self.rel_depth + net > 0:
                 self.pos = after
                 self.rel_depth += net
-            else:
-                return
 
     def _skip_newline(self) -> None:
         if self.kinds[self.pos] == TokenKind.NEWLINE:
@@ -216,30 +215,35 @@ class Parser:
         while self.kinds[self.pos] not in _LINE_END:
             self.pos += 1
 
-    def _take_comments(self) -> str:
-        """Keep each comment at the cursor for the next declaration; return
-        the kind of the token after them."""
-        while (kind := self.kinds[self.pos]) == TokenKind.COMMENT:
-            self.pending_comments.append(self.texts[self.pos][2:])
+    def _skip_blank_lines(self) -> str:
+        """Skip newlines; return the kind of the token this stops at."""
+        while (kind := self.kinds[self.pos]) == TokenKind.NEWLINE:
             self.pos += 1
         return kind
 
-    def _skip_blank_lines(self) -> str:
-        """Skip newlines, keeping comments as ``_take_comments`` does; return
-        the kind of the token this stops at."""
-        while (kind := self._take_comments()) == TokenKind.NEWLINE:
-            self.pos += 1
-        return kind
+    def take_comments(self) -> tuple[str, ...]:
+        """Take the comments before the current token that are not taken
+        yet, and return their texts after the ``//``. A caller that throws
+        the texts away drops those comments."""
+        start = self.next_comment
+        if start == len(self.comments):  # none left: build no span
+            return ()
+        _, line, col, _, _ = self.span(self.pos)
+        # No comment shares a token's position, so an entry sorts before
+        # (line, col) exactly when the comment comes before the token.
+        end = self.next_comment = bisect_left(self.comments, (line, col), start)
+        return tuple(text[2:] for _, _, text in self.comments[start:end])
 
     def _end_declaration_line(self) -> None:
-        """Consume the newline ending a declaration and balance out any
-        indentation its continuation lines opened."""
-        kind = self.kinds[self.pos]
-        if kind not in _LINE_END and kind != TokenKind.COMMENT:
+        """Consume the newline ending a declaration, dropping the comments
+        in it and on its lines, and balance out any indentation its
+        continuation lines opened."""
+        if self.kinds[self.pos] not in _LINE_END:
             self.err("E-PAR-001", f"unexpected {self._describe()} after declaration")
             self._skip_to_line_end()
+        self.take_comments()
         self._skip_newline()
-        while self.rel_depth > 0 and self._take_comments() == TokenKind.DEDENT:
+        while self.rel_depth > 0 and self.kinds[self.pos] == TokenKind.DEDENT:
             self.pos += 1
             self.rel_depth -= 1
 
@@ -278,15 +282,10 @@ class Parser:
         if self.kinds[self.pos] not in _LINE_END:
             self.pos += 1
 
-    def take_pending_comments(self) -> tuple[str, ...]:
-        out = tuple(self.pending_comments)
-        self.pending_comments = []
-        return out
-
     # ---------- expressions ----------
 
     def parse_expression(self) -> Expr:
-        if self.kinds[self.pos] in _TICKS:
+        if self.kinds[self.pos] == TokenKind.NEWLINE:
             self._expr_tick()
         if self.at_reserved("lambda"):
             return self._parse_lambda()
@@ -302,7 +301,7 @@ class Parser:
         operand takes only operators that bind tighter (left-associative)."""
         left = self._parse_unary()
         while True:
-            if self.kinds[self.pos] in _TICKS:
+            if self.kinds[self.pos] == TokenKind.NEWLINE:
                 self._expr_tick()
             i = self.pos
             prec = BINARY_PRECEDENCE.get(self.texts[i], 0)
@@ -313,7 +312,7 @@ class Parser:
             left = BinaryOp(self.texts[i], left, right, left.span.cover(right.span))
 
     def _parse_unary(self) -> Expr:
-        if self.kinds[self.pos] in _TICKS:
+        if self.kinds[self.pos] == TokenKind.NEWLINE:
             self._expr_tick()
         i = self.pos
         if self.texts[i] == "not" and self.kinds[i] == TokenKind.RESERVED_WORD:
@@ -336,7 +335,7 @@ class Parser:
         expr = self._parse_primary()
         args: list[Expr] = []
         while True:
-            if self.kinds[self.pos] in _TICKS:
+            if self.kinds[self.pos] == TokenKind.NEWLINE:
                 self._expr_tick()
             kind = self.kinds[self.pos]
             if kind == TokenKind.OPEN_PAREN:
@@ -453,6 +452,7 @@ class Parser:
                 break
             case_kw = self.span(self.advance())
             pattern = self.parse_pattern()
+            self._expr_tick()
             self.expect_op("==>")
             result = self._parse_binary(PREC_OR)
             cases.append(MatchCase(pattern, result, case_kw.cover(result.span)))
@@ -519,7 +519,7 @@ class Parser:
         base = self._parse_type_atom()
         args: list[TypeExpr] = []
         while True:
-            if self.kinds[self.pos] in _TICKS:
+            if self.kinds[self.pos] == TokenKind.NEWLINE:
                 self._expr_tick()
             if not self.at(TokenKind.OPEN_BRACKET):
                 break
@@ -531,7 +531,7 @@ class Parser:
         return base
 
     def _parse_type_atom(self) -> TypeExpr:
-        if self.kinds[self.pos] in _TICKS:
+        if self.kinds[self.pos] == TokenKind.NEWLINE:
             self._expr_tick()
         i = self.pos
         if self.kinds[i] == TokenKind.IDENTIFIER:
@@ -549,7 +549,7 @@ class Parser:
     # ---------- declarations ----------
 
     def parse_definition(self, in_abstract: bool, tailrec: bool = False) -> Definition:
-        comments = self.take_pending_comments()
+        comments = self.take_comments()
         saved_depth = self.rel_depth
         self.rel_depth = 0
         name_span = self.span(self.pos)
@@ -602,10 +602,9 @@ class Parser:
         )
 
     def parse_directive(self) -> DirectiveBlock:
-        # Comments above a directive belong to nobody.
-        self.pending_comments = []
         kw = self.span(self.advance())
         target = self.expect_kind(TokenKind.IDENTIFIER, "a directive target")
+        self.take_comments()  # those above the directive and on its line: nobody's
         self._skip_newline()
         raws: list[str] = []
         while self.at(TokenKind.RAW_LINE):
@@ -616,12 +615,12 @@ class Parser:
 
     def _parse_abstract_block(self) -> AbstractBlock:
         # Comments above the block belong to nobody; comments trailing its
-        # last member are pending for the next declaration.
-        self.pending_comments = []
+        # last member are left for the next declaration.
+        self.take_comments()
         kw = self.span(self.advance())
         self._end_declaration_line()
         decls: list[Definition] = []
-        if self._take_comments() == TokenKind.INDENT:
+        if self.at(TokenKind.INDENT):
             self.advance()
             while True:
                 kind = self._skip_blank_lines()
@@ -669,7 +668,7 @@ class Parser:
         return TypeParam(name, bound_kind, bound, open_span.cover(self.prev_span()))
 
     def parse_class(self) -> ClassDecl:
-        comments = self.take_pending_comments()
+        comments = self.take_comments()
         kw = self.span(self.advance())
         name = self.expect_kind(TokenKind.IDENTIFIER, "a class name")
         if name.endswith("_"):
@@ -689,9 +688,7 @@ class Parser:
         extends_list = self._parse_extends_types() if self.at_reserved("extends") else []
         self._end_declaration_line()
         members: list = []
-        # Comment lines between the header and the first member carry no
-        # layout tokens, so they can precede the INDENT itself.
-        if self._take_comments() == TokenKind.INDENT:
+        if self.at(TokenKind.INDENT):
             self.advance()
             self._parse_members(members, extends_list)
         if self.at_reserved("end"):
@@ -793,12 +790,10 @@ class Parser:
                 continue
             self.expected("'class', 'directive', 'package', or 'import'")
             self._resync_top()
-        return Program(
-            package_name,
-            tuple(imports),
-            tuple(items),
-            first_span.cover(self.prev_span()),
-        )
+        span = first_span.cover(self.prev_span())
+        for line, col, text in self.comments[:1] + self.comments[-1:]:  # it holds every comment too
+            span = span.cover(SourceSpan(span.file, line, col, line, col + len(text)))
+        return Program(package_name, tuple(imports), tuple(items), span)
 
 
 def _normalize_raw_lines(raws: list[str]) -> tuple[str, ...]:
@@ -818,7 +813,7 @@ def parse(source: str, file: str = "<input>") -> ParseResult:
     """Parse one Soda source text. The program is withheld whenever any
     error was produced, by the lexer or the parser."""
     lexed = tokenize(source, file)
-    parser = Parser(lexed.kinds, lexed.texts, lexed.span)
+    parser = Parser(lexed.kinds, lexed.texts, lexed.span, lexed.comments)
     program = parser.parse_program()
     diagnostics = lexed.diagnostics + parser.diagnostics
     if has_errors(diagnostics):
@@ -835,7 +830,7 @@ def parse_expression(tokens: list[Token], position: int = 0):
     if not tokens or tokens[-1].kind != TokenKind.END_OF_INPUT:
         tokens = [*tokens, Token(TokenKind.END_OF_INPUT, "", synthetic_span("<tokens>"))]
     spans = [t.span for t in tokens]
-    parser = Parser([t.kind for t in tokens], [t.text for t in tokens], spans.__getitem__)
+    parser = Parser([t.kind for t in tokens], [t.text for t in tokens], spans.__getitem__, [])
     parser.pos = position
     expr = parser.parse_expression()
     if has_errors(parser.diagnostics):

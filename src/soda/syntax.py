@@ -98,7 +98,6 @@ class TokenKind:
     NEWLINE = "newline"
     INDENT = "indent"
     DEDENT = "dedent"
-    COMMENT = "comment"
     RAW_LINE = "raw_line"
     END_OF_INPUT = "end_of_input"
 

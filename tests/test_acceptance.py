@@ -13,8 +13,6 @@ from soda import (
     Interpreter,
     RuntimeFault,
     analyze,
-    builtin_fold,
-    builtin_range,
     parse,
     parse_expression,
     pretty_print,
@@ -227,8 +225,6 @@ def test_c7_builtin_identities():
     for n in range(1001):
         out = interp.run_entry("T", "sumto", (n,))
         assert exact(out) == (int, n * (n - 1) // 2), n
-    assert builtin_range(5) == [0, 1, 2, 3, 4]
-    assert builtin_fold([1, 2, 3], 0, lambda acc, x: acc * 10 + x) == 123
     digits = interp.evaluate(
         _expr("fold (range (4)) (0) (lambda a --> lambda x --> a * 10 + x)"))
     assert exact(digits) == (int, 123)

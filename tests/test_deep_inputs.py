@@ -412,6 +412,39 @@ def test_parse_is_linear_in_the_blank_lines_that_open_a_directive():
     )
 
 
+def test_parse_is_linear_in_the_commented_definitions_of_a_class():
+    # Each definition takes the comments before it from one cursor over the
+    # lexer's list of comments, and drops the one on its line.
+    assert_linear(
+        """
+        from soda import parse
+
+        def build(n):
+            defs = "".join(f"  // f{i}\\n  f{i} : Int = {i} // {i}\\n" for i in range(n))
+            return "class A\\n" + defs + "end\\n"
+
+        def stage(source):
+            assert parse(source).program.classes[0].definitions[-1].leading_comments != ()
+        """,
+        1000,
+    )
+
+
+def test_parse_is_linear_in_the_comment_lines_between_continuation_lines():
+    assert_linear(
+        """
+        from soda import parse
+
+        def build(n):
+            return "class A\\n  f (x : Int) : Int =\\n    x\\n" + "    // c\\n    + x\\n" * n + "end\\n"
+
+        def stage(source):
+            assert parse(source).ok
+        """,
+        2000,
+    )
+
+
 # Inputs to tokenize: an expression for a source of n units, and the n to
 # time it at (and at 4n).
 LEX_SHAPES = {

@@ -13,8 +13,6 @@ from soda import (
     Interpreter,
     RuntimeFault,
     analyze,
-    builtin_fold,
-    builtin_range,
     parse,
     parse_expression,
     render_value,
@@ -320,12 +318,6 @@ def test_fold_is_a_left_fold():
 def test_fold_over_a_non_sequence_faults():
     out = ev("fold (7) (0) (lambda a --> lambda x --> a)")
     assert isinstance(out, RuntimeFault)
-
-
-def test_python_level_builtins_agree():
-    assert builtin_range(5) == [0, 1, 2, 3, 4]
-    assert builtin_range(-2) == []
-    assert builtin_fold([1, 2, 3], 0, lambda acc, x: acc * 10 + x) == 123
 
 
 # --- faults ---

@@ -154,15 +154,16 @@ def _reference_decode(text):
 
 
 def _reference_line(line):
-    """The tokens (kind, text, column) and diagnostics of one line over the
-    alphabet below, with strings read by the reference scanner."""
-    tokens, diagnostics, i = [], [], 0
+    """The tokens (kind, text, column), comments (line, column, text) and
+    diagnostics of one line over the alphabet below, with strings read by
+    the reference scanner."""
+    tokens, comments, diagnostics, i = [], [], [], 0
     while i < len(line):
         ch = line[i]
         if ch in " \t":
             i += 1
         elif line.startswith("//", i):
-            tokens.append((TokenKind.COMMENT, line[i:], i + 1))
+            comments.append((1, i + 1, line[i:]))
             break
         elif ch == "/":
             tokens.append((TokenKind.OPERATOR_SYMBOL, ch, i + 1))
@@ -177,8 +178,8 @@ def _reference_line(line):
         else:
             diagnostics.append(("E-LEX-002", f"illegal character {ch!r}", i + 1, i + 2))
             i += 1
-    return tokens, [error(code, message, SourceSpan("<input>", 1, a, 1, b)).render()
-                    for code, message, a, b in diagnostics]
+    return tokens, comments, [error(code, message, SourceSpan("<input>", 1, a, 1, b)).render()
+                              for code, message, a, b in diagnostics]
 
 
 @given(st.text(st.sampled_from(['"', "\\", "a", "b", " ", "\t", "/", "\r", "\x0c", "\xa0"]), max_size=30))
@@ -187,10 +188,11 @@ def _reference_line(line):
 @settings(max_examples=1000, deadline=None)
 def test_string_literals_lex_and_decode_as_the_per_character_scanner_did(text):
     line = "a " + text  # no leading blank, so no layout and no E-LEX-003
-    want_tokens, want_diagnostics = _reference_line(line.removesuffix("\r"))
+    want_tokens, want_comments, want_diagnostics = _reference_line(line.removesuffix("\r"))
     res = tokenize(line)
     got = [(k, t, c) for k, t, c in zip(res.kinds, res.texts, res.cols) if k not in _LAYOUT]
     assert got == want_tokens
+    assert res.comments == want_comments
     assert [d.render() for d in res.diagnostics] == want_diagnostics
     for kind, text, _ in got:
         if kind == TokenKind.STRING_LITERAL:
@@ -222,11 +224,11 @@ def test_layout_blank_and_comment_lines_are_transparent():
     ks = kinds(source)
     assert ks.count(TokenKind.INDENT) == 1
     assert ks.count(TokenKind.DEDENT) == 1
-    # the blank line and the comment line emit no layout of their own
-    comment_line_kinds = [
-        t.kind for t in tokenize(source).tokens if t.span.line_start == 3
-    ]
-    assert comment_line_kinds == [TokenKind.COMMENT]
+    # the blank line and the comment line emit no token of their own: the
+    # comment is set aside with its position
+    res = tokenize(source)
+    assert [t.kind for t in res.tokens if t.span.line_start in (2, 3)] == []
+    assert res.comments == [(3, 3, "// note")]
 
 
 @pytest.mark.parametrize("source", [
@@ -311,12 +313,15 @@ def test_arbitrary_text_never_breaks_the_lexer(source):
     assert ks.count(TokenKind.INDENT) == ks.count(TokenKind.DEDENT)
     for d in res.diagnostics:
         assert d.code in DIAGNOSTIC_CODES
-    # Layout lies only on a line with a token other than a comment, or at
-    # the end of input.
-    content = {line for kind, line in zip(res.kinds, res.lines) if kind not in _LAYOUT + (TokenKind.COMMENT,)}
+    # Layout lies only on a line with a token, or at the end of input; a
+    # comment is no token, and runs from its "//" to the end of its line.
+    content = {line for kind, line in zip(res.kinds, res.lines) if kind not in _LAYOUT}
     for kind, line in zip(res.kinds, res.lines):
         if kind in _LAYOUT:
             assert line in content or line == res.lines[-1], (kind, line)
+    lines = source.split("\n")
+    for line, col, text in res.comments:
+        assert text.startswith("//") and lines[line - 1].removesuffix("\r")[col - 1:] == text
 
 
 # Lines of any code points, drawing a Unicode number as often as anything

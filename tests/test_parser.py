@@ -348,6 +348,38 @@ def test_leading_comments_attach_to_declarations():
         " doubles its input",)
 
 
+# Each header line below once broke the block under it when a comment
+# ended it.
+HEADER_LINES = {
+    "class": "class A // c\n\n  x : Int = 1\n\nend\n",
+    "class with a type parameter": "class A [T : Type] // c\n\n  x : T = 1\n\nend\n",
+    "abstract": "class A\n\n  abstract // c\n    x : Int\n\n  y : Int = x\n\nend\n",
+    "top-level directive": "directive scala // c\n  object B\n\nclass A\n\n  x : Int = 1\n\nend\n",
+    "member directive": (
+        "class A\n\n  directive lean // c\n    theorem t : 1 = 1 := rfl\n\n  x : Int = 1\n\nend\n"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(HEADER_LINES))
+def test_a_comment_on_a_header_line_is_dropped(shape):
+    source = HEADER_LINES[shape]
+    res = parse(source)
+    assert res.diagnostics == []
+    assert pretty_print(res.program) == pretty_print(parse_ok(source.replace(" // c", "")))
+
+
+@pytest.mark.parametrize("pattern", ["1", '"s"', "true", "_", "-1", "x", "Pair_ (a) (b)"])
+def test_the_arrow_of_a_case_may_start_a_continuation_line(pattern):
+    def with_arrow_after(gap):
+        return parse_ok(
+            f"class A\n\n  f (p : Int) : Int =\n    match p\n      case {pattern}{gap}==> 1\n"
+            "      case _ ==> 0\n\nend\n")
+
+    same_line = with_arrow_after(" ")
+    assert with_arrow_after("\n        ") == same_line
+    assert with_arrow_after(" // c\n        ") == same_line
+
+
 def test_program_is_none_exactly_when_errors_exist():
     good = parse("class A\n\n  x = 1\n\nend\n")
     assert good.ok and good.program is not None

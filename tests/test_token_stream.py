@@ -1,8 +1,8 @@
-"""The token stream pinned case by case: kinds, text and spans of every token
-and every lexer diagnostic, for inputs that cover each token kind, each
-``E-LEX`` code, tabs, CRLF line ends, brackets across lines, directive raw
-lines, comments and a table of Unicode characters at token start and inside
-an identifier.
+"""The token stream pinned case by case: kinds, text and spans of every token,
+the position and text of every comment, and every lexer diagnostic, for
+inputs that cover each token kind, each ``E-LEX`` code, tabs, CRLF line ends,
+brackets across lines, directive raw lines, comments and a table of Unicode
+characters at token start and inside an identifier.
 
 The expected data in ``token_stream.json`` was written by the lexer itself;
 a change that alters the stream on purpose rewrites it with
@@ -117,6 +117,7 @@ def lex_record(source):
     res = tokenize(source, "pin.soda")
     return {
         "tokens": [[t.kind, t.text, _span(t.span)] for t in res.tokens],
+        "comments": [list(c) for c in res.comments],
         "diagnostics": [[d.severity, d.code, d.message, _span(d.span)] for d in res.diagnostics],
     }
 
@@ -137,16 +138,19 @@ def test_token_stream_is_pinned(name):
     got = lex_record(CASES[name])
     assert got["diagnostics"] == expected["diagnostics"]
     assert got["tokens"] == expected["tokens"]
+    assert got["comments"] == expected["comments"]
 
 
 if __name__ == "__main__":
     data = {name: {"source": src, **lex_record(src)} for name, src in sorted(CASES.items())}
-    # One token or diagnostic a line, so that a change shows as a small diff.
+    # One token, comment or diagnostic a line, so that a change shows as a
+    # small diff.
     out = []
     for name, rec in data.items():
         rows = {key: ",".join("\n   " + json.dumps(x, ensure_ascii=False) for x in rec[key])
-                for key in ("tokens", "diagnostics")}
+                for key in ("tokens", "comments", "diagnostics")}
         out.append(f" {json.dumps(name)}: {{\"source\": {json.dumps(rec['source'])},\n"
-                   f"  \"tokens\": [{rows['tokens']}],\n  \"diagnostics\": [{rows['diagnostics']}]}}")
+                   f"  \"tokens\": [{rows['tokens']}],\n  \"comments\": [{rows['comments']}],\n"
+                   f"  \"diagnostics\": [{rows['diagnostics']}]}}")
     with open(_DATA, "w", encoding="utf-8") as f:
         f.write("{\n" + ",\n".join(out) + "\n}\n")
