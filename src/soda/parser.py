@@ -791,7 +791,7 @@ class Parser:
             self.expected("'class', 'directive', 'package', or 'import'")
             self._resync_top()
         span = first_span.cover(self.prev_span())
-        for line, col, text in self.comments[:1] + self.comments[-1:]:  # it holds every comment too
+        for line, col, text in self.comments[:1] + self.comments[-1:]:  # so the span holds every comment
             span = span.cover(SourceSpan(span.file, line, col, line, col + len(text)))
         return Program(package_name, tuple(imports), tuple(items), span)
 
