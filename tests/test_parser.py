@@ -641,6 +641,37 @@ RECOVERY = {
          "t.soda:3:12: error[E-PAR-001]: expected ')', found ':'",
          "t.soda:5:7: error[E-PAR-001]: expected an expression, found ')'"],
     ),
+    "result_type_opening_with_a_bracket": (
+        "class A\n\n  f : [Int] = 1\n\n  y = )\n\nend\n",
+        ["t.soda:3:7: error[E-PAR-001]: expected a type, found '['",
+         "t.soda:3:3: error[E-PAR-001]: definition of 'f' requires '=' and a body",
+         "t.soda:3:8: error[E-PAR-001]: unexpected 'Int' after declaration",
+         "t.soda:5:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "empty_type_argument": (
+        "class A\n\n  f : List [] = 1\n\n  y = )\n\nend\n",
+        ["t.soda:3:13: error[E-PAR-001]: expected a type, found ']'",
+         "t.soda:3:15: error[E-PAR-001]: expected ']', found '='",
+         "t.soda:5:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "empty_type_argument_of_a_call": (
+        "class A\n\n  f : Int = g (x) [ ] (y)\n\n  y = )\n\nend\n",
+        ["t.soda:3:21: error[E-PAR-001]: expected a type, found ']'",
+         "t.soda:3:23: error[E-PAR-001]: expected ']', found '('",
+         "t.soda:5:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "unclosed_parenthesized_type": (
+        "class A\n\n  f : (Int = 1\n\n  y = )\n\nend\n",
+        ["t.soda:3:12: error[E-PAR-001]: expected ')', found '='",
+         "t.soda:5:3: error[E-PAR-001]: unexpected 'y' after declaration"],
+    ),
+    "arrow_type_without_a_result": (
+        "class A\n\n  f : Int --> = 1\n\n  y = )\n\nend\n",
+        ["t.soda:3:15: error[E-PAR-001]: expected a type, found '='",
+         "t.soda:3:3: error[E-PAR-001]: definition of 'f' requires '=' and a body",
+         "t.soda:3:17: error[E-PAR-001]: unexpected '1' after declaration",
+         "t.soda:5:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
 }
 
 
