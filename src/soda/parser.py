@@ -287,11 +287,12 @@ class Parser:
     def parse_expression(self) -> Expr:
         if self.kinds[self.pos] == TokenKind.NEWLINE:
             self._expr_tick()
-        if self.at_reserved("lambda"):
+        word = self.texts[self.pos] if self.kinds[self.pos] == TokenKind.RESERVED_WORD else ""
+        if word == "lambda":
             return self._parse_lambda()
-        if self.at_reserved("if"):
+        if word == "if":
             return self._parse_if()
-        if self.at_reserved("match"):
+        if word == "match":
             return self._parse_match()
         return self._parse_binary(PREC_OR)
 
@@ -299,7 +300,7 @@ class Parser:
         """Precedence climbing over BINARY_PRECEDENCE: an operand, then every
         following operator that binds at least ``min_prec``; each right
         operand takes only operators that bind tighter (left-associative)."""
-        left = self._parse_unary()
+        left = self._parse_operand()
         while True:
             if self.kinds[self.pos] == TokenKind.NEWLINE:
                 self._expr_tick()
@@ -311,28 +312,43 @@ class Parser:
             right = self._parse_binary(prec + 1)
             left = BinaryOp(self.texts[i], left, right, left.span.cover(right.span))
 
-    def _parse_unary(self) -> Expr:
+    def _parse_operand(self) -> Expr:
+        """A ``not`` or minus and its operand, or an atom and its call arguments."""
         if self.kinds[self.pos] == TokenKind.NEWLINE:
             self._expr_tick()
         i = self.pos
-        if self.texts[i] == "not" and self.kinds[i] == TokenKind.RESERVED_WORD:
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == TokenKind.IDENTIFIER:
             self.pos = i + 1
-            operand = self._parse_unary()
+            expr = Identifier(text, self.span(i))
+        elif kind == TokenKind.OPEN_PAREN:
+            self.pos = i + 1
+            expr = self.parse_expression()
+            self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
+        elif kind == TokenKind.RESERVED_WORD and text == "not":
+            self.pos = i + 1
+            operand = self._parse_operand()
             return UnaryNot(operand, self.span(i).cover(operand.span))
-        if self.texts[i] == "-" and self.kinds[i] == TokenKind.OPERATOR_SYMBOL:
+        elif kind == TokenKind.OPERATOR_SYMBOL and text == "-":
             self.pos = i + 1
             minus = self.span(i)
             self._expr_tick()
             if self.at(TokenKind.INTEGER_LITERAL):
                 lit = self.advance()
                 return IntLiteral(-int_from_text(self.texts[lit]), minus.cover(self.span(lit)))
-            operand = self._parse_unary()
+            operand = self._parse_operand()
             # No dedicated negation node: -e is zero minus e.
             return BinaryOp("-", IntLiteral(0, minus), operand, minus.cover(operand.span))
-        return self._parse_app()
-
-    def _parse_app(self) -> Expr:
-        expr = self._parse_primary()
+        elif kind == TokenKind.RESERVED_WORD and text == "this":
+            self.pos = i + 1
+            expr = SelfRef(self.span(i))
+        elif (value := self.literal(i)) is not None:
+            self.pos = i + 1
+            expr = _LITERAL_NODE[type(value)](value, self.span(i))
+        else:
+            self.expected("an expression")
+            self._skip_offending()
+            expr = _error_expr(self.span(i))
         args: list[Expr] = []
         while True:
             if self.kinds[self.pos] == TokenKind.NEWLINE:
@@ -366,29 +382,6 @@ class Parser:
             args[:0] = expr.args
             expr = expr.function
         return Call(expr, tuple(args), expr.span.cover(self.span(end)))
-
-    def _parse_primary(self) -> Expr:
-        # No _expr_tick: _parse_unary has just called it, at this token.
-        i = self.pos
-        kind, text = self.kinds[i], self.texts[i]
-        if kind == TokenKind.IDENTIFIER:
-            self.pos = i + 1
-            return Identifier(text, self.span(i))
-        value = self.literal(i)
-        if value is not None:
-            self.pos = i + 1
-            return _LITERAL_NODE[type(value)](value, self.span(i))
-        if kind == TokenKind.RESERVED_WORD and text == "this":
-            self.pos = i + 1
-            return SelfRef(self.span(i))
-        if kind == TokenKind.OPEN_PAREN:
-            self.pos = i + 1
-            inner = self.parse_expression()
-            self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
-            return inner
-        self.expected("an expression")
-        self._skip_offending()
-        return _error_expr(self.span(i))
 
     def _parse_lambda(self) -> Expr:
         kw = self.span(self.advance())
@@ -507,44 +500,37 @@ class Parser:
     # ---------- types ----------
 
     def parse_type(self) -> TypeExpr:
-        # No _expr_tick: _parse_type_applied ends with one, at this token.
-        left = self._parse_type_applied()
-        if self.at_op("-->"):
-            self.advance()
-            right = self.parse_type()
-            return FunctionType(left, right, left.span.cover(right.span))
-        return left
-
-    def _parse_type_applied(self) -> TypeExpr:
-        base = self._parse_type_atom()
+        """A name or parenthesized type, its type arguments, then any ``-->``."""
+        if self.kinds[self.pos] == TokenKind.NEWLINE:
+            self._expr_tick()
+        i = self.pos
+        if self.kinds[i] == TokenKind.IDENTIFIER:
+            self.pos = i + 1
+            left = NamedType(self.texts[i], self.span(i))
+        elif self.kinds[i] == TokenKind.OPEN_PAREN:
+            self.pos = i + 1
+            left = self.parse_type()
+            self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
+        else:
+            self.expected("a type")
+            self._skip_offending()
+            left = NamedType("<error>", self.span(i))
         args: list[TypeExpr] = []
         while True:
             if self.kinds[self.pos] == TokenKind.NEWLINE:
                 self._expr_tick()
             if not self.at(TokenKind.OPEN_BRACKET):
                 break
-            self.advance()
+            self.pos += 1
             args.append(self.parse_type())
             self.expect_kind(TokenKind.CLOSE_BRACKET, "']'")
         if args:
-            return AppliedType(base, tuple(args), base.span.cover(self.prev_span()))
-        return base
-
-    def _parse_type_atom(self) -> TypeExpr:
-        if self.kinds[self.pos] == TokenKind.NEWLINE:
-            self._expr_tick()
-        i = self.pos
-        if self.kinds[i] == TokenKind.IDENTIFIER:
-            self.pos = i + 1
-            return NamedType(self.texts[i], self.span(i))
-        if self.kinds[i] == TokenKind.OPEN_PAREN:
-            self.advance()
-            inner = self.parse_type()
-            self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
-            return inner
-        self.expected("a type")
-        self._skip_offending()
-        return NamedType("<error>", self.span(i))
+            left = AppliedType(left, tuple(args), left.span.cover(self.prev_span()))
+        if self.at_op("-->"):
+            self.pos += 1
+            right = self.parse_type()
+            return FunctionType(left, right, left.span.cover(right.span))
+        return left
 
     # ---------- declarations ----------
 
