@@ -57,11 +57,11 @@ def _load(path: str) -> Optional[str]:
 
 
 def _write_atomic(path: str, text: str) -> bool:
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path))
+    # The temporary file beside the output is made as any new file is, with
+    # mode 0o666 less the umask, and is renamed over the output when written.
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".soda-{os.getpid()}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".soda-", suffix=".tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)

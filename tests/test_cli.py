@@ -1,5 +1,7 @@
 """Command line behavior: exit codes, produced files, and stream usage."""
 
+import os
+import stat
 import subprocess
 import sys
 
@@ -76,6 +78,19 @@ def test_scala_honors_explicit_output(pair_file, tmp_path):
     target.parent.mkdir()
     assert call("scala", "-o", target, pair_file) == 0
     assert "trait P" in target.read_text()
+
+
+@pytest.mark.parametrize("command", ["scala", "lean"])
+@pytest.mark.parametrize("umask", [0o022, 0o027])
+def test_explicit_output_gets_the_mode_the_umask_gives_a_new_file(pair_file, tmp_path, command, umask):
+    target = tmp_path / f"out.{command}"
+    previous = os.umask(umask)
+    try:
+        assert call(command, "-o", target, pair_file) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["pair.soda", target.name])
 
 
 def test_explicit_output_needs_exactly_one_input(pair_file, tmp_path, capsys):
