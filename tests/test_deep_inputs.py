@@ -98,6 +98,35 @@ def test_parse_handles_150_nested_parentheses():
     )
 
 
+# A definition nested n deep in each shape that takes one parser frame or
+# more per level, and an n it must parse at in a fresh process at the default
+# recursion limit.
+DEEP_PARSE = {
+    "parentheses": ('"f (x : Int) : Int = " + "(" * n + "x" + ")" * n', 300),
+    "call arguments": ('"f (x : Int) : Int = " + "f (" * n + "x" + ")" * n', 300),
+    "right operands": ('"f (x : Int) : Int = " + "x + (" * n + "x + x" + ")" * n', 230),
+    "match in a case result": (
+        '"f (x : Int) : Int = match x case 0 ==> " + "(match x case 0 ==> " * n + "x" + ")" * n', 230),
+    "applied types": ('"f (x : " + "List [" * n + "Int" + "]" * n + ") : Int = 0"', 900),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_PARSE)
+def test_parse_takes_deep_nesting_at_the_default_recursion_limit(shape):
+    definition, n = DEEP_PARSE[shape]
+    run_code(
+        f"""
+        import sys
+        from soda import parse
+
+        assert sys.getrecursionlimit() == 1000
+        n = {n}
+        result = parse("class A\\n\\n  " + {definition} + "\\n\\nend\\n")
+        assert result.ok, [d.render() for d in result.diagnostics]
+        """
+    )
+
+
 DEEP_PROGRAM = """\
 class L
 
@@ -390,6 +419,36 @@ def test_every_stage_is_linear_in_the_arguments_of_a_call():
             assert analyzed.diagnostics == []
             assert translate_to_scala(analyzed).text and translate_to_lean(analyzed).ok
             Interpreter(analyzed)
+        """,
+        1000,
+    )
+
+
+def test_parse_is_linear_in_the_arguments_of_one_type():
+    assert_linear(
+        """
+        from soda import parse
+
+        def build(n):
+            return "class A\\n\\n  f (x : T" + " [Int]" * n + ") : Int = 0\\n\\nend\\n"
+
+        def stage(source):
+            assert parse(source).ok
+        """,
+        2000,
+    )
+
+
+def test_parse_is_linear_in_the_alternating_value_and_type_arguments_of_a_call():
+    assert_linear(
+        """
+        from soda import parse
+
+        def build(n):
+            return "class A\\n\\n  f (x : Int) : Int = g" + " (x) [Int]" * n + "\\n\\nend\\n"
+
+        def stage(source):
+            assert parse(source).ok
         """,
         1000,
     )
