@@ -10,16 +10,14 @@ stack and a raised limit, then restores the default limit and prints. A
 stage takes an input when it returns without raising and, for ``parse`` and
 Lean, reports success. "any" means that 20000 passed.
 
-    python3 scripts/depth.py                  # the whole table
-    python3 scripts/depth.py --shape parentheses --stage parse
+    python3 scripts/depth.py
 
-Only the standard library is used. The figures depend on the Python
-version and, by a few levels, on the caller's stack.
+It takes a few minutes and needs only the standard library. The figures
+depend on the Python version and, by a few levels, on the caller's stack.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import subprocess
 import sys
@@ -28,37 +26,37 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 LIMIT = 20000
 
-# Shape -> its row label and an expression in n giving a definition nested n deep.
-SHAPES = {
-    "flat-chain": ("flat chain `x + x + … + x`",
-                   '"  f (x : Int) : Int = " + " + ".join(["x"] * (n + 1))'),
-    "not": ("`not not … x`",
-            '"  f (b : Bool) : Bool = " + "not " * n + "b"'),
-    "else-if": ("`if … else if …`",
-                '"  f (x : Int) : Int = " + "".join(f"if x == {i} then {i} else " for i in range(n)) + "0"'),
-    "lambda-chain": ("`lambda y --> lambda y --> …`",
-                     '"  f : Int = " + "lambda y --> " * n + "y"'),
-    "lambda-chain-distinct": ("`lambda y0 --> lambda y1 --> …` (distinct names)",
-                              '"  f : Int = " + "".join(f"lambda y{i} --> " for i in range(n)) + "y0"'),
-    "lambda-parameters": ("one lambda with n parameters `lambda y0 y1 … -->`",
-                          '"  f : Int = lambda " + "".join(f"y{i} " for i in range(n + 1)) + "--> y0"'),
-    "call-arguments": ("call arguments `f (f (… x))`",
-                       '"  f (x : Int) : Int = " + "f (" * n + "x" + ")" * n'),
-    "one-call": ("one call's arguments `f (x) (x) … (x)`",
-                 '"  f (x : Int) : Int = f" + " (x)" * (n + 1)'),
-    "right-operands": ("right operands `x + (x + (…))`",
-                       '"  f (x : Int) : Int = " + "x + (" * n + "x + x" + ")" * n'),
-    "match": ("`match` in a case result",
-              '"  f (x : Int) : Int = match x case 0 ==> " + "(match x case 0 ==> " * n + "x" + ")" * n'),
-    "parentheses": ("parentheses `((… x))`",
-                    '"  f (x : Int) : Int = " + "(" * n + "x" + ")" * n'),
-    "applied-types": ("applied types `List [List [… Int]]`",
-                      '"  f (x : " + "List [" * n + "Int" + "]" * n + ") : Int = 0"'),
-    "arrow-types": ("arrow types `Int --> Int --> …`",
-                    '"  f (x : " + "Int --> " * n + "Int) : Int = 0"'),
-    "patterns": ("constructor patterns `C_ (C_ (… _))`",
-                 '"  f (x : Int) : Int = match x case " + "C_ (" * n + "_" + ")" * n + " ==> 0"'),
-}
+# Each shape's row label, and an expression in n giving a definition nested n deep.
+SHAPES = (
+    ("flat chain `x + x + … + x`",
+     '"  f (x : Int) : Int = " + " + ".join(["x"] * (n + 1))'),
+    ("`not not … x`",
+     '"  f (b : Bool) : Bool = " + "not " * n + "b"'),
+    ("`if … else if …`",
+     '"  f (x : Int) : Int = " + "".join(f"if x == {i} then {i} else " for i in range(n)) + "0"'),
+    ("`lambda y --> lambda y --> …`",
+     '"  f : Int = " + "lambda y --> " * n + "y"'),
+    ("`lambda y0 --> lambda y1 --> …` (distinct names)",
+     '"  f : Int = " + "".join(f"lambda y{i} --> " for i in range(n)) + "y0"'),
+    ("one lambda with n parameters `lambda y0 y1 … -->`",
+     '"  f : Int = lambda " + "".join(f"y{i} " for i in range(n + 1)) + "--> y0"'),
+    ("call arguments `f (f (… x))`",
+     '"  f (x : Int) : Int = " + "f (" * n + "x" + ")" * n'),
+    ("one call's arguments `f (x) (x) … (x)`",
+     '"  f (x : Int) : Int = f" + " (x)" * (n + 1)'),
+    ("right operands `x + (x + (…))`",
+     '"  f (x : Int) : Int = " + "x + (" * n + "x + x" + ")" * n'),
+    ("`match` in a case result",
+     '"  f (x : Int) : Int = match x case 0 ==> " + "(match x case 0 ==> " * n + "x" + ")" * n'),
+    ("parentheses `((… x))`",
+     '"  f (x : Int) : Int = " + "(" * n + "x" + ")" * n'),
+    ("applied types `List [List [… Int]]`",
+     '"  f (x : " + "List [" * n + "Int" + "]" * n + ") : Int = 0"'),
+    ("arrow types `Int --> Int --> …`",
+     '"  f (x : " + "Int --> " * n + "Int) : Int = 0"'),
+    ("constructor patterns `C_ (C_ (… _))`",
+     '"  f (x : Int) : Int = match x case " + "C_ (" * n + "_" + ")" * n + " ==> 0"'),
+)
 STAGES = ("parse", "fmt", "scala", "lean")
 
 PROBE = """
@@ -66,7 +64,7 @@ import sys, threading
 from soda import analyze, parse, pretty_print, translate_to_lean, translate_to_scala
 
 n = {n}
-source = "class C\\n\\n" + ({shape}) + "\\n\\nend\\n"
+source = "class C\\n\\n" + ({source}) + "\\n\\nend\\n"
 stage = {stage!r}
 if stage == "parse":
     sys.exit(0 if parse(source).ok else 1)
@@ -92,43 +90,36 @@ else:
 """
 
 
-def takes(shape: str, stage: str, n: int) -> bool:
+def takes(source: str, stage: str, n: int) -> bool:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    code = PROBE.format(n=n, shape=SHAPES[shape][1], stage=stage)
+    code = PROBE.format(n=n, source=source, stage=stage)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=300)
     return proc.returncode == 0
 
 
-def deepest(shape: str, stage: str) -> str:
+def deepest(source: str, stage: str) -> str:
     """The largest n the stage takes, by bisection, or "any"."""
-    if takes(shape, stage, LIMIT):
+    if takes(source, stage, LIMIT):
         return "any"
     good, bad = 0, LIMIT
     while bad - good > 1:
         mid = (good + bad) // 2
-        if takes(shape, stage, mid):
+        if takes(source, stage, mid):
             good = mid
         else:
             bad = mid
     return str(good)
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--shape", action="append", choices=SHAPES,
-                    help="a shape to probe (repeatable); default: every shape")
-    ap.add_argument("--stage", action="append", choices=STAGES,
-                    help="a stage to probe (repeatable); default: every stage")
-    args = ap.parse_args(argv)
-    stages = args.stage or list(STAGES)
+def main() -> int:
     print(f"Python {sys.version.split()[0]}, recursion limit {sys.getrecursionlimit()}")
     print()
-    print("| nesting | " + " | ".join(f"`{s}`" for s in stages) + " |")
-    print("|---" * (len(stages) + 1) + "|")
-    for shape in args.shape or SHAPES:
-        cells = [deepest(shape, stage) for stage in stages]
-        print(f"| {SHAPES[shape][0]} | " + " | ".join(cells) + " |", flush=True)
+    print("| nesting | " + " | ".join(f"`{s}`" for s in STAGES) + " |")
+    print("|---" * (len(STAGES) + 1) + "|")
+    for label, source in SHAPES:
+        cells = [deepest(source, stage) for stage in STAGES]
+        print(f"| {label} | " + " | ".join(cells) + " |", flush=True)
     return 0
 
 
