@@ -16,7 +16,6 @@ _MODULE_OF = {
     "Interpreter": "interpreter",
     "RuntimeFault": "interpreter",
     "render_value": "interpreter",
-    "LeanRendering": "lean_backend",
     "check_lean_supported": "lean_backend",
     "translate_to_lean": "lean_backend",
     "LexResult": "lexer",
@@ -24,12 +23,12 @@ _MODULE_OF = {
     "ParseResult": "parser",
     "parse": "parser",
     "parse_expression": "parser",
-    "ScalaRendering": "scala_backend",
     "translate_to_scala": "scala_backend",
     "DEFAULT_MAX_RECURSION": "syntax",
     "DIAGNOSTIC_CODES": "syntax",
     "Diagnostic": "syntax",
     "Program": "syntax",
+    "Rendering": "syntax",
     "SourceSpan": "syntax",
     "Token": "syntax",
     "TokenKind": "syntax",

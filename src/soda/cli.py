@@ -24,7 +24,6 @@ from .syntax import (
     DEFAULT_MAX_RECURSION,
     Diagnostic,
     Program,
-    has_errors,
     int_from_text,
     pretty_print,
 )
@@ -131,9 +130,8 @@ def _cmd_translate(args, target: str) -> int:
             status = 1
             continue
         rendering = translate(analyzed)
-        diagnostics = getattr(rendering, "diagnostics", [])
-        _emit(diagnostics)
-        if rendering.text is None or has_errors(diagnostics):
+        _emit(rendering.diagnostics)
+        if not rendering.ok:
             status = 1
             continue
         out_path = args.output or _default_output(path, "." + target)

@@ -19,9 +19,6 @@ the ``subtype``/``supertype`` bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 from .analyzer import AnalyzedProgram, constructor_fields
 from .syntax import (
     PREC_APP,
@@ -39,25 +36,13 @@ from .syntax import (
     Match,
     NamedArg,
     Program,
+    Rendering,
     SelfRef,
     TypeArg,
     TypeExpr,
     error,
     walk,
 )
-
-
-@dataclass
-class LeanRendering:
-    """Rendered Lean text, or None when unsupported constructs were found;
-    the diagnostics then say which ones and where."""
-
-    text: Optional[str]
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.text is not None
 
 
 # ============================================================
@@ -125,9 +110,9 @@ class _LeanPrinter(ExprPrinter):
                 parts.append(self.expr(a, PREC_ATOM))
         return " ".join(parts), PREC_APP
 
-    def lambda_(self, e: Lambda) -> tuple[str, int]:
+    def lambda_head(self, e: Lambda) -> str:
         param = f"({e.param} : {self.expr(e.param_type)})" if e.param_type else e.param
-        return f"fun {param} => {self.expr(e.body)}", PREC_LOW
+        return f"fun {param} =>"
 
     def match(self, e: Match) -> tuple[str, int]:
         return " ".join(self.match_lines(e)), PREC_LOW
@@ -177,7 +162,7 @@ _LEAN = _LeanPrinter()
 # ============================================================
 
 
-def translate_to_lean(analyzed: AnalyzedProgram) -> LeanRendering:
+def translate_to_lean(analyzed: AnalyzedProgram) -> Rendering:
     """Render the whole program, or report every unsupported construct and
     render nothing. Only ``lean`` directive blocks appear, verbatim at their
     position."""
@@ -190,9 +175,9 @@ def translate_to_lean(analyzed: AnalyzedProgram) -> LeanRendering:
     try:
         if program.package_name is not None or program.imports or bounds & {"subtype", "supertype"}:
             raise _Refused
-        return LeanRendering(_LEAN.program(program)[0])
+        return _LEAN.program(program)
     except (_Refused, RecursionError):
         diagnostics = check_lean_supported(program)
         if not diagnostics:
             raise
-        return LeanRendering(None, diagnostics)
+        return Rendering(None, {}, diagnostics)

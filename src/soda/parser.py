@@ -2,8 +2,8 @@
 
 Recursive descent that reads the lexer's token kinds and texts by index and
 builds a span only for a node or a diagnostic. Expression continuation
-across lines follows the offside rule: at a newline the parser looks up the
-net indentation of the layout tokens after it (``_newline_runs``), and if,
+across lines follows the offside rule: at a newline the parser counts the
+net indentation of the layout tokens after it (``_expr_tick``), and if,
 relative to the line that opened the construct, it stays positive, the
 newline is consumed and the expression continues; otherwise the expression
 ends at that newline and the enclosing declaration consumes the newline plus
@@ -98,20 +98,6 @@ def _error_expr(span: SourceSpan) -> Expr:
     return Identifier("<error>", span)
 
 
-def _newline_runs(kinds: list[str]) -> dict[int, tuple[int, int]]:
-    """For each newline: the index just past the layout tokens after it, and
-    their net indentation (+1 per indent, -1 per dedent)."""
-    runs = {}
-    i = -1
-    for _ in range(kinds.count(TokenKind.NEWLINE)):
-        i = kinds.index(TokenKind.NEWLINE, i + 1)
-        j, net = i + 1, 0
-        while (step := _LAYOUT_STEP.get(kinds[j])) is not None:
-            j, net = j + 1, net + step
-        runs[i] = (j, net)
-    return runs
-
-
 class Parser:
     def __init__(self, kinds: list[str], texts: list[str], span: Callable[[int], SourceSpan],
                  comments: list[tuple[int, int, str]]):
@@ -123,7 +109,6 @@ class Parser:
         self.span = span
         self.comments = comments
         self.next_comment = 0  # the comments before it are taken or dropped
-        self.runs = _newline_runs(kinds)
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         # Indentation consumed by the declaration currently being parsed,
@@ -201,8 +186,12 @@ class Parser:
         """Consume a newline plus its layout tokens when the following line
         still belongs to the current construct. Hot paths call it only at a
         newline, the one token it acts on."""
-        if self.kinds[self.pos] == TokenKind.NEWLINE and self.layout_enabled:
-            after, net = self.runs[self.pos]
+        kinds = self.kinds
+        if kinds[self.pos] == TokenKind.NEWLINE and self.layout_enabled:
+            # The net indentation of the layout tokens after the newline.
+            after, net = self.pos + 1, 0
+            while (step := _LAYOUT_STEP.get(kinds[after])) is not None:
+                after, net = after + 1, net + step
             if self.rel_depth + net > 0:
                 self.pos = after
                 self.rel_depth += net

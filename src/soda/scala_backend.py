@@ -19,8 +19,6 @@ blocks targeting ``scala`` are spliced verbatim where they appeared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .analyzer import AnalyzedProgram, ConstructorSignature
 from .syntax import (
     PREC_APP,
@@ -35,18 +33,10 @@ from .syntax import (
     Lambda,
     Match,
     NamedArg,
-    SourceSpan,
+    Rendering,
     TypeArg,
     TypeParam,
 )
-
-@dataclass
-class ScalaRendering:
-    """Rendered Scala text plus a line-level map back to the source: output
-    line number (1-based) to the span of the declaration it came from."""
-
-    text: str
-    source_map: dict[int, SourceSpan] = field(default_factory=dict)
 
 
 # ============================================================
@@ -89,9 +79,9 @@ class _ScalaPrinter(ExprPrinter):
             return f"{out} ({', '.join(args)})", PREC_APP
         return out + "".join(f" ({a})" for a in args), PREC_APP
 
-    def lambda_(self, e: Lambda) -> tuple[str, int]:
+    def lambda_head(self, e: Lambda) -> str:
         param = f"({e.param} : {self.expr(e.param_type)})" if e.param_type else f"({e.param})"
-        return f"{param} => {self.expr(e.body)}", PREC_LOW
+        return f"{param} =>"
 
     def match(self, e: Match) -> tuple[str, int]:
         cases = "; ".join(self.match_cases(e))
@@ -160,8 +150,7 @@ class _ScalaPrinter(ExprPrinter):
 # ============================================================
 
 
-def translate_to_scala(analyzed: AnalyzedProgram) -> ScalaRendering:
+def translate_to_scala(analyzed: AnalyzedProgram) -> Rendering:
     """Render the whole program. Only ``scala`` directive blocks appear,
     verbatim at their source position."""
-    text, source_map = _ScalaPrinter(analyzed.constructors).program(analyzed.program)
-    return ScalaRendering(text, source_map)
+    return _ScalaPrinter(analyzed.constructors).program(analyzed.program)

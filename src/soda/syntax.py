@@ -876,6 +876,21 @@ _PRINT_METHODS = {
 }
 
 
+class Rendering(NamedTuple):
+    """A printer's output: the text, or None when a backend refuses the
+    program; the line (1-based) where each top-level chunk starts, with the
+    span of what the chunk came from; and the diagnostics, which say what
+    was refused and where."""
+
+    text: Optional[str]
+    source_map: dict[int, SourceSpan]
+    diagnostics: list[Diagnostic]
+
+    @property
+    def ok(self) -> bool:
+        return self.text is not None
+
+
 class ExprPrinter:
     """The one printer of expressions, types, patterns and declarations.
     Each expression, type or pattern prints bare on one line together with
@@ -988,9 +1003,19 @@ class ExprPrinter:
             prec = outer
         return "(" * opens + " ".join(parts), prec
 
-    def lambda_(self, e: Lambda) -> tuple[str, int]:
+    def lambda_head(self, e: Lambda) -> str:
+        """A lambda's text before its body."""
         param = f"({e.param} : {self.expr(e.param_type)})" if e.param_type else e.param
-        return f"lambda {param} --> {self.expr(e.body)}", PREC_LOW
+        return f"lambda {param} -->"
+
+    def lambda_(self, e: Lambda) -> tuple[str, int]:
+        # A lambda whose body is a lambda, as each parameter of
+        # `lambda a b -->` gives, is printed in a loop rather than by recursion.
+        heads = []
+        while type(e) is Lambda:
+            heads.append(self.lambda_head(e))
+            e = e.body
+        return f"{' '.join(heads)} {self.expr(e)}", PREC_LOW
 
     def if_(self, e: If) -> tuple[str, int]:
         cond = self.expr(e.cond)
@@ -1073,10 +1098,9 @@ class ExprPrinter:
         """The imports as top-level chunks: one chunk of them all in Soda."""
         return [[f"import {name}" for name in imports]] if imports else []
 
-    def program(self, p: Program) -> tuple[str, dict[int, SourceSpan]]:
-        """The text of a whole program, and the line (1-based) where each
-        top-level chunk starts, with the span of what the chunk came from.
-        One blank line separates neighbouring chunks."""
+    def program(self, p: Program) -> Rendering:
+        """The text of a whole program, with its source map. One blank line
+        separates neighbouring chunks."""
         chunks = [([f"package {p.package_name}"], p.span)] if p.package_name else []
         chunks += [(imports, p.span) for imports in self.import_chunks(p.imports)]
         for item in p.items:
@@ -1091,7 +1115,7 @@ class ExprPrinter:
                 lines.append("")
             starts[len(lines) + 1] = span
             lines += chunk
-        return ("\n".join(lines) + "\n" if lines else ""), starts
+        return Rendering("\n".join(lines) + "\n" if lines else "", starts, [])
 
 
 ExprPrinter.__init_subclass__()  # the base class's own dispatch table
@@ -1112,4 +1136,4 @@ def pretty_print(program: Program) -> str:
     fixpoint after one pass: pretty_print(parse(pretty_print(p))) equals
     pretty_print(p).
     """
-    return _SODA_PRINTER.program(program)[0]
+    return _SODA_PRINTER.program(program).text

@@ -658,3 +658,22 @@ def test_resolving_a_whole_call_is_linear_in_its_arguments():
         assert large < 8 * small, (small, large)
         """
     )
+
+
+# Inputs on which every command must exit with diagnostics or output, never
+# with a traceback (ROADMAP item 6's CLI check). Each command runs in a fresh
+# process, at the default recursion limit.
+CLI_CASES = {
+    "one_lambda_with_600_parameters":
+        "class A\n\n  f : Int = lambda " + " ".join(f"y{i}" for i in range(600)) + " --> y0\n\nend\n",
+}
+
+
+@pytest.mark.parametrize("command", ["check", "fmt", "scala", "lean"])
+@pytest.mark.parametrize("case", CLI_CASES)
+def test_no_command_gives_a_traceback(tmp_path, case, command):
+    path = tmp_path / "input.soda"
+    path.write_text(CLI_CASES[case])
+    output = ["-o", str(tmp_path / f"out.{command}")] if command in ("scala", "lean") else []
+    proc = run_fresh(["-m", "soda", command, str(path), *output])
+    assert proc.returncode in (0, 1, 2) and "Traceback" not in proc.stderr, proc.stderr[-3000:]

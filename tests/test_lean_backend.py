@@ -189,6 +189,19 @@ def test_rendering_none_exactly_when_diagnostics_exist():
     assert not bad.ok and bad.text is None and bad.diagnostics
 
 
+def test_source_map_points_lines_back_at_classes_and_directives():
+    src = (
+        "directive lean\n  open Nat\n\nclass A\n\n  x : Int = 1\n\nend\n\n"
+        "directive scala\n  val y = 1\n\nclass B\n\n  abstract\n    n : Int\n\nend\n"
+    )
+    out = lean_of(src)
+    lines = out.text.split("\n")
+    # The scala block is no chunk of the Lean text, so nothing maps to line 10.
+    mapped = {line: (lines[line - 1], sp.line_start) for line, sp in out.source_map.items()}
+    assert mapped == {1: ("open Nat", 1), 3: ("namespace A", 4), 9: ("class B where", 13)}
+    assert lean_of("package p\n\n" + src).source_map == {}
+
+
 def test_a_match_body_gives_its_lines_in_the_program():
     source = (
         "class P\n\n  abstract\n    fst : Int\n    snd : Int\n\n"
