@@ -40,21 +40,31 @@ Usage (from the repository root):
 
     python3 scripts/snapshot.py --check             # recompute every input, report differences
     python3 scripts/snapshot.py --write FIELD...    # regenerate those fields of tests/snapshot/digests.json
+    python3 scripts/snapshot.py --coverage          # the lines of src/soda that no input reaches
 
 Both end with a line that counts the differing inputs per field, such as
 ``differ by field: parse 3, analyzed 3``. ``--write`` writes nothing and
 exits 1 when a field it does not name differs. Regenerate only for a change of behaviour made on purpose, and
 name in CHANGES.md each field that changed, how many inputs it touched and
 why.
+
+``--coverage`` computes the fields of the full corpus in a fresh process
+under ``sys.settrace``, from the import of ``soda`` on, and prints for each
+module of ``src/soda`` how many of its executable lines some input reaches,
+and the ranges of those none reaches. It compares no digest. A module the
+corpus never imports (``cli.py``, ``__main__.py``) reaches none.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import dis
 import hashlib
 import json
+import subprocess
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -253,6 +263,81 @@ def _without(digests: dict, names, inputs) -> dict:
     return {n: {f: v for f, v in digests.get(n, {}).items() if f not in names} for n in inputs}
 
 
+# ============================================================
+# coverage
+# ============================================================
+
+#: Run with ``python -c``, given the package directory and this script: the
+#: lines of the package that the import of this script and the full corpus
+#: reach, printed as JSON, {file: [line, ...]}.
+_TRACED_RUN = """
+import json, runpy, sys
+
+package, script = sys.argv[1:]
+reached = {}
+
+def line(frame, event, arg):
+    if event == "line":
+        reached[frame.f_code.co_filename].add(frame.f_lineno)
+    return line
+
+def call(frame, event, arg):
+    name = frame.f_code.co_filename
+    if not name.startswith(package):
+        return None
+    reached.setdefault(name, set())
+    return line
+
+sys.settrace(call)
+runpy.run_path(script)["compute"](full=True)
+sys.settrace(None)
+print(json.dumps({name: sorted(lines) for name, lines in reached.items()}))
+"""
+
+
+def executable_lines(path: Path) -> set[int]:
+    """The line where each run of bytecode of the module starts, in every
+    code object it compiles to: the lines a line tracer can report."""
+    lines, codes = set(), [compile(path.read_text(), str(path), "exec")]
+    while codes:
+        code = codes.pop()
+        lines.update(line for _, line in dis.findlinestarts(code) if line)
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    return lines
+
+
+def line_ranges(lines: list[int]) -> str:
+    """Sorted line numbers as ``3-5, 9``."""
+    runs: list[list[int]] = []
+    for n in lines:
+        if runs and runs[-1][1] == n - 1:
+            runs[-1][1] = n
+        else:
+            runs.append([n, n])
+    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
+
+
+def coverage() -> int:
+    package = ROOT / "src" / "soda"
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, str(package), str(Path(__file__).resolve())],
+        capture_output=True, text=True,
+    )
+    if proc.returncode:
+        print(proc.stderr, end="", file=sys.stderr)
+        return 1
+    reached = {Path(name).resolve(): set(lines) for name, lines in json.loads(proc.stdout).items()}
+    total = hit = 0
+    for path in sorted(package.glob("*.py")):
+        lines = executable_lines(path)
+        missed = sorted(lines - reached.get(path.resolve(), set()))
+        total, hit = total + len(lines), hit + len(lines) - len(missed)
+        print(f"{path.name}: {len(lines) - len(missed)} of {len(lines)} lines reached;"
+              f" missed: {line_ranges(missed) or 'none'}")
+    print(f"all modules: {hit} of {total} lines reached")
+    return 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = ap.add_mutually_exclusive_group(required=True)
@@ -261,7 +346,10 @@ def main(argv=None) -> int:
         "--write", nargs="+", choices=FIELDS, metavar="FIELD",
         help=f"regenerate these fields of {DIGESTS.relative_to(ROOT)}, if no other field differs",
     )
+    mode.add_argument("--coverage", action="store_true", help="print the lines of src/soda no input reaches")
     args = ap.parse_args(argv)
+    if args.coverage:
+        return coverage()
     actual = compute(full=True)
     recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     expected, compared = recorded, actual

@@ -62,3 +62,11 @@ def test_serialisation_takes_a_tree_deeper_than_the_recursion_limit():
     for i in range(sys.getrecursionlimit() * 3):
         e = BinaryOp("+", e, IntLiteral(i, span), span)
     assert snapshot.serialise(e, spans=False).count("BinaryOp 2") == sys.getrecursionlimit() * 3
+
+
+def test_coverage_lists_the_executable_lines_as_ranges(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text('"""doc"""\n\n\ndef f(x):\n    if x:\n        return 1\n    return 2\n')
+    assert snapshot.executable_lines(module) == {1, 4, 5, 6, 7}
+    assert snapshot.line_ranges([3, 4, 5, 9, 11, 12]) == "3-5, 9, 11-12"
+    assert snapshot.line_ranges([]) == ""
