@@ -33,7 +33,7 @@ fields after it are not computed. Translation and evaluation run only on
 programs that analyze without errors, as ``soda`` itself does.
 
 Trees are serialised without recursion: expressions through
-``syntax.walk``, everything else from an explicit stack. The same text with
+``syntax.scoped_walk``, everything else from an explicit stack. The same text with
 spans left out is a structural equality that works at any depth.
 
 Usage (from the repository root):
@@ -83,7 +83,7 @@ from soda import (  # noqa: E402
     translate_to_lean,
     translate_to_scala,
 )
-from soda.syntax import Expr, SourceSpan, children, walk  # noqa: E402
+from soda.syntax import Expr, SourceSpan, children, scoped_walk  # noqa: E402
 
 DIGESTS = ROOT / "tests" / "snapshot" / "digests.json"
 HAND = ROOT / "tests" / "snapshot" / "inputs"
@@ -118,7 +118,7 @@ def serialise(root, spans: bool = True) -> str:
     while stack:
         x = stack.pop()
         if isinstance(x, Expr):
-            for e in walk(x):
+            for e, _ in scoped_walk(x, {}):
                 rest = [
                     f for f in dataclasses.fields(e)
                     if f.name != "span" and not _is_child_field(getattr(e, f.name))

@@ -110,11 +110,6 @@ def _cmd_check(args) -> int:
     return status
 
 
-def _default_output(path: str, extension: str) -> str:
-    stem, _ = os.path.splitext(path)
-    return stem + extension
-
-
 def _cmd_translate(args, target: str) -> int:
     if args.output and len(args.files) != 1:
         print("-o requires exactly one input file", file=sys.stderr)
@@ -134,7 +129,7 @@ def _cmd_translate(args, target: str) -> int:
         if not rendering.ok:
             status = 1
             continue
-        out_path = args.output or _default_output(path, "." + target)
+        out_path = args.output or os.path.splitext(path)[0] + "." + target
         if not _write_atomic(out_path, rendering.text):
             status = 1
     return status

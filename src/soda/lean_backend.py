@@ -41,7 +41,7 @@ from .syntax import (
     TypeArg,
     TypeExpr,
     error,
-    walk,
+    scoped_walk,
 )
 
 
@@ -63,7 +63,7 @@ def check_lean_supported(program: Program) -> list[Diagnostic]:
                 found.append((f"'{tp.bound_kind}' bounds are", tp.span))
         for d in cls.definitions:
             if d.body is not None:
-                found += [("'this' is", e.span) for e in walk(d.body) if type(e) is SelfRef]
+                found += [("'this' is", e.span) for e, _ in scoped_walk(d.body, {}) if type(e) is SelfRef]
     return [
         error("E-LEAN-001", f"{what} not supported by the Lean backend", span)
         for what, span in found

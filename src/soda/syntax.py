@@ -181,9 +181,6 @@ class TreeNode:
     are declared ``compare=False``), and equal nodes hash equal. ``repr``
     gives the text a dataclass would."""
 
-    #: The fields ``repr`` shows; ``tree_class`` sets it on each class.
-    _shown: tuple[str, ...] = ()
-
     def __eq__(self, other):
         # From a work list, so that trees of any depth compare. Two nodes of
         # one class push the compared fields that differ in identity, two
@@ -242,7 +239,7 @@ class TreeNode:
             else:
                 parts.append(f"{x.__class__.__qualname__}(")
                 todo.append(")")
-                items = [(f"{n}=", getattr(x, n)) for n in x._shown]
+                items = [(f"{n}=", getattr(x, n)) for n in _COMPARED[x.__class__]]
             for i in range(len(items) - 1, -1, -1):
                 label, v = items[i]
                 todo.append(v if isinstance(v, TreeNode) or type(v) is tuple else repr(v))
@@ -256,8 +253,8 @@ class TreeNode:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-#: Each tree class, in declaration order, with the fields that equality and
-#: hashing use.
+#: Each tree class, in declaration order, with the fields that equality,
+#: hashing and ``repr`` use.
 _COMPARED: dict[type, tuple[str, ...]] = {}
 
 
@@ -269,7 +266,6 @@ def tree_class(cls: type) -> type:
     the class has before its ``__init__`` exists."""
     dataclass(init=False, repr=False, eq=False)(cls)
     _COMPARED[cls] = tuple(f.name for f in fields(cls) if f.compare)
-    cls._shown = tuple(f.name for f in fields(cls) if f.repr)
     return cls
 
 
@@ -617,17 +613,6 @@ def rebuild(e: Expr, kids: tuple[Expr, ...]) -> Expr:
     return type(e)(*args(e, kids)) if args else e
 
 
-def walk(e: Expr):
-    """Every node of the tree rooted at ``e`` in preorder, without recursion."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        yield node
-        get = _CHILDREN.get(type(node))
-        if get:
-            stack.extend(reversed(get(node)))
-
-
 #: Index of the first child in tail position, for the nodes that pass tail
 #: position on: both branches of an ``if``, and each ``match`` case result.
 _FIRST_TAIL_CHILD = {If: 1, Match: 1, MatchCase: 0}
@@ -643,16 +628,13 @@ def pattern_nodes(p: Pattern):
             stack.extend(reversed(p.sub_patterns))
 
 
-def binder_names(e: Expr) -> tuple[str, ...]:
+def binder_names(e: Lambda | MatchCase) -> tuple[str, ...]:
     """The names ``e`` binds around its one child: a lambda's parameter, or
     a match case's pattern variables in preorder, the order matching binds
-    them in, so that of two binders of one name the later wins; else ()."""
-    t = type(e)
-    if t is Lambda:
+    them in, so that of two binders of one name the later wins."""
+    if type(e) is Lambda:
         return (e.param,)
-    if t is MatchCase:
-        return tuple(p.name for p in pattern_nodes(e.pattern) if type(p) is VarBindPattern)
-    return ()
+    return tuple(p.name for p in pattern_nodes(e.pattern) if type(p) is VarBindPattern)
 
 
 def scoped_walk(e: Expr, bound: dict):
@@ -784,9 +766,6 @@ class ClassDecl(TreeNode):
     def definitions(self) -> tuple[Definition, ...]:
         return tuple(m for m in self.members if isinstance(m, Definition))
 
-    @property
-    def directives(self) -> tuple[DirectiveBlock, ...]:
-        return tuple(m for m in self.members if isinstance(m, DirectiveBlock))
 
 
 ProgramItem = Union[ClassDecl, DirectiveBlock]
@@ -805,10 +784,6 @@ class Program(TreeNode):
     @property
     def classes(self) -> tuple[ClassDecl, ...]:
         return tuple(i for i in self.items if isinstance(i, ClassDecl))
-
-    @property
-    def top_directives(self) -> tuple[DirectiveBlock, ...]:
-        return tuple(i for i in self.items if isinstance(i, DirectiveBlock))
 
 
 # Every tree class is declared above: one declared below would get no __init__.

@@ -465,7 +465,7 @@ def test_parse_is_linear_in_the_blank_lines_that_open_a_directive():
             return "class D\\n\\n  directive scala\\n" + "\\n" * n + "    val x = 1\\n\\nend\\n"
 
         def stage(source):
-            assert parse(source).program.classes[0].directives[0].raw_lines == ("val x = 1",)
+            assert parse(source).program.classes[0].members[0].raw_lines == ("val x = 1",)
         """,
         32000,
     )

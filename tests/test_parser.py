@@ -30,8 +30,8 @@ from soda.syntax import (
     Token,
     TokenKind,
     WildcardPattern,
+    scoped_walk,
     synthetic_span,
-    walk,
 )
 
 # spans are excluded from node equality, so one synthetic span serves for all
@@ -157,7 +157,7 @@ def test_no_parsed_call_has_a_call_as_its_function():
             continue
         for c in program.classes if program else ():
             for d in c.definitions:
-                for node in walk(d.body) if d.body else ():
+                for node, _ in scoped_walk(d.body, {}) if d.body else ():
                     if type(node) is Call:
                         calls += 1
                         assert type(node.function) is not Call, pretty_print(program)
@@ -325,7 +325,7 @@ def test_directive_lines_are_normalized():
     prog = parse_ok(
         "directive coq\n    Line one.\n\n      Indented.\n"
     )
-    block = prog.top_directives[0]
+    block = prog.items[0]
     assert block.target == "coq"
     assert block.raw_lines == ("Line one.", "", "  Indented.")
 
