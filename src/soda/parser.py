@@ -403,26 +403,32 @@ class Parser:
         return (name, ty)
 
     def _parse_if(self) -> Expr:
-        kw = self.span(self.advance())
-        cond = self.parse_expression()
-        self._expr_tick()
-        if self.at_reserved("then"):
+        """An ``if`` and each ``else if`` after it in a loop; the ``If`` nodes
+        are built from the last arm outwards."""
+        arms = []  # (keyword span, condition, then branch), outermost first
+        while True:
+            kw = self.span(self.advance())
+            cond = self.parse_expression()
+            self._expr_tick()
+            if self.at_reserved("then"):
+                self.advance()
+            else:
+                self.expected("'then'")
+            arms.append((kw, cond, self.parse_expression()))
+            self._expr_tick()
+            if not self.at_reserved("else"):
+                self.err("E-PAR-010", "'if' requires an 'else' branch", kw)
+                expr = _error_expr(self.span(self.pos))
+                break
             self.advance()
-        else:
-            self.expected("'then'")
-        then_branch = self.parse_expression()
-        self._expr_tick()
-        if self.at_reserved("else"):
-            self.advance()
-            else_branch = self.parse_expression()
-        else:
-            self.err(
-                "E-PAR-010",
-                "'if' requires an 'else' branch",
-                kw,
-            )
-            else_branch = _error_expr(self.span(self.pos))
-        return If(cond, then_branch, else_branch, kw.cover(else_branch.span))
+            if self.kinds[self.pos] == TokenKind.NEWLINE:
+                self._expr_tick()
+            if not self.at_reserved("if"):
+                expr = self.parse_expression()
+                break
+        for kw, cond, then_branch in reversed(arms):
+            expr = If(cond, then_branch, expr, kw.cover(expr.span))
+        return expr
 
     def _parse_match(self) -> Expr:
         kw = self.span(self.advance())
@@ -502,7 +508,9 @@ class Parser:
             self.expect_kind(TokenKind.CLOSE_PAREN, "')'")
         else:
             self.expected("a type")
-            self._skip_offending()
+            # A definition goes on at '=', and this type at '[' or '-->'.
+            if not (self.at_op("=") or self.at_op("-->") or self.at(TokenKind.OPEN_BRACKET)):
+                self._skip_offending()
             left = NamedType("<error>", self.span(i))
         args: list[TypeExpr] = []
         while True:

@@ -993,9 +993,12 @@ class ExprPrinter:
         return f"{' '.join(heads)} {self.expr(e)}", PREC_LOW
 
     def if_(self, e: If) -> tuple[str, int]:
-        cond = self.expr(e.cond)
-        then_branch = self.expr(e.then_branch)
-        return f"if {cond} then {then_branch} else {self.expr(e.else_branch)}", PREC_LOW
+        # An `else if` chain is printed in a loop rather than by recursion.
+        arms = []
+        while type(e) is If:
+            arms.append(f"if {self.expr(e.cond)} then {self.expr(e.then_branch)} else")
+            e = e.else_branch
+        return f"{' '.join(arms)} {self.expr(e)}", PREC_LOW
 
     def match(self, e: Match) -> tuple[str, int]:
         # Scrutinee and case results are followed by `case`: a bare

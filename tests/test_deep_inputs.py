@@ -424,6 +424,49 @@ def test_every_stage_is_linear_in_the_arguments_of_a_call():
     )
 
 
+def test_every_stage_is_linear_in_the_branches_of_an_if_chain():
+    # The parser and the printers take an `else if` chain in a loop; a stage
+    # that walked back along the chain at each branch would be quadratic.
+    assert_linear(
+        """
+        from soda import Interpreter, analyze, parse, pretty_print
+        from soda import translate_to_lean, translate_to_scala
+
+        def build(n):
+            chain = "".join(f"if x == {i} then {i} else " for i in range(n))
+            return f"class C\\n\\n  f (x : Int) : Int = {chain}0\\n\\nend\\n"
+
+        def stage(source):
+            program = parse(source).program
+            assert pretty_print(program) == source
+            analyzed = analyze(program)
+            assert analyzed.diagnostics == []
+            assert translate_to_scala(analyzed).text and translate_to_lean(analyzed).ok
+            Interpreter(analyzed)
+        """,
+        1000,
+    )
+
+
+def test_an_if_chain_of_20000_branches_goes_through_every_stage():
+    run_code(
+        """
+        from soda import Interpreter, analyze, parse, pretty_print
+        from soda import translate_to_lean, translate_to_scala
+
+        chain = "".join(f"if x == {i} then {i} else " for i in range(20_000))
+        source = f"class C\\n\\n  f (x : Int) : Int = {chain}-1\\n\\nend\\n"
+        program = parse(source).program
+        assert pretty_print(program) == source
+        analyzed = analyze(program)
+        assert analyzed.diagnostics == []
+        assert f"def f (x : Int) : Int = {chain}-1" in translate_to_scala(analyzed).text
+        assert f"def f (x : Int) : Int := {chain}-1" in translate_to_lean(analyzed).text
+        assert Interpreter(analyzed).run_entry("C", "f", [19_999]) == 19_999
+        """
+    )
+
+
 def test_parse_is_linear_in_the_arguments_of_one_type():
     assert_linear(
         """
@@ -666,6 +709,9 @@ def test_resolving_a_whole_call_is_linear_in_its_arguments():
 CLI_CASES = {
     "one_lambda_with_600_parameters":
         "class A\n\n  f : Int = lambda " + " ".join(f"y{i}" for i in range(600)) + " --> y0\n\nend\n",
+    "an_if_chain_of_700_branches":
+        "class A\n\n  f (x : Int) : Int = "
+        + "".join(f"if x == {i} then {i} else " for i in range(700)) + "0\n\nend\n",
 }
 
 

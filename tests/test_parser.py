@@ -151,10 +151,7 @@ def test_no_parsed_call_has_a_call_as_its_function():
     texts.append("class A\n\n  f = (g (a)) (b) + ((h [Int]) (n := 1)) ((k (c)) (d))\n\nend\n")
     calls = 0
     for text in texts:
-        try:
-            program = parse(text).program
-        except RecursionError:  # the 1000-branch decision table: deeper than the parser goes yet
-            continue
+        program = parse(text).program
         for c in program.classes if program else ():
             for d in c.definitions:
                 for node, _ in scoped_walk(d.body, {}) if d.body else ():
@@ -644,8 +641,6 @@ RECOVERY = {
     "result_type_opening_with_a_bracket": (
         "class A\n\n  f : [Int] = 1\n\n  y = )\n\nend\n",
         ["t.soda:3:7: error[E-PAR-001]: expected a type, found '['",
-         "t.soda:3:3: error[E-PAR-001]: definition of 'f' requires '=' and a body",
-         "t.soda:3:8: error[E-PAR-001]: unexpected 'Int' after declaration",
          "t.soda:5:7: error[E-PAR-001]: expected an expression, found ')'"],
     ),
     "empty_type_argument": (
@@ -668,8 +663,11 @@ RECOVERY = {
     "arrow_type_without_a_result": (
         "class A\n\n  f : Int --> = 1\n\n  y = )\n\nend\n",
         ["t.soda:3:15: error[E-PAR-001]: expected a type, found '='",
-         "t.soda:3:3: error[E-PAR-001]: definition of 'f' requires '=' and a body",
-         "t.soda:3:17: error[E-PAR-001]: unexpected '1' after declaration",
+         "t.soda:5:7: error[E-PAR-001]: expected an expression, found ')'"],
+    ),
+    "arrow_type_without_a_domain": (
+        "class A\n\n  f : --> Int = 1\n\n  y = )\n\nend\n",
+        ["t.soda:3:7: error[E-PAR-001]: expected a type, found '-->'",
          "t.soda:5:7: error[E-PAR-001]: expected an expression, found ')'"],
     ),
 }
