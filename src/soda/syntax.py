@@ -767,7 +767,6 @@ class ClassDecl(TreeNode):
         return tuple(m for m in self.members if isinstance(m, Definition))
 
 
-
 ProgramItem = Union[ClassDecl, DirectiveBlock]
 
 
