@@ -20,15 +20,17 @@ fewer give a partial application. The evaluator is one loop over the nodes
 and a list of frames: each evaluation that waits for a value (an operand,
 the function or argument of an application, an ``if`` condition, a
 ``match`` scrutinee, a ``fold`` step) is a frame on that list, not a Python
-call, so no program deepens the host stack; locals and literals are read
-in place. Tail positions (the branches of an ``if``, the result of a
-``match`` case, and the body of a function applied in tail position)
-replace the current expression instead of pushing a frame, so annotated
-tail loops run in constant evaluation depth. Every other evaluation goes
-one level deeper, frame or not; the peak depth is recorded, which is what
-the constant-stack tests measure, and going deeper than the recursion budget
-gives a ``recursion_limit`` fault. Values of any depth print and compare
-without recursion as well.
+call, so no program deepens the host stack. A leaf, or an operator on two
+leaves, is one function of the locals, made from generated source with the
+integer case inline (after Feeley and Lapalme's closure generation, 1987).
+Tail positions (the branches of an ``if``, the result of a ``match`` case,
+and the body of a function applied in tail position) replace the current
+expression instead of pushing a frame, so annotated tail loops run in
+constant evaluation depth. Every other evaluation goes one level deeper,
+frame or not; the peak depth is recorded, which is what the constant-stack
+tests measure, and going deeper than the recursion budget gives a
+``recursion_limit`` fault. Values of any depth print and compare without
+recursion as well.
 """
 
 from __future__ import annotations
@@ -261,9 +263,8 @@ _ON_INTEGERS = {
 }
 
 
-def _binary(node: tuple, left: Value, right: Value) -> EvalOutcome:
-    """The value of a binary operator node given its operands' values."""
-    op, span = node[4], node[1]
+def _binary(op: str, span: SourceSpan, left: Value, right: Value) -> EvalOutcome:
+    """The value of the operator ``op`` at ``span`` given its operands' values."""
     if type(left) is int and type(right) is int and (on_integers := _ON_INTEGERS.get(op)):
         if op == "/" and right == 0:
             return RuntimeFault(FAULT_DIVISION_BY_ZERO, "division by zero", span)
@@ -284,15 +285,35 @@ def _binary(node: tuple, left: Value, right: Value) -> EvalOutcome:
     return RuntimeFault(FAULT_NOT_APPLICABLE, f"unknown operator '{op}'", span)
 
 
-def _operate(node: tuple, env: tuple) -> EvalOutcome:
-    """The value of a leaf, or of a binary operator on two leaves, with the locals ``env``."""
-    if node[0] <= _VALUE:
-        return env[node[2]] if node[0] == _LOCAL else node[2]
-    left, right, op = node[2], node[3], node[4]
-    left = env[left[2]] if left[0] == _LOCAL else left[2]
-    if (op == "and" or op == "or") and type(left) is bool and left == (op == "or"):
-        return left  # decided without the right operand
-    return _binary(node, left, env[right[2]] if right[0] == _LOCAL else right[2])
+_FACTORY = """def make(op, span, a, b):  # a and b: each operand's slot or literal
+    def f(env, op=op, span=span, a=a, b=b):  # defaults: made faster than four cells
+        x = {x}
+        {decide}
+        y = {y}
+        {fast}
+        return _binary(op, span, x, y)
+    return f
+"""
+_FACTORIES: dict = {}  # (operator, left kind, right kind) -> factory
+
+
+def _compiled(left: tuple, right: Optional[tuple] = None, op: str = "", span=None):
+    """The function of the locals giving the value of the leaf ``left``, or of
+    ``left op right`` at ``span`` if ``right`` is a leaf too; one ``exec`` per operator
+    and operand kinds makes its factory, with operator text only from _ON_INTEGERS."""
+    if right is None or right[0] > _VALUE:
+        return operator.itemgetter(left[2]) if left[0] == _LOCAL else lambda env, value=left[2]: value
+    key = (op, left[0], right[0])
+    make = _FACTORIES.get(key)
+    if make is None:
+        text = op if op in _ON_INTEGERS or op in ("and", "or") else None
+        exec(_FACTORY.format(
+            x="env[a]" if left[0] == _LOCAL else "a", y="env[b]" if right[0] == _LOCAL else "b",
+            decide=f"if x is {text == 'or'}: return x" if text in ("and", "or") else "",
+            fast=f"if type(x) is int and type(y) is int: return x {text} y" if text in _ON_INTEGERS
+            and text != "/" else ""), namespace := {"_binary": _binary})
+        make = _FACTORIES[key] = namespace["make"]
+    return make(op, span, left[2], right[2])
 
 
 def _whole(call: tuple, fn: ClosureV, args: list) -> tuple:
@@ -302,7 +323,8 @@ def _whole(call: tuple, fn: ClosureV, args: list) -> tuple:
     if not all(a[0] <= _VALUE or a[0] == _LEAF_OP and a[3][0] <= _VALUE for a in args):
         return call
     reach = fn.arity + (args[0][0] == _LEAF_OP)  # the head, or arg 0's operands
-    return (_WHOLE, *call[1:], fn, tuple(args), reach)
+    functions = tuple(a[5] if a[0] == _LEAF_OP else _compiled(a) for a in args)
+    return (_WHOLE, *call[1:], fn, functions, reach)
 
 
 # The resolve pass turns each expression into nested tuples (kind, span,
@@ -319,11 +341,11 @@ _CONSTANT = 2  # (_CONSTANT, span, [body, value once evaluated, else None])
 _LAMBDA = 3  # (_LAMBDA, span, body, slots of the outer locals the body uses)
 _FAULT = 4  # (_FAULT, span, fault): the fault to give when evaluated
 # A _CALL, _BINARY or _IF node (kind + _SLOW), the last item saying how many
-# levels below it the frame path goes. Within the budget, it reads the leaves
-# (_LOCAL and _VALUE nodes) in place and raises the peak as deep, else takes
+# levels below it the frame path goes. Within the budget, it calls the
+# functions of its leaves (see _compiled) and raises the peak as deep, else takes
 # the frame path. _WHOLE passes a class definition all its arguments.
-_WHOLE = 5  # (_WHOLE, span, function, argument, definition, arguments, reach)
-_LEAF_OP = 6  # a _BINARY node whose left operand is a leaf
+_WHOLE = 5  # (_WHOLE, span, function, argument, definition, the arguments' functions, reach)
+_LEAF_OP = 6  # (_LEAF_OP, span, left, right, op, function, 1): a _BINARY whose left operand is a leaf
 _LEAF_IF = 7  # an _IF node whose cond is a binary operator on leaves
 # Nodes that first evaluate the sub-expression at index 2. Each kind is also
 # that of the frame which waits for its value: (kind, node, locals, depth).
@@ -352,9 +374,10 @@ class Interpreter:
     A ``run_entry``, or a call whose arguments are locals, literals or
     operators on two of them, that passes a definition all its arguments
     enters the body once, with all of them as its locals; other calls pass
-    them one at a time, through partial applications. A constant is
-    evaluated on its first lookup and then kept, like the ``lazy val`` the
-    Scala backend emits.
+    them one at a time, through partial applications. Such arguments, and
+    the operands an operator or ``if`` reads in place, get their compiled
+    functions (``_compiled``) here. A constant is evaluated on its first
+    lookup and then kept, like the ``lazy val`` the Scala backend emits.
     """
 
     def __init__(self, analyzed: AnalyzedProgram, max_recursion: int = DEFAULT_MAX_RECURSION):
@@ -483,7 +506,10 @@ class Interpreter:
                 elif t is BinaryOp:
                     # the left operand in place, unless 'and' or 'or' must test it first
                     leaf = kids[0][0] <= _VALUE and (kids[1][0] <= _VALUE or x.op not in ("and", "or"))
-                    done.append((_LEAF_OP if leaf else _BINARY, span, *kids, x.op, 1))
+                    if leaf:  # the node's function, or its left operand's if the right one is no leaf
+                        done.append((_LEAF_OP, span, *kids, x.op, _compiled(*kids, x.op, span), 1))
+                    else:
+                        done.append((_BINARY, span, *kids, x.op, 1))
                 elif t is If:
                     leaves = kids[0][0] == _LEAF_OP and kids[0][3][0] <= _VALUE
                     done.append((_LEAF_IF if leaves else _IF, span, *kids, 2))
@@ -548,15 +574,14 @@ class Interpreter:
                         peak = reach
                     if kind == _WHOLE:
                         values = ()
-                        for a in expr[5]:
-                            value = _operate(a, env)
+                        for f in expr[5]:
+                            value = f(env)
                             if type(value) is RuntimeFault:
                                 return value
                             values = (value,) + values
                         env, expr = values, expr[4].body
                         continue
-                    operand = expr if kind == _LEAF_OP and expr[3][0] <= _VALUE else expr[2]
-                    value = _operate(operand, env)
+                    value = (expr if kind == _LEAF_OP else expr[2])[5](env)
                     if type(value) is RuntimeFault:
                         return value
                     if kind == _LEAF_IF:
@@ -564,7 +589,7 @@ class Interpreter:
                             expr = expr[3] if value else expr[4]
                             continue
                         frames.append((_IF, expr, env, depth))  # which gives the fault
-                    elif operand is not expr:  # the left operand's value, waiting for the right one
+                    elif expr[3][0] > _VALUE:  # the left operand's value, waiting for the right one
                         frames.append((_RIGHT, expr, value))
                         expr = expr[3]
                         depth += 1
@@ -587,7 +612,7 @@ class Interpreter:
                     frame = frames.pop()
                     kind = frame[0]
                     if kind == _RIGHT:
-                        value = _binary(frame[1], frame[2], value)
+                        value = _binary(frame[1][4], frame[1][1], frame[2], value)
                         if type(value) is RuntimeFault:
                             return value
                     elif kind == _APPLY:

@@ -178,14 +178,14 @@ def int_to_text(value: int) -> str:
 class TreeNode:
     """Base of the tree classes. A node is immutable. Two nodes are equal
     when they are of one class and their compared fields are equal (spans
-    are declared ``compare=False``), and equal nodes hash equal. ``repr``
-    gives the text a dataclass would."""
+    are declared ``compare=False``), a leaf value in its class as well, and
+    equal nodes hash equal. ``repr`` gives the text a dataclass would."""
 
     def __eq__(self, other):
         # From a work list, so that trees of any depth compare. Two nodes of
         # one class push the compared fields that differ in identity, two
-        # tuples their items; anything else compares with ``==``, as it
-        # would inside a tuple.
+        # tuples their items; anything else compares its class, then its
+        # value with ``==``, so the leaves 1 and true differ.
         if other.__class__ is not self.__class__:
             return NotImplemented
         todo = [(self, other)]
@@ -201,14 +201,14 @@ class TreeNode:
                 if len(a) != len(b):
                     return False
                 todo.extend(zip(a, b))
-            elif not a == b:
+            elif a.__class__ is not b.__class__ or not a == b:
                 return False
         return True
 
     def __hash__(self):
         # The hash of the tree's preorder from a work list: each node's class,
-        # each tuple's length, and the leaves, which ``==`` compares as they
-        # are. So equal trees hash equal, at any depth.
+        # each tuple's length, and each leaf's class and value, which ``==``
+        # compares. So equal trees hash equal, at any depth.
         flat, todo = [], [self]
         while todo:
             x = todo.pop()
@@ -220,7 +220,7 @@ class TreeNode:
                 flat.append(len(x))
                 todo += x
             else:
-                flat.append(x)
+                flat += (x.__class__, x)
         return hash(tuple(flat))
 
     def __repr__(self):

@@ -5,7 +5,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soda import (
@@ -561,3 +561,86 @@ def _oracle(t):
 @settings(max_examples=300, deadline=None)
 def test_arithmetic_matches_python_oracle(tree):
     assert as_int(ev(_render(tree))) == _oracle(tree)
+
+
+# --- operators on locals and literals against the oracle ---
+
+_OPERATORS = ("+", "-", "*", "/", "<", "<=", ">", ">=", "==", "and", "or")
+_operand = st.one_of(st.integers(-1000, 1000), st.booleans(), st.sampled_from(["", "a", "bc"]))
+
+
+def _literal(v):
+    if type(v) is bool:
+        return "true" if v else "false"
+    return f'"{v}"' if type(v) is str else f"({v})" if v < 0 else str(v)
+
+
+class _Fault(str):
+    """A fault kind, told apart from a string value."""
+
+
+def _operator_oracle(op, a, b):
+    """The value of ``a op b``, or the kind of the fault it gives."""
+    if op in ("and", "or"):
+        if a is (op == "or"):
+            return a  # decided by the left operand alone
+        return b if type(a) is bool and type(b) is bool else _Fault("arity_fault")
+    if op == "==":
+        return type(a) is type(b) and a == b
+    if op == "+" and type(a) is str and type(b) is str:
+        return a + b
+    if type(a) is not int or type(b) is not int:
+        return _Fault("arity_fault")
+    if op == "/":
+        return _Fault("division_by_zero") if b == 0 else abs(a) // abs(b) * (1 if (a < 0) == (b < 0) else -1)
+    return {"+": a + b, "-": a - b, "*": a * b, "<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op]
+
+
+@given(st.sampled_from(_OPERATORS), st.sampled_from(["local/local", "local/literal", "literal/local"]),
+       _operand, _operand)
+@example("or", "local/local", True, 5)  # decided by the left operand
+@example("and", "local/local", False, 5)
+@example("or", "local/local", False, 5)  # not decided: the right one must be a boolean
+@example("/", "local/local", 7, 0)
+@example("/", "literal/local", -7, 2)
+@example("==", "local/literal", 1, True)
+@settings(max_examples=400, deadline=None)
+def test_operators_on_locals_match_python_oracle(op, kinds, a, b):
+    # The operator on two parameters, or on one and a literal, as a body, as
+    # the argument of a call given all its arguments, and as an 'if' condition.
+    left = "a" if kinds.startswith("local") else _literal(a)
+    right = "b" if kinds.endswith("local") else _literal(b)
+    e = f"{left} {op} {right}"
+    it = interp_of(
+        "class O\n\n  id (x : Int) : Int = x\n\n"
+        f"  body (a : Int) (b : Int) : Int = {e}\n\n"
+        f"  whole (a : Int) (b : Int) : Int = id ({e})\n\n"
+        f"  cond (a : Int) (b : Int) : Int = if {e} then 1 else 0\n\nend\n"
+    )
+    want = _operator_oracle(op, a, b)
+    tested = want if type(want) is _Fault else (1 if want else 0) if type(want) is bool else _Fault("arity_fault")
+    for name, want in (("body", want), ("whole", want), ("cond", tested)):
+        out = it.run_entry("O", name, [a, b])
+        if type(want) is _Fault:
+            assert isinstance(out, RuntimeFault) and out.kind == want, (name, e, a, b, out)
+        else:
+            assert type(out) is type(want) and out == want, (name, e, a, b, out)
+
+
+@pytest.mark.parametrize("op", ["+ 1 +", "//", "**", "a if True else b", "and "])
+def test_an_unknown_operator_faults_on_literals_and_locals(op):
+    # A hand-built BinaryOp whose operator the parser never gives, which
+    # would compute something if its text were compiled: on two literals and
+    # as the body of a definition on its two parameters, it faults.
+    from soda.syntax import (BinaryOp, ClassDecl, Definition, Identifier, IntLiteral,
+                             NamedType, Program, synthetic_span)
+
+    span = synthetic_span()
+    on_locals = BinaryOp(op, Identifier("a", span), Identifier("b", span), span)
+    params = (("a", NamedType("Int", span)), ("b", NamedType("Int", span)))
+    f = Definition("f", params, None, on_locals, False, span=span)
+    it = Interpreter(analyze(Program(None, (), (ClassDecl("O", (), (), (f,), span=span),), span)))
+    on_literals = BinaryOp(op, IntLiteral(2, span), IntLiteral(3, span), span)
+    for out in (it.evaluate(on_literals), it.run_entry("O", "f", [2, 3])):
+        assert isinstance(out, RuntimeFault) and out.kind == "arity_fault", (op, out)
+        assert out.message == f"unknown operator '{op}'"

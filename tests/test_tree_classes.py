@@ -7,6 +7,7 @@ import dataclasses
 
 import pytest
 
+import soda
 from soda import syntax
 from soda.syntax import (
     AbstractBlock,
@@ -195,11 +196,16 @@ def test_declaration_defaults():
     assert Program(None, (), ()).span is None
 
 
-def test_leaves_compare_with_python_equality():
-    # As inside a tuple: True == 1, so these patterns are equal and hash
-    # equal, while nodes of different classes never are.
-    assert LiteralPattern(True, SPAN) == LiteralPattern(1, OTHER_SPAN)
-    assert hash(LiteralPattern(True, SPAN)) == hash(LiteralPattern(1, SPAN))
+def test_leaves_compare_by_class_and_value():
+    # Unlike inside a tuple, where True == 1: a leaf's class counts, so these
+    # patterns differ and hash apart, as nodes of different classes do.
+    assert LiteralPattern(True, SPAN) != LiteralPattern(1, OTHER_SPAN)
+    assert LiteralPattern(False, SPAN) != LiteralPattern(0, SPAN)
+    assert hash(LiteralPattern(True, SPAN)) != hash(LiteralPattern(1, SPAN))
+    assert LiteralPattern(True, SPAN) == LiteralPattern(True, OTHER_SPAN)
+    one, true = (soda.parse(f"class A\n\n  f (x : Int) : Int = match x case {v} ==> 0 case _ ==> 1\n\nend\n",
+                            "a.soda").program for v in ("1", "true"))
+    assert one != true and hash(one) != hash(true)
     assert BoolLiteral(True, SPAN) != IntLiteral(1, SPAN)
     assert LiteralPattern("1", SPAN) != LiteralPattern(1, SPAN)
     assert Program(None, (), (DEF,)) != Program(None, (), (DEF, DEF))
