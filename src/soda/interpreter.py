@@ -286,7 +286,7 @@ def _binary(op: str, span: SourceSpan, left: Value, right: Value) -> EvalOutcome
 
 
 _FACTORY = """def make(op, span, a, b):  # a and b: each operand's slot or literal
-    def f(env, op=op, span=span, a=a, b=b):  # defaults: made faster than four cells
+    def f(env, op=op, span=span, a=a, b=b):  # defaults, not cells: quicker to make
         x = {x}
         {decide}
         y = {y}

@@ -178,8 +178,8 @@ def int_to_text(value: int) -> str:
 class TreeNode:
     """Base of the tree classes. A node is immutable. Two nodes are equal
     when they are of one class and their compared fields are equal (spans
-    are declared ``compare=False``), a leaf value in its class as well, and
-    equal nodes hash equal. ``repr`` gives the text a dataclass would."""
+    are declared ``compare=False``), each leaf in class as well as value,
+    and equal nodes hash equal. ``repr`` gives the text a dataclass would."""
 
     def __eq__(self, other):
         # From a work list, so that trees of any depth compare. Two nodes of
